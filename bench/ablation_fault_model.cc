@@ -15,7 +15,6 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
-#include "campaign_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "repair/coverage.h"
@@ -72,10 +71,7 @@ coverageFor(const FaultModelConfig &model, uint64_t faulty_nodes,
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv, withCampaignFlags({"faulty-nodes", "seed", "json"}));
-    rejectCampaignFlags(options, "ablation_fault_model");
-    rejectMappingFlag(options, "ablation_fault_model");
+    const CliOptions options(argc, argv, {"faulty-nodes", "seed", "json"});
     const uint64_t faulty_nodes = static_cast<uint64_t>(
         options.getPositiveInt("faulty-nodes", 8000));
     const uint64_t seed =

@@ -19,7 +19,6 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
-#include "campaign_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "repair/coverage.h"
@@ -31,10 +30,7 @@ int
 main(int argc, char **argv)
 {
     const CliOptions options(
-        argc, argv,
-        withMappingFlag(
-            withCampaignFlags({"faulty-nodes", "seed", "json"})));
-    rejectCampaignFlags(options, "ablation_mapping");
+        argc, argv, {"faulty-nodes", "seed", "json", "mapping"});
     CoverageConfig config;
     config.faultyNodeTarget = static_cast<uint64_t>(
         options.getPositiveInt("faulty-nodes", 15000));

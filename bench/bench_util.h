@@ -22,87 +22,8 @@
 #include "repair/ppr_repair.h"
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
-#include "tracing/trace_export.h"
-#include "tracing/tracer.h"
 
 namespace relaxfault::bench {
-
-/**
- * Build `TrialRunOptions` from the shared bench flags: `--threads=N`
- * (0 = auto via RELAXFAULT_THREADS / hardware concurrency) and
- * `--progress` (trials/sec + ETA on stderr). Thread count never changes
- * results — only wall-clock time.
- */
-inline TrialRunOptions
-trialRunOptions(const CliOptions &options)
-{
-    TrialRunOptions run;
-    run.parallel.threads =
-        static_cast<unsigned>(options.getNonNegativeInt("threads", 0));
-    run.progress = options.has("progress");
-    return run;
-}
-
-/**
- * Parse `--degrade=retire|due|failstop` (default "due", the paper's
- * behavior). The chosen policy changes simulation results, so callers
- * must fold its name into their campaign fingerprint.
- */
-inline DegradationPolicy
-degradeFlag(const CliOptions &options)
-{
-    const std::string name = options.getString("degrade", "due");
-    const auto policy = parseDegradationPolicy(name);
-    if (!policy.has_value())
-        fatal("--degrade=" + name +
-              " is not a policy (expected retire | due | failstop)");
-    return *policy;
-}
-
-/**
- * Parse `--audit` / `--audit-every=N` into `AuditOptions`. Auditing is
- * observation-only (it cannot change any result, only add `audit.*`
- * counters), so it never enters a campaign fingerprint.
- */
-inline AuditOptions
-auditFlag(const CliOptions &options)
-{
-    AuditOptions audit;
-    audit.enabled = options.has("audit");
-    audit.everyFaults = static_cast<unsigned>(
-        options.getPositiveInt("audit-every", 1));
-    return audit;
-}
-
-/**
- * Append the tracing flags to a bench's known-options list. Only the
- * lifetime Monte Carlo benches (Figs. 9, 12, 13, 14) call this —
- * tracing instruments the trial pipeline, so on every other bench
- * `--trace` stays an unknown option and CliOptions exits(1). Keep it
- * that way: a silently ignored `--trace` is a forensics run that
- * produced no artifact (see also rejectTraceFlags in campaign_flags.h).
- */
-inline std::vector<std::string>
-withTraceFlags(std::vector<std::string> known)
-{
-    known.insert(known.end(), {"trace", "trace-filter"});
-    return known;
-}
-
-/**
- * Append `--mapping` to a bench's known-options list. Only the benches
- * whose results flow through a DRAM address map call this (fig08,
- * ablation_mapping, and the lifetime Monte Carlo benches); everywhere
- * else the strict CliOptions parser keeps `--mapping` an unknown option
- * and exits(1) — a silently ignored mapping flag is a run the operator
- * believes used a different address swizzle than it did.
- */
-inline std::vector<std::string>
-withMappingFlag(std::vector<std::string> known)
-{
-    known.push_back("mapping");
-    return known;
-}
 
 /**
  * Parse `--mapping=NAME` (default "fig7a", the paper's Fig. 7a scheme).
@@ -118,68 +39,6 @@ mappingFlag(const CliOptions &options)
         fatal("--mapping=" + name + " is not a mapping scheme (expected " +
               addressMappingNamesHint() + ")");
     return name;
-}
-
-/**
- * A bench's causal-trace artifact, built from `--trace[=PATH]` and
- * `--trace-filter=KINDS`. `tracer` is null when tracing is off — wire
- * `get()` straight into `TrialRunOptions.tracer` and the disabled path
- * costs one branch per would-be event.
- */
-struct BenchTrace
-{
-    std::unique_ptr<Tracer> tracer;  ///< Null = tracing off.
-    std::string path;                ///< Aggregate trace output file.
-
-    Tracer *get() const { return tracer.get(); }
-
-    /**
-     * Publish the aggregate trace document (no-op when off). Callers
-     * skip this on an interrupted run, mirroring BenchReport::write —
-     * the per-shard campaign flushes are the partial-run artifact.
-     */
-    void write() const
-    {
-        if (tracer == nullptr)
-            return;
-        if (!writeTraceFile(*tracer, path))
-            fatal("cannot write --trace output file " + path);
-        inform("wrote " + path + " (" +
-               std::to_string(tracer->recorded()) + " events, " +
-               std::to_string(tracer->dropped()) + " dropped)");
-    }
-};
-
-/**
- * Parse the tracing flags. Bare `--trace` defaults the output to
- * `TRACE_<bench>.json`; `--trace-filter` without `--trace` is fatal
- * (a filter with nothing to filter is a typo'd run), as is an unknown
- * kind name in the filter spec. Tracing never changes results, so —
- * like auditing — it does not enter campaign fingerprints.
- */
-inline BenchTrace
-traceFlag(const CliOptions &options, const std::string &bench_name)
-{
-    BenchTrace trace;
-    if (!options.has("trace")) {
-        if (options.has("trace-filter"))
-            fatal("--trace-filter requires --trace (nothing to filter)");
-        return trace;
-    }
-    trace.path = options.getString("trace", "");
-    if (trace.path.empty())
-        trace.path = "TRACE_" + bench_name + ".json";
-    const std::string spec = options.getString("trace-filter", "all");
-    const auto filter = parseTraceFilter(spec);
-    if (!filter.has_value())
-        fatal("--trace-filter=" + spec +
-              " has an unknown event kind (expected a comma-separated "
-              "subset of fault,repair,scrub,budget,degrade,verdict,"
-              "replace,span,heartbeat, or \"all\")");
-    TracerConfig config;
-    config.filter = *filter;
-    trace.tracer = std::make_unique<Tracer>(config);
-    return trace;
 }
 
 /** The paper's LLC: 8MiB, 16-way, 64B lines. */

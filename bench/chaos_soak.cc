@@ -40,14 +40,13 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
-#include "campaign_flags.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/process.h"
 #include "common/table.h"
 #include "fleet/worker_pool.h"
-#include "worker_flags.h"
+#include "lifetime_bench.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;

@@ -13,7 +13,6 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
-#include "campaign_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "repair/coverage.h"
@@ -24,10 +23,7 @@ using namespace relaxfault::bench;
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv, withCampaignFlags({"faulty-nodes", "seed", "json"}));
-    rejectCampaignFlags(options, "ext_organizations");
-    rejectMappingFlag(options, "ext_organizations");
+    const CliOptions options(argc, argv, {"faulty-nodes", "seed", "json"});
     const uint64_t faulty_target = static_cast<uint64_t>(
         options.getPositiveInt("faulty-nodes", 10000));
     const uint64_t seed =

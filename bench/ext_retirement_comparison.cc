@@ -18,7 +18,6 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
-#include "campaign_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "repair/coverage.h"
@@ -32,11 +31,7 @@ int
 main(int argc, char **argv)
 {
     const CliOptions options(
-        argc, argv,
-        withCampaignFlags(
-            {"faulty-nodes", "seed", "page-budget-mib", "json"}));
-    rejectCampaignFlags(options, "ext_retirement_comparison");
-    rejectMappingFlag(options, "ext_retirement_comparison");
+        argc, argv, {"faulty-nodes", "seed", "page-budget-mib", "json"});
     CoverageConfig config;
     config.faultyNodeTarget = static_cast<uint64_t>(
         options.getPositiveInt("faulty-nodes", 15000));

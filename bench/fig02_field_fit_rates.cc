@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench_json.h"
-#include "campaign_flags.h"
 #include "common/table.h"
 #include "faults/rates.h"
 
@@ -41,10 +40,7 @@ printSystem(const char *name, const FitRates &rates)
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv, bench::withCampaignFlags({"json"}));
-    bench::rejectCampaignFlags(options, "fig02_field_fit_rates");
-    bench::rejectMappingFlag(options, "fig02_field_fit_rates");
+    const CliOptions options(argc, argv, {"json"});
     BenchReport report(options, "fig02_field_fit_rates");
 
     std::cout << "Fig. 2 / Table 2: DDR3 field-study fault rates\n\n";

@@ -12,7 +12,6 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
-#include "campaign_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "repair/coverage.h"
@@ -24,10 +23,7 @@ int
 main(int argc, char **argv)
 {
     const CliOptions options(
-        argc, argv,
-        withMappingFlag(
-            withCampaignFlags({"faulty-nodes", "seed", "json"})));
-    rejectCampaignFlags(options, "fig08_hash_sensitivity");
+        argc, argv, {"faulty-nodes", "seed", "json", "mapping"});
     CoverageConfig config;
     config.faultyNodeTarget = static_cast<uint64_t>(
         options.getPositiveInt("faulty-nodes", 20000));

@@ -15,12 +15,7 @@
 
 #include <iostream>
 
-#include "bench_json.h"
-#include "bench_util.h"
-#include "campaign_flags.h"
-#include "common/table.h"
-#include "obs_flags.h"
-#include "worker_flags.h"
+#include "lifetime_bench.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;
@@ -28,11 +23,9 @@ using namespace relaxfault::bench;
 namespace {
 
 bool
-runSweep(const std::vector<std::pair<double, double>> &points,
-         bool sweep_factor, unsigned nodes, unsigned trials, uint64_t seed,
-         const std::string &mapping, const TrialRunOptions &run_options,
-         BenchReport &report, CampaignRunner *runner,
-         WorkerCampaignRunner *pool)
+runSweep(LifetimeBench &bench,
+         const std::vector<std::pair<double, double>> &points,
+         bool sweep_factor)
 {
     TextTable table;
     table.setHeader({sweep_factor ? "acceleration" : "fraction(%)",
@@ -40,10 +33,7 @@ runSweep(const std::vector<std::pair<double, double>> &points,
                      "replacements"});
     unsigned point_index = 0;
     for (const auto &[factor, fraction] : points) {
-        LifetimeConfig config;
-        config.nodesPerSystem = nodes;
-        config.policy = ReplacePolicy::AfterDue;
-        config.mapping = mapping;
+        LifetimeConfig config = bench.config();
         if (factor <= 1.0) {
             config.faultModel.accelerationEnabled = false;
         } else {
@@ -52,19 +42,12 @@ runSweep(const std::vector<std::pair<double, double>> &points,
             config.faultModel.acceleratedDimmFraction = fraction;
         }
         const LifetimeSimulator simulator(config);
-        TrialRunOptions run = run_options;
-        run.metrics = report.metrics();
         // Unit key = panel/point-index: stable across runs because the
         // sweep points are compiled in.
-        const std::string unit =
+        const CampaignResult unit_result = bench.runUnit(
             (sweep_factor ? "factor-sweep/" : "fraction-sweep/") +
-            std::to_string(point_index++);
-        if (run.tracer != nullptr)
-            run.traceUnit = run.tracer->registerUnit(unit);
-        const CampaignResult unit_result =
-            pool != nullptr
-                ? pool->runUnit(unit, simulator, {}, trials, seed, run)
-                : runner->runUnit(unit, simulator, {}, trials, seed, run);
+                std::to_string(point_index++),
+            simulator, {});
         if (unit_result.interrupted)
             return false;
         const LifetimeSummary &summary = unit_result.summary;
@@ -77,7 +60,7 @@ runSweep(const std::vector<std::pair<double, double>> &points,
                       TextTable::num(summary.dues.mean(), 2),
                       TextTable::num(summary.sdcs.mean(), 4),
                       TextTable::num(summary.replacements.mean(), 2)});
-        report.addRow()
+        bench.report().addRow()
             .set("panel", sweep_factor ? "factor-sweep" : "fraction-sweep")
             .set("acceleration_factor", factor)
             .set("accelerated_fraction", fraction)
@@ -97,75 +80,31 @@ runSweep(const std::vector<std::pair<double, double>> &points,
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv,
-        withObsFlags(withMappingFlag(withTraceFlags(withWorkerFlags(
-            withCampaignFlags({"trials", "seed", "nodes", "threads",
-                               "progress", "json", "audit",
-                               "audit-every"}))))));
-    const auto trials =
-        static_cast<unsigned>(options.getPositiveInt("trials", 15));
-    const auto seed = static_cast<uint64_t>(options.getInt("seed", 909));
-    const auto nodes =
-        static_cast<unsigned>(options.getPositiveInt("nodes", 16384));
-    const std::string mapping = mappingFlag(options);
-
-    TrialRunOptions run = trialRunOptions(options);
-    run.audit = auditFlag(options);
-    const BenchTrace trace =
-        traceFlag(options, "fig09_fault_model_sensitivity");
-    run.tracer = trace.get();
-    BenchReport report(options, "fig09_fault_model_sensitivity");
-    report.record().setSeed(seed).setTrials(trials).setThreads(
-        run.parallel.threads);
-    report.record().setConfig("nodes", static_cast<int64_t>(nodes));
-    report.record().setConfig("mapping", mapping);
-
-    CampaignOptions campaign = campaignOptions(options);
-    campaign.tracePath = trace.path;
-    const CampaignFingerprint fingerprint =
-        campaignFingerprint("fig09_fault_model_sensitivity", seed, trials,
-                            campaign,
-                            "nodes=" + std::to_string(nodes) +
-                                ",mapping=" + mapping);
-    const std::unique_ptr<WorkerCampaignRunner> pool = makeWorkerPool(
-        options, "fig09_fault_model_sensitivity", fingerprint, campaign);
-    std::unique_ptr<CampaignRunner> runner;
-    if (pool == nullptr)
-        runner = std::make_unique<CampaignRunner>(fingerprint, campaign);
-    BenchObs obs(options, "fig09_fault_model_sensitivity", report);
-    run.stats = obs.stats();
-
+    LifetimeBench bench(argc, argv, kFig09Bench);
     std::cout << "Fig. 9a/9b: acceleration-factor sweep at 0.1% of nodes "
-                 "and DIMMs (" << nodes << " nodes, " << trials
-              << " trials)\n\n";
-    bool completed = runSweep({{1.0, 0.001},
+                 "and DIMMs (" << bench.nodes() << " nodes, "
+              << bench.trials() << " trials)\n\n";
+    bool completed = runSweep(bench,
+                              {{1.0, 0.001},
                                {50.0, 0.001},
                                {100.0, 0.001},
                                {150.0, 0.001},
                                {200.0, 0.001}},
-                              true, nodes, trials, seed, mapping, run,
-                              report, runner.get(), pool.get());
+                              true);
 
     if (completed) {
         std::cout << "\nFig. 9c/9d: accelerated-fraction sweep at 100x ("
-                  << nodes << " nodes, " << trials << " trials)\n\n";
-        completed = runSweep({{1.0, 0.0},
-                              {100.0, 0.0001},
-                              {100.0, 0.001},
-                              {100.0, 0.002},
-                              {100.0, 0.003},
-                              {100.0, 0.004},
-                              {100.0, 0.005}},
-                             false, nodes, trials, seed, mapping, run,
-                             report, runner.get(), pool.get());
+                  << bench.nodes() << " nodes, " << bench.trials()
+                  << " trials)\n\n";
+        runSweep(bench,
+                 {{1.0, 0.0},
+                  {100.0, 0.0001},
+                  {100.0, 0.001},
+                  {100.0, 0.002},
+                  {100.0, 0.003},
+                  {100.0, 0.004},
+                  {100.0, 0.005}},
+                 false);
     }
-    if (SignalGuard::stopRequested())
-        return 128 + SignalGuard::stopSignal();
-    stampWorkerRss(report, pool.get());
-    report.write();
-    trace.write();
-    obs.finish();
-    return workerPoolExitStatus("fig09_fault_model_sensitivity",
-                                pool.get());
+    return bench.finish();
 }

@@ -10,20 +10,13 @@
 
 #include <iostream>
 
-#include "campaign_flags.h"
 #include "coverage_curves.h"
 
 int
 main(int argc, char **argv)
 {
     const relaxfault::CliOptions options(
-        argc, argv,
-        relaxfault::bench::withCampaignFlags(
-            {"faulty-nodes", "seed", "json"}));
-    relaxfault::bench::rejectCampaignFlags(options,
-                                           "fig10_coverage_base_fit");
-    relaxfault::bench::rejectMappingFlag(options,
-                                         "fig10_coverage_base_fit");
+        argc, argv, {"faulty-nodes", "seed", "json"});
     std::cout << "Fig. 10: repair coverage (%) vs required LLC capacity, "
                  "1x FIT\n\n";
     relaxfault::bench::BenchReport report(options,

@@ -9,20 +9,13 @@
 
 #include <iostream>
 
-#include "campaign_flags.h"
 #include "coverage_curves.h"
 
 int
 main(int argc, char **argv)
 {
     const relaxfault::CliOptions options(
-        argc, argv,
-        relaxfault::bench::withCampaignFlags(
-            {"faulty-nodes", "seed", "json"}));
-    relaxfault::bench::rejectCampaignFlags(options,
-                                           "fig11_coverage_10x_fit");
-    relaxfault::bench::rejectMappingFlag(options,
-                                         "fig11_coverage_10x_fit");
+        argc, argv, {"faulty-nodes", "seed", "json"});
     std::cout << "Fig. 11: repair coverage (%) vs required LLC capacity, "
                  "10x FIT\n\n";
     relaxfault::bench::BenchReport report(options,

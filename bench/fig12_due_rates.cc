@@ -12,10 +12,7 @@
 
 #include <iostream>
 
-#include "campaign_flags.h"
-#include "lifetime_tables.h"
-#include "obs_flags.h"
-#include "worker_flags.h"
+#include "lifetime_bench.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;
@@ -23,78 +20,20 @@ using namespace relaxfault::bench;
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv,
-        withObsFlags(withMappingFlag(withTraceFlags(withWorkerFlags(
-            withCampaignFlags({"trials", "seed", "nodes", "threads",
-                               "progress", "json", "degrade", "audit",
-                               "audit-every"}))))));
-    const auto trials =
-        static_cast<unsigned>(options.getPositiveInt("trials", 25));
-    const auto seed = static_cast<uint64_t>(options.getInt("seed", 1206));
-    const auto nodes =
-        static_cast<unsigned>(options.getPositiveInt("nodes", 16384));
-    const DegradationPolicy degrade = degradeFlag(options);
-    const std::string mapping = mappingFlag(options);
-
-    TrialRunOptions run = trialRunOptions(options);
-    run.audit = auditFlag(options);
-    const BenchTrace trace = traceFlag(options, "fig12_due_rates");
-    run.tracer = trace.get();
-    BenchReport report(options, "fig12_due_rates");
-    report.record().setSeed(seed).setTrials(trials).setThreads(
-        run.parallel.threads);
-    report.record().setConfig("nodes", static_cast<int64_t>(nodes));
-    report.record().setConfig("degrade", degradationPolicyName(degrade));
-    report.record().setConfig("mapping", mapping);
-
-    // The degradation policy and address mapping change results, so
-    // they are part of the campaign identity; auditing and tracing are
-    // observation-only and are not.
-    CampaignOptions campaign = campaignOptions(options);
-    campaign.tracePath = trace.path;
-    const CampaignFingerprint fingerprint =
-        campaignFingerprint("fig12_due_rates", seed, trials, campaign,
-                            "nodes=" + std::to_string(nodes) +
-                                ",degrade=" +
-                                degradationPolicyName(degrade) +
-                                ",mapping=" + mapping);
-    // --workers>0 swaps the in-process campaign runner for the forked
-    // worker pool; results are bit-identical either way.
-    const std::unique_ptr<WorkerCampaignRunner> pool =
-        makeWorkerPool(options, "fig12_due_rates", fingerprint, campaign);
-    std::unique_ptr<CampaignRunner> runner;
-    if (pool == nullptr)
-        runner = std::make_unique<CampaignRunner>(fingerprint, campaign);
-    // Live observability (--metrics-out/--profile/--stats-plane);
-    // observation-only, so results stay bit-identical with it on.
-    BenchObs obs(options, "fig12_due_rates", report);
-    run.stats = obs.stats();
-
+    LifetimeBench bench(argc, argv, kFig12Bench);
     for (const double fit : {1.0, 10.0}) {
-        LifetimeConfig config;
+        LifetimeConfig config = bench.config();
         config.faultModel.fitScale = fit;
-        config.nodesPerSystem = nodes;
-        config.policy = ReplacePolicy::AfterDue;
-        config.degradation = degrade;
-        config.mapping = mapping;
         std::cout << "Fig. 12" << (fit == 1.0 ? "a" : "b")
                   << ": expected DUEs per system, " << fit << "x FIT, "
-                  << nodes << " nodes, " << trials << " trials\n\n";
-        if (!runRepairMatrix(config, trials, seed,
+                  << bench.nodes() << " nodes, " << bench.trials()
+                  << " trials\n\n";
+        if (!runRepairMatrix(bench, config,
                              [](const LifetimeSummary &s)
                                  -> const RunningStat & { return s.dues; },
-                             "DUEs", run, &report,
-                             fit == 1.0 ? "1x-fit" : "10x-fit",
-                             runner.get(), pool.get()))
+                             "DUEs", fit == 1.0 ? "1x-fit" : "10x-fit"))
             break;
         std::cout << "\n";
     }
-    if (SignalGuard::stopRequested())
-        return 128 + SignalGuard::stopSignal();
-    stampWorkerRss(report, pool.get());
-    report.write();
-    trace.write();
-    obs.finish();
-    return workerPoolExitStatus("fig12_due_rates", pool.get());
+    return bench.finish();
 }

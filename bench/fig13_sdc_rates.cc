@@ -11,10 +11,7 @@
 
 #include <iostream>
 
-#include "campaign_flags.h"
-#include "lifetime_tables.h"
-#include "obs_flags.h"
-#include "worker_flags.h"
+#include "lifetime_bench.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;
@@ -22,71 +19,20 @@ using namespace relaxfault::bench;
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv,
-        withObsFlags(withMappingFlag(withTraceFlags(withWorkerFlags(
-            withCampaignFlags({"trials", "seed", "nodes", "threads",
-                               "progress", "json", "degrade", "audit",
-                               "audit-every"}))))));
-    const auto trials =
-        static_cast<unsigned>(options.getPositiveInt("trials", 25));
-    const auto seed = static_cast<uint64_t>(options.getInt("seed", 1307));
-    const auto nodes =
-        static_cast<unsigned>(options.getPositiveInt("nodes", 16384));
-    const DegradationPolicy degrade = degradeFlag(options);
-    const std::string mapping = mappingFlag(options);
-
-    TrialRunOptions run = trialRunOptions(options);
-    run.audit = auditFlag(options);
-    const BenchTrace trace = traceFlag(options, "fig13_sdc_rates");
-    run.tracer = trace.get();
-    BenchReport report(options, "fig13_sdc_rates");
-    report.record().setSeed(seed).setTrials(trials).setThreads(
-        run.parallel.threads);
-    report.record().setConfig("nodes", static_cast<int64_t>(nodes));
-    report.record().setConfig("degrade", degradationPolicyName(degrade));
-    report.record().setConfig("mapping", mapping);
-
-    CampaignOptions campaign = campaignOptions(options);
-    campaign.tracePath = trace.path;
-    const CampaignFingerprint fingerprint =
-        campaignFingerprint("fig13_sdc_rates", seed, trials, campaign,
-                            "nodes=" + std::to_string(nodes) +
-                                ",degrade=" +
-                                degradationPolicyName(degrade) +
-                                ",mapping=" + mapping);
-    const std::unique_ptr<WorkerCampaignRunner> pool =
-        makeWorkerPool(options, "fig13_sdc_rates", fingerprint, campaign);
-    std::unique_ptr<CampaignRunner> runner;
-    if (pool == nullptr)
-        runner = std::make_unique<CampaignRunner>(fingerprint, campaign);
-    BenchObs obs(options, "fig13_sdc_rates", report);
-    run.stats = obs.stats();
-
+    LifetimeBench bench(argc, argv, kFig13Bench);
     for (const double fit : {1.0, 10.0}) {
-        LifetimeConfig config;
+        LifetimeConfig config = bench.config();
         config.faultModel.fitScale = fit;
-        config.nodesPerSystem = nodes;
-        config.policy = ReplacePolicy::AfterDue;
-        config.degradation = degrade;
-        config.mapping = mapping;
         std::cout << "Fig. 13" << (fit == 1.0 ? "a" : "b")
                   << ": expected SDCs per system, " << fit << "x FIT, "
-                  << nodes << " nodes, " << trials << " trials\n\n";
-        if (!runRepairMatrix(config, trials, seed,
+                  << bench.nodes() << " nodes, " << bench.trials()
+                  << " trials\n\n";
+        if (!runRepairMatrix(bench, config,
                              [](const LifetimeSummary &s)
                                  -> const RunningStat & { return s.sdcs; },
-                             "SDCs", run, &report,
-                             fit == 1.0 ? "1x-fit" : "10x-fit",
-                             runner.get(), pool.get()))
+                             "SDCs", fit == 1.0 ? "1x-fit" : "10x-fit"))
             break;
         std::cout << "\n";
     }
-    if (SignalGuard::stopRequested())
-        return 128 + SignalGuard::stopSignal();
-    stampWorkerRss(report, pool.get());
-    report.write();
-    trace.write();
-    obs.finish();
-    return workerPoolExitStatus("fig13_sdc_rates", pool.get());
+    return bench.finish();
 }

@@ -14,10 +14,7 @@
 
 #include <iostream>
 
-#include "campaign_flags.h"
-#include "lifetime_tables.h"
-#include "obs_flags.h"
-#include "worker_flags.h"
+#include "lifetime_bench.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;
@@ -25,48 +22,7 @@ using namespace relaxfault::bench;
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv,
-        withObsFlags(withMappingFlag(withTraceFlags(withWorkerFlags(
-            withCampaignFlags({"trials", "seed", "nodes", "threads",
-                               "progress", "json", "degrade", "audit",
-                               "audit-every"}))))));
-    const auto trials =
-        static_cast<unsigned>(options.getPositiveInt("trials", 15));
-    const auto seed = static_cast<uint64_t>(options.getInt("seed", 1408));
-    const auto nodes =
-        static_cast<unsigned>(options.getPositiveInt("nodes", 16384));
-    const DegradationPolicy degrade = degradeFlag(options);
-    const std::string mapping = mappingFlag(options);
-
-    TrialRunOptions run = trialRunOptions(options);
-    run.audit = auditFlag(options);
-    const BenchTrace trace = traceFlag(options, "fig14_dimm_replacements");
-    run.tracer = trace.get();
-    BenchReport report(options, "fig14_dimm_replacements");
-    report.record().setSeed(seed).setTrials(trials).setThreads(
-        run.parallel.threads);
-    report.record().setConfig("nodes", static_cast<int64_t>(nodes));
-    report.record().setConfig("degrade", degradationPolicyName(degrade));
-    report.record().setConfig("mapping", mapping);
-
-    CampaignOptions campaign = campaignOptions(options);
-    campaign.tracePath = trace.path;
-    const CampaignFingerprint fingerprint =
-        campaignFingerprint("fig14_dimm_replacements", seed, trials,
-                            campaign,
-                            "nodes=" + std::to_string(nodes) +
-                                ",degrade=" +
-                                degradationPolicyName(degrade) +
-                                ",mapping=" + mapping);
-    const std::unique_ptr<WorkerCampaignRunner> pool = makeWorkerPool(
-        options, "fig14_dimm_replacements", fingerprint, campaign);
-    std::unique_ptr<CampaignRunner> runner;
-    if (pool == nullptr)
-        runner = std::make_unique<CampaignRunner>(fingerprint, campaign);
-    BenchObs obs(options, "fig14_dimm_replacements", report);
-    run.stats = obs.stats();
-
+    LifetimeBench bench(argc, argv, kFig14Bench);
     const struct
     {
         const char *name;
@@ -80,22 +36,18 @@ main(int argc, char **argv)
     bool completed = true;
     for (const auto &policy : policies) {
         for (const double fit : {1.0, 10.0}) {
-            LifetimeConfig config;
+            LifetimeConfig config = bench.config();
             config.faultModel.fitScale = fit;
-            config.nodesPerSystem = nodes;
             config.policy = policy.policy;
-            config.degradation = degrade;
-            config.mapping = mapping;
             std::cout << "Fig. 14" << panel << ": expected DIMM "
                       << "replacements, " << policy.name << ", " << fit
-                      << "x FIT, " << nodes << " nodes, " << trials
-                      << " trials\n\n";
+                      << "x FIT, " << bench.nodes() << " nodes, "
+                      << bench.trials() << " trials\n\n";
             completed = runRepairMatrix(
-                config, trials, seed,
+                bench, config,
                 [](const LifetimeSummary &s) -> const RunningStat &
                 { return s.replacements; },
-                "replacements", run, &report,
-                std::string("14") + panel, runner.get(), pool.get());
+                "replacements", std::string("14") + panel);
             if (!completed)
                 break;
             std::cout << "\n";
@@ -104,11 +56,5 @@ main(int argc, char **argv)
         if (!completed)
             break;
     }
-    if (SignalGuard::stopRequested())
-        return 128 + SignalGuard::stopSignal();
-    stampWorkerRss(report, pool.get());
-    report.write();
-    trace.write();
-    obs.finish();
-    return workerPoolExitStatus("fig14_dimm_replacements", pool.get());
+    return bench.finish();
 }

@@ -13,7 +13,6 @@
 #include <map>
 
 #include "bench_json.h"
-#include "campaign_flags.h"
 #include "common/cli.h"
 #include "common/table.h"
 #include "perf/perf_sim.h"
@@ -46,11 +45,7 @@ groupWorkloads(const std::string &group, unsigned cores)
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv,
-        bench::withCampaignFlags({"instructions", "seed", "json"}));
-    bench::rejectCampaignFlags(options, "fig15_performance");
-    bench::rejectMappingFlag(options, "fig15_performance");
+    const CliOptions options(argc, argv, {"instructions", "seed", "json"});
     PerfConfig config;
     config.instructionsPerCore = static_cast<uint64_t>(
         options.getPositiveInt("instructions", 1'000'000));

@@ -13,7 +13,6 @@
 #include <iostream>
 
 #include "bench_json.h"
-#include "campaign_flags.h"
 #include "common/cli.h"
 #include "common/table.h"
 #include "dram/power.h"
@@ -25,11 +24,7 @@ using relaxfault::bench::BenchReport;
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv,
-        bench::withCampaignFlags({"instructions", "seed", "json"}));
-    bench::rejectCampaignFlags(options, "fig16_dram_power");
-    bench::rejectMappingFlag(options, "fig16_dram_power");
+    const CliOptions options(argc, argv, {"instructions", "seed", "json"});
     PerfConfig config;
     config.instructionsPerCore = static_cast<uint64_t>(
         options.getPositiveInt("instructions", 1'000'000));

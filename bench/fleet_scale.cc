@@ -15,21 +15,16 @@
  * reference path; bit-identical results) for memory A/B runs.
  * `--workers=N` forks N worker processes over a shared-memory shard
  * ring; `--checkpoint`/`--resume`/`--shards` compose with it exactly as
- * on the fig benches. The JSON artifact reports trials/sec, elapsed
+ * on the fig benches, and without it they are fatal (the in-process
+ * engine runs unsharded). The JSON artifact reports trials/sec, elapsed
  * time, and parent + per-worker peak RSS.
  */
 
 #include <algorithm>
 #include <iostream>
-#include <thread>
 
-#include "bench_json.h"
-#include "bench_util.h"
-#include "campaign_flags.h"
 #include "common/process.h"
-#include "common/table.h"
-#include "obs_flags.h"
-#include "worker_flags.h"
+#include "lifetime_bench.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;
@@ -37,99 +32,33 @@ using namespace relaxfault::bench;
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv,
-        withObsFlags(withWorkerFlags(withCampaignFlags(
-            {"trials", "seed", "nodes", "threads", "progress", "json",
-             "mode"}))));
-    const auto trials =
-        static_cast<unsigned>(options.getPositiveInt("trials", 8));
-    const auto seed = static_cast<uint64_t>(options.getInt("seed", 1206));
-    const auto nodes =
-        static_cast<unsigned>(options.getPositiveInt("nodes", 1000000));
-    rejectMappingFlag(options, "fleet_scale");
-    const std::string mode_name = options.getString("mode", "lazy");
-    FleetMode mode;
-    if (mode_name == "lazy")
-        mode = FleetMode::Lazy;
-    else if (mode_name == "eager")
-        mode = FleetMode::Eager;
-    else
-        fatal("--mode=" + mode_name + " (expected lazy | eager)");
-    const unsigned workers = workerCount(options);
-
-    LifetimeConfig config;
-    config.nodesPerSystem = nodes;
-    config.policy = ReplacePolicy::AfterDue;
-    const FleetSimulator simulator(config);
+    LifetimeBench bench(argc, argv, kFleetScaleBench);
+    const unsigned nodes = bench.nodes();
+    const unsigned trials = bench.trials();
+    const unsigned workers = bench.workers();
+    const FleetSimulator simulator(bench.config());
     const FleetSimulator::MechanismFactory factory = makeFactory(
-        MechanismSpec::relaxFault(4), config.faultModel.geometry);
-
-    FleetTrialOptions run;
-    run.mode = mode;
-    run.parallel.threads =
-        static_cast<unsigned>(options.getNonNegativeInt("threads", 0));
-    run.progress = options.has("progress");
-    if (workers > 0 && run.parallel.threads == 0) {
-        // N workers x auto threads would oversubscribe the machine N
-        // times over; split the cores across the pool instead.
-        run.parallel.threads = std::max(
-            1u, std::thread::hardware_concurrency() / workers);
-    }
-
-    BenchReport report(options, "fleet");
-    report.record().setSeed(seed).setTrials(trials).setThreads(
-        run.parallel.threads);
-    report.record().setConfig("nodes", static_cast<int64_t>(nodes));
-    report.record().setConfig("mode", mode_name);
-    report.record().setConfig("workers", static_cast<int64_t>(workers));
-    run.metrics = report.metrics();
-
-    CampaignOptions campaign = campaignOptions(options);
-    // A lone shard would starve all but one worker; results are
-    // shard-split invariant, so default to one shard per worker.
-    if (workers > 1 && !options.has("shards"))
-        campaign.shards = workers;
-    const CampaignFingerprint fingerprint = campaignFingerprint(
-        "fleet_scale", seed, trials, campaign,
-        "nodes=" + std::to_string(nodes) + ",mode=" + mode_name);
-    const std::unique_ptr<WorkerCampaignRunner> pool =
-        makeWorkerPool(options, "fleet_scale", fingerprint, campaign);
-    BenchObs obs(options, "fleet_scale", report);
-    run.stats = obs.stats();
+        MechanismSpec::relaxFault(4), bench.config().faultModel.geometry);
 
     std::cout << "Fleet scale: " << nodes << " nodes/system, " << trials
-              << " trials, RelaxFault-4way, " << mode_name << " mode, "
+              << " trials, RelaxFault-4way, " << bench.modeName()
+              << " mode, "
               << (workers > 0 ? std::to_string(workers) + " workers"
                               : std::string("in-process"))
               << "\n\n";
 
     Clock &clock = Clock::steady();
     const Clock::TimePoint start = clock.now();
-    LifetimeSummary summary;
-    int64_t worker_rss = 0;
-    int64_t worker_sum_rss = 0;
-    unsigned shards_run = 0;
-    unsigned shards_resumed = 0;
-    if (pool != nullptr) {
-        const CampaignResult result = pool->runUnitFleet(
-            "fleet", simulator, factory, trials, seed, run);
-        if (result.interrupted)
-            return pool->exitStatus();
-        summary = result.summary;
-        worker_rss = pool->workerPeakRssBytes();
-        worker_sum_rss = pool->workerSumRssBytes();
-        shards_run = result.shardsRun;
-        shards_resumed = result.shardsResumed;
-        stampWorkerRss(report, pool.get());
-    } else {
-        if (options.has("checkpoint") || options.has("resume") ||
-            options.has("shards"))
-            warn("fleet_scale: --checkpoint/--resume/--shards apply to "
-                 "worker mode (--workers=N); ignoring");
-        summary = simulator.runTrials(trials, factory, seed, run);
-        shards_run = 1;
-    }
+    const CampaignResult result =
+        bench.runUnit("fleet", simulator, factory);
+    if (result.interrupted)
+        return bench.finish();
+    const LifetimeSummary &summary = result.summary;
+    const WorkerCampaignRunner *pool = bench.pool();
+    const int64_t worker_rss =
+        pool != nullptr ? pool->workerPeakRssBytes() : 0;
+    const int64_t worker_sum_rss =
+        pool != nullptr ? pool->workerSumRssBytes() : 0;
     const uint64_t elapsed_ms = clock.elapsedMs(start);
     const double trials_per_sec =
         elapsed_ms > 0 ? 1000.0 * trials / static_cast<double>(elapsed_ms)
@@ -157,13 +86,13 @@ main(int argc, char **argv)
                                                  2)});
     table.print(std::cout);
 
-    report.addRow()
+    bench.report().addRow()
         .set("nodes", nodes)
         .set("trials", trials)
-        .set("mode", mode_name)
+        .set("mode", bench.modeName())
         .set("workers", workers)
-        .set("shards_run", shards_run)
-        .set("shards_resumed", shards_resumed)
+        .set("shards_run", result.shardsRun)
+        .set("shards_resumed", result.shardsResumed)
         .set("trials_per_sec", trials_per_sec)
         .set("elapsed_ms", elapsed_ms)
         .set("peak_rss_bytes", peak_rss)
@@ -173,7 +102,5 @@ main(int argc, char **argv)
         .set("dues", summary.dues.mean())
         .set("sdcs", summary.sdcs.mean())
         .set("replacements", summary.replacements.mean());
-    report.write();
-    obs.finish();
-    return workerPoolExitStatus("fleet_scale", pool.get());
+    return bench.finish();
 }

@@ -1,0 +1,619 @@
+/**
+ * @file
+ * The harness of the lifetime Monte Carlo benches: Figs. 9, 12, 13, 14
+ * and `fleet_scale`.
+ *
+ * `LifetimeBench` parses their flag set, owns the JSON report, the
+ * causal trace, the campaign fingerprint, the shard runner and the live
+ * observability plumbing, and runs the exit sequence. No other bench
+ * registers these flags, so the strict `CliOptions` parser rejects them
+ * there as unknown options.
+ *
+ * Flags of every lifetime bench:
+ *  - `--trials`, `--seed`, `--nodes`, `--threads=N` (0 = auto),
+ *    `--progress`, `--json[=PATH]`;
+ *  - `--checkpoint=PATH`, `--resume`, `--shards=N` run each unit shard
+ *    by shard against a checkpoint (`CampaignRunner`); results are
+ *    bit-identical to an unsharded run;
+ *  - `--workers=N` (N > 0) distributes each unit's shards over N forked
+ *    worker processes through a shared-memory ring
+ *    (`WorkerCampaignRunner`), also bit-identical; worker `k` commits to
+ *    `<checkpoint>.worker<k>`. `--watchdog-ms` and `--quarantine-after`
+ *    configure its supervisor;
+ *  - `--metrics-out=PATH[:PERIOD_MS]` publishes the metric registry as
+ *    an OpenMetrics file, once at exit or every PERIOD_MS (it enables
+ *    the registry with or without `--json`);
+ *  - `--profile[=PATH]` arms the SIGPROF sampling profiler; at exit the
+ *    folded stacks go to PATH (or stderr), the self-time table to
+ *    stderr;
+ *  - `--stats-plane=PATH` creates the shared-memory stats plane that
+ *    `tools/fleet_top` attaches to: one slot per worker, or one slot
+ *    in-process.
+ * The classic engine (Figs. 9-14) adds `--audit`, `--audit-every`,
+ * `--trace`, `--trace-filter` and `--mapping`; Figs. 12-14 add
+ * `--degrade`; the fleet engine adds `--mode`.
+ *
+ * `--nodes`, `--degrade`, `--mapping` and `--mode` change results and
+ * enter the campaign fingerprint. Auditing, tracing and the three
+ * observability flags are observation-only: they consume no RNG and
+ * leave results bit-identical.
+ *
+ * Every incompatible combination is fatal before any runner, temporary
+ * directory or stats plane exists, so a rejected command line leaves
+ * nothing behind.
+ */
+
+#ifndef RELAXFAULT_BENCH_LIFETIME_BENCH_H
+#define RELAXFAULT_BENCH_LIFETIME_BENCH_H
+
+#include <algorithm>
+#include <cctype>
+#include <cstdlib>
+#include <functional>
+#include <iostream>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "bench_json.h"
+#include "bench_util.h"
+#include "campaign/campaign.h"
+#include "common/fs.h"
+#include "common/table.h"
+#include "fleet/fleet_sim.h"
+#include "fleet/worker_pool.h"
+#include "telemetry/openmetrics.h"
+#include "telemetry/profiler.h"
+#include "telemetry/stats_plane.h"
+#include "tracing/trace_export.h"
+#include "tracing/tracer.h"
+
+namespace relaxfault::bench {
+
+/**
+ * A bench's causal-trace artifact, built from `--trace[=PATH]` and
+ * `--trace-filter=KINDS`. `tracer` is null when tracing is off — wire
+ * `get()` straight into `TrialRunOptions.tracer` and the disabled path
+ * costs one branch per would-be event.
+ */
+struct BenchTrace
+{
+    std::unique_ptr<Tracer> tracer;  ///< Null = tracing off.
+    std::string path;                ///< Aggregate trace output file.
+
+    Tracer *get() const { return tracer.get(); }
+
+    /**
+     * Publish the aggregate trace document (no-op when off). Callers
+     * skip this on an interrupted run, mirroring BenchReport::write —
+     * the per-shard campaign flushes are the partial-run artifact.
+     */
+    void write() const
+    {
+        if (tracer == nullptr)
+            return;
+        if (!writeTraceFile(*tracer, path))
+            fatal("cannot write --trace output file " + path);
+        inform("wrote " + path + " (" +
+               std::to_string(tracer->recorded()) + " events, " +
+               std::to_string(tracer->dropped()) + " dropped)");
+    }
+};
+
+/**
+ * Parse the tracing flags. Bare `--trace` defaults the output to
+ * `TRACE_<bench>.json`; `--trace-filter` without `--trace` is fatal
+ * (a filter with nothing to filter is a typo'd run), as is an unknown
+ * kind name in the filter spec.
+ */
+inline BenchTrace
+traceFlag(const CliOptions &options, const std::string &bench_name)
+{
+    BenchTrace trace;
+    if (!options.has("trace")) {
+        if (options.has("trace-filter"))
+            fatal("--trace-filter requires --trace (nothing to filter)");
+        return trace;
+    }
+    trace.path = options.getString("trace", "");
+    if (trace.path.empty())
+        trace.path = "TRACE_" + bench_name + ".json";
+    const std::string spec = options.getString("trace-filter", "all");
+    const auto filter = parseTraceFilter(spec);
+    if (!filter.has_value())
+        fatal("--trace-filter=" + spec +
+              " has an unknown event kind (expected a comma-separated "
+              "subset of fault,repair,scrub,budget,degrade,verdict,"
+              "replace,span,heartbeat, or \"all\")");
+    TracerConfig config;
+    config.filter = *filter;
+    trace.tracer = std::make_unique<Tracer>(config);
+    return trace;
+}
+
+/** Which simulation engine a lifetime bench drives. */
+enum class LifetimeEngine
+{
+    Classic,  ///< `LifetimeSimulator`, in-process via `CampaignRunner`.
+    Fleet,    ///< `FleetSimulator`, in-process via its own `runTrials`.
+};
+
+/** What sets one lifetime bench apart: its name, defaults and knobs. */
+struct LifetimeBenchSpec
+{
+    const char *name;                  ///< Campaign identity, log prefix.
+    const char *report = nullptr;      ///< JSON bench name (null = name).
+    unsigned trials = 0;               ///< `--trials` default.
+    uint64_t seed = 0;                 ///< `--seed` default.
+    unsigned nodes = 16384;            ///< `--nodes` default.
+    LifetimeEngine engine = LifetimeEngine::Classic;
+    bool degrade = false;              ///< Accepts `--degrade`.
+};
+
+inline constexpr LifetimeBenchSpec kFig09Bench{
+    .name = "fig09_fault_model_sensitivity", .trials = 15, .seed = 909};
+inline constexpr LifetimeBenchSpec kFig12Bench{
+    .name = "fig12_due_rates", .trials = 25, .seed = 1206,
+    .degrade = true};
+inline constexpr LifetimeBenchSpec kFig13Bench{
+    .name = "fig13_sdc_rates", .trials = 25, .seed = 1307,
+    .degrade = true};
+inline constexpr LifetimeBenchSpec kFig14Bench{
+    .name = "fig14_dimm_replacements", .trials = 15, .seed = 1408,
+    .degrade = true};
+inline constexpr LifetimeBenchSpec kFleetScaleBench{
+    .name = "fleet_scale", .report = "fleet", .trials = 8, .seed = 1206,
+    .nodes = 1000000, .engine = LifetimeEngine::Fleet};
+
+/**
+ * Exit status of a run that completed but quarantined shards: the
+ * reported numbers are partial, so the bench must not exit 0.
+ */
+inline constexpr int kQuarantineExitStatus = 75;  // EX_TEMPFAIL.
+
+/**
+ * One lifetime bench run (see file comment). Construct first thing in
+ * `main`, run the units through `runUnit`, and return `finish()`.
+ */
+class LifetimeBench
+{
+  public:
+    LifetimeBench(int argc, char **argv, const LifetimeBenchSpec &spec)
+        : spec_(spec), options_(argc, argv, knownFlags(spec)),
+          report_(options_, spec.report != nullptr ? spec.report
+                                                   : spec.name)
+    {
+        const bool fleet = spec.engine == LifetimeEngine::Fleet;
+        trials_ = static_cast<unsigned>(
+            options_.getPositiveInt("trials", spec.trials));
+        seed_ = static_cast<uint64_t>(
+            options_.getInt("seed", static_cast<int64_t>(spec.seed)));
+        config_.nodesPerSystem = static_cast<unsigned>(
+            options_.getPositiveInt("nodes", spec.nodes));
+        workers_ = static_cast<unsigned>(
+            options_.getNonNegativeInt("workers", 0));
+        if (spec.degrade) {
+            const std::string name = options_.getString("degrade", "due");
+            const auto policy = parseDegradationPolicy(name);
+            if (!policy.has_value())
+                fatal("--degrade=" + name + " is not a policy (expected "
+                                            "retire | due | failstop)");
+            config_.degradation = *policy;
+        }
+        if (fleet) {
+            modeName_ = options_.getString("mode", "lazy");
+            if (modeName_ == "eager")
+                mode_ = FleetMode::Eager;
+            else if (modeName_ != "lazy")
+                fatal("--mode=" + modeName_ + " (expected lazy | eager)");
+        } else {
+            config_.mapping = mappingFlag(options_);
+            run_.audit.enabled = options_.has("audit");
+            run_.audit.everyFaults = static_cast<unsigned>(
+                options_.getPositiveInt("audit-every", 1));
+            trace_ = traceFlag(options_, spec.name);
+            run_.tracer = trace_.get();
+        }
+        run_.parallel.threads = static_cast<unsigned>(
+            options_.getNonNegativeInt("threads", 0));
+        run_.progress = options_.has("progress");
+        // N workers x auto threads would oversubscribe the machine N
+        // times over; the fleet bench splits the cores across the pool.
+        if (fleet && workers_ > 0 && run_.parallel.threads == 0)
+            run_.parallel.threads = std::max(
+                1u, std::thread::hardware_concurrency() / workers_);
+
+        CampaignOptions campaign;
+        campaign.checkpointPath = options_.getString("checkpoint", "");
+        campaign.resume = options_.has("resume");
+        campaign.shards =
+            static_cast<unsigned>(options_.getPositiveInt("shards", 1));
+        campaign.tracePath = trace_.path;
+        // A lone shard would starve all but one fleet worker; results
+        // are shard-split invariant, so default to one per worker.
+        if (fleet && workers_ > 1 && !options_.has("shards"))
+            campaign.shards = workers_;
+        parseMetricsOut();
+        statsPath_ = options_.getString("stats-plane", "");
+        validate(campaign);
+
+        // The degradation policy, address mapping and fleet mode change
+        // results, so they are part of the campaign identity.
+        RunRecord &record = report_.record();
+        record.setSeed(seed_).setTrials(trials_).setThreads(
+            run_.parallel.threads);
+        record.setConfig("nodes", static_cast<int64_t>(nodes()));
+        std::string identity = "nodes=" + std::to_string(nodes());
+        if (spec.degrade) {
+            const std::string name =
+                degradationPolicyName(config_.degradation);
+            record.setConfig("degrade", name);
+            identity += ",degrade=" + name;
+        }
+        if (fleet) {
+            record.setConfig("mode", modeName_);
+            record.setConfig("workers", static_cast<int64_t>(workers_));
+            identity += ",mode=" + modeName_;
+        } else {
+            record.setConfig("mapping", config_.mapping);
+            identity += ",mapping=" + config_.mapping;
+        }
+        fingerprint_.campaign = spec.name;
+        fingerprint_.seed = seed_;
+        fingerprint_.trials = trials_;
+        fingerprint_.shards = campaign.shards;
+        fingerprint_.config = identity;
+
+        if (workers_ > 0)
+            pool_ = std::make_unique<WorkerCampaignRunner>(
+                fingerprint_, workerOptions(campaign));
+        else if (!fleet)
+            runner_ = std::make_unique<CampaignRunner>(fingerprint_,
+                                                       campaign);
+        startObservability();
+    }
+
+    ~LifetimeBench() { finishObservability(); }
+
+    LifetimeBench(const LifetimeBench &) = delete;
+    LifetimeBench &operator=(const LifetimeBench &) = delete;
+
+    unsigned trials() const { return trials_; }
+    unsigned nodes() const { return config_.nodesPerSystem; }
+    unsigned workers() const { return workers_; }
+    const std::string &modeName() const { return modeName_; }
+    BenchReport &report() { return report_; }
+    const CampaignFingerprint &fingerprint() const { return fingerprint_; }
+
+    /** The worker pool; null when the run is in-process. */
+    const WorkerCampaignRunner *pool() const { return pool_.get(); }
+
+    /** Base simulation config: `--nodes`, `--degrade`, `--mapping`. */
+    const LifetimeConfig &config() const { return config_; }
+
+    /**
+     * Run `trials()` lifetimes of @p unit on the classic engine, through
+     * the worker pool or the in-process campaign runner. The caller
+     * checks `interrupted` and, when set, returns `finish()`.
+     */
+    CampaignResult
+    runUnit(const std::string &unit, const LifetimeSimulator &simulator,
+            const LifetimeSimulator::MechanismFactory &factory,
+            const std::string &progress_label = "trials")
+    {
+        TrialRunOptions run = run_;
+        run.progressLabel = progress_label;
+        run.metrics = report_.metrics();
+        if (run.tracer != nullptr)
+            run.traceUnit = run.tracer->registerUnit(unit);
+        if (pool_ != nullptr)
+            return pool_->runUnit(unit, simulator, factory, trials_, seed_,
+                                  run);
+        return runner_->runUnit(unit, simulator, factory, trials_, seed_,
+                                run);
+    }
+
+    /** `runUnit` on the fleet engine; in-process it runs unsharded. */
+    CampaignResult
+    runUnit(const std::string &unit, const FleetSimulator &simulator,
+            const FleetSimulator::MechanismFactory &factory)
+    {
+        FleetTrialOptions run;
+        run.mode = mode_;
+        run.parallel = run_.parallel;
+        run.progress = run_.progress;
+        run.metrics = report_.metrics();
+        run.stats = run_.stats;
+        if (pool_ != nullptr)
+            return pool_->runUnitFleet(unit, simulator, factory, trials_,
+                                       seed_, run);
+        CampaignResult result;
+        result.summary = simulator.runTrials(trials_, factory, seed_, run);
+        result.shardsRun = 1;
+        return result;
+    }
+
+    /**
+     * The exit sequence; returns the process exit status. A stop signal
+     * returns 128 + signal without writing any artifact. Otherwise the
+     * report and trace are written and the observability artifacts
+     * flushed; a run that quarantined shards returns
+     * `kQuarantineExitStatus`.
+     */
+    int finish()
+    {
+        if (SignalGuard::stopRequested())
+            return 128 + SignalGuard::stopSignal();
+        // Fold the workers' peak RSS into the report's gauge (max; the
+        // report then maxes in the parent's own peak).
+        if (pool_ != nullptr && report_.metrics() != nullptr) {
+            Gauge &gauge = report_.metrics()->gauge(kPeakRssGauge);
+            gauge.set(std::max(gauge.value(), pool_->workerPeakRssBytes()));
+        }
+        report_.write();
+        trace_.write();
+        finishObservability();
+        if (pool_ == nullptr || pool_->shardsQuarantined() == 0)
+            return 0;
+        warn(std::string(spec_.name) + ": " +
+             std::to_string(pool_->shardsQuarantined()) +
+             " shard(s) quarantined — reported results are PARTIAL (see " +
+             WorkerCampaignRunner::supervisorLogPath(
+                 pool_->checkpointBasePath()) +
+             "); exiting " + std::to_string(kQuarantineExitStatus));
+        return kQuarantineExitStatus;
+    }
+
+  private:
+    static std::vector<std::string>
+    knownFlags(const LifetimeBenchSpec &spec)
+    {
+        std::vector<std::string> known = {
+            "trials", "seed", "nodes", "threads", "progress", "json",
+            "checkpoint", "resume", "shards", "workers", "watchdog-ms",
+            "quarantine-after", "metrics-out", "profile", "stats-plane"};
+        if (spec.engine == LifetimeEngine::Fleet)
+            known.push_back("mode");
+        else
+            known.insert(known.end(), {"audit", "audit-every", "trace",
+                                       "trace-filter", "mapping"});
+        if (spec.degrade)
+            known.push_back("degrade");
+        return known;
+    }
+
+    /** `--metrics-out=PATH[:PERIOD_MS]` into metricsPath_/metricsPeriodMs_. */
+    void parseMetricsOut()
+    {
+        if (!options_.has("metrics-out"))
+            return;
+        metricsPath_ = options_.getString("metrics-out", "");
+        // The suffix is a period only when it is all digits, so plain
+        // paths containing ':' keep working.
+        const size_t colon = metricsPath_.rfind(':');
+        if (colon == std::string::npos || colon + 1 == metricsPath_.size())
+            return;
+        const std::string tail = metricsPath_.substr(colon + 1);
+        for (const char c : tail)
+            if (!std::isdigit(static_cast<unsigned char>(c)))
+                return;
+        metricsPeriodMs_ = std::strtoull(tail.c_str(), nullptr, 10);
+        metricsPath_.resize(colon);
+    }
+
+    /** Reject every incompatible flag combination, before side effects. */
+    void validate(const CampaignOptions &campaign) const
+    {
+        const std::string bench = spec_.name;
+        if (campaign.resume && campaign.checkpointPath.empty())
+            fatal("--resume requires --checkpoint=PATH");
+        if (workers_ == 0) {
+            // A silently ignored watchdog is a run the operator wrongly
+            // believes is hang-proof.
+            if (options_.has("watchdog-ms") ||
+                options_.has("quarantine-after"))
+                fatal(bench + ": --watchdog-ms/--quarantine-after "
+                              "require --workers=N (they configure the "
+                              "fleet supervisor)");
+            if (spec_.engine == LifetimeEngine::Fleet &&
+                (options_.has("checkpoint") || options_.has("resume") ||
+                 options_.has("shards")))
+                fatal(bench + ": --checkpoint/--resume/--shards require "
+                              "--workers=N (the in-process fleet engine "
+                              "runs unsharded)");
+        } else {
+            if (options_.has("trace"))
+                fatal(bench + ": --workers does not support --trace "
+                              "(trace buffers are per-process; run "
+                              "tracing in-process)");
+            if (options_.has("profile"))
+                fatal(bench + ": --profile does not support --workers "
+                              "(the CPU-time sampling timer is not "
+                              "inherited across fork; profile the "
+                              "in-process path)");
+        }
+        if (options_.has("metrics-out") && metricsPath_.empty())
+            fatal(bench + ": --metrics-out requires =PATH[:PERIOD_MS]");
+        if (options_.has("stats-plane") && statsPath_.empty())
+            fatal(bench + ": --stats-plane requires =PATH");
+    }
+
+    WorkerOptions workerOptions(const CampaignOptions &campaign) const
+    {
+        WorkerOptions worker;
+        worker.workers = workers_;
+        worker.checkpointPath = campaign.checkpointPath;
+        worker.resume = campaign.resume;
+        worker.shards = campaign.shards;
+        worker.watchdogMs = static_cast<uint64_t>(
+            options_.getNonNegativeInt("watchdog-ms", 0));
+        worker.quarantineAfter = static_cast<unsigned>(
+            options_.getNonNegativeInt("quarantine-after", 0));
+        // The pool owns an N-slot plane; each worker publishes its slot.
+        worker.statsPath = statsPath_;
+        // A quarantine policy needs enough rounds to observe the
+        // crashes it counts: one round per allowed attempt, plus one to
+        // finish the healthy shards after the verdict.
+        if (worker.quarantineAfter != 0)
+            worker.maxRounds =
+                std::max(worker.maxRounds, worker.quarantineAfter + 1);
+        return worker;
+    }
+
+    void startObservability()
+    {
+        if (!metricsPath_.empty()) {
+            report_.enableMetrics();
+            exporter_ = std::make_unique<OpenMetricsExporter>(
+                *report_.metrics(), metricsPath_, metricsPeriodMs_);
+        }
+        if (options_.has("profile")) {
+            profilePath_ = options_.getString("profile", "");
+            profiler::start();
+            profiling_ = true;
+        }
+        if (!statsPath_.empty() && workers_ == 0) {
+            // In-process run: one slot, announced immediately so an
+            // observer attaching mid-run sees a live row.
+            plane_ = std::make_unique<StatsPlane>(
+                StatsPlane::create(statsPath_, 1, spec_.name));
+            publisher_ = plane_->publisher(0);
+            publisher_.announce(StatsPhase::Running);
+            run_.stats = &publisher_;
+        }
+    }
+
+    /** Stop sampling/exporting and write final artifacts (idempotent). */
+    void finishObservability()
+    {
+        if (observabilityFinished_)
+            return;
+        observabilityFinished_ = true;
+        if (publisher_.enabled())
+            publisher_.setPhase(StatsPhase::Done);
+        if (profiling_) {
+            profiler::stop();
+            const std::string folded = profiler::folded();
+            if (!profilePath_.empty()) {
+                if (const IoResult io = atomicWriteFile(profilePath_,
+                                                        folded);
+                    !io)
+                    fatal("cannot write --profile file: " +
+                          io.describe(profilePath_));
+                inform("wrote " + profilePath_ + " (" +
+                       std::to_string(profiler::totalSamples()) +
+                       " samples)");
+            } else {
+                std::cerr << folded;
+            }
+            std::cerr << profiler::selfTimeTable();
+        }
+        if (exporter_ != nullptr)
+            exporter_->stop();
+    }
+
+    LifetimeBenchSpec spec_;
+    CliOptions options_;
+    unsigned trials_ = 0;
+    uint64_t seed_ = 0;
+    unsigned workers_ = 0;
+    LifetimeConfig config_;
+    std::string modeName_;
+    FleetMode mode_ = FleetMode::Lazy;
+    TrialRunOptions run_;  ///< Shared per-unit options (classic engine).
+    BenchTrace trace_;
+    BenchReport report_;
+    CampaignFingerprint fingerprint_;
+    std::unique_ptr<WorkerCampaignRunner> pool_;
+    std::unique_ptr<CampaignRunner> runner_;
+
+    std::string metricsPath_;
+    uint64_t metricsPeriodMs_ = 0;
+    std::string statsPath_;
+    std::string profilePath_;
+    std::unique_ptr<OpenMetricsExporter> exporter_;
+    std::unique_ptr<StatsPlane> plane_;
+    StatsPublisher publisher_;
+    bool profiling_ = false;
+    bool observabilityFinished_ = false;
+};
+
+/** Metric extractor from a trial summary. */
+using MetricFn = std::function<const RunningStat &(const LifetimeSummary &)>;
+
+/**
+ * Run the repair-mechanism matrix of Figs. 12-14 (no-repair, PPR, and
+ * 1-/4-way FreeFault and RelaxFault) on @p config and print `metric`
+ * with its 95% CI and its reduction against no repair. Each mechanism
+ * is the unit `panel/mechanism`, a stable set of checkpoint shards and
+ * trace unit labels, and adds one JSON row. Returns false if a stop
+ * signal interrupted the matrix; the table is then not printed and the
+ * bench should return `bench.finish()`.
+ */
+inline bool
+runRepairMatrix(LifetimeBench &bench, const LifetimeConfig &config,
+                const MetricFn &metric, const std::string &metric_name,
+                const std::string &panel)
+{
+    const DramGeometry geometry = config.faultModel.geometry;
+    const DramAddressMap address_map =
+        makeAddressMap(config.mapping, geometry);
+    const LifetimeSimulator simulator(config);
+
+    struct Row
+    {
+        std::string label;
+        MechanismSpec spec;
+    };
+    const std::vector<Row> rows = {
+        {"no-repair", MechanismSpec::none()},
+        {"PPR", MechanismSpec::ppr()},
+        {"FreeFault-1way", MechanismSpec::freeFault(1)},
+        {"RelaxFault-1way", MechanismSpec::relaxFault(1)},
+        {"FreeFault-4way", MechanismSpec::freeFault(4)},
+        {"RelaxFault-4way", MechanismSpec::relaxFault(4)},
+    };
+
+    TextTable table;
+    table.setHeader({"mechanism", metric_name, "95%CI", "vs-no-repair"});
+    double baseline = 0.0;
+    for (const auto &row : rows) {
+        const bool none = row.spec.kind == MechanismSpec::Kind::None;
+        const CampaignResult result = bench.runUnit(
+            panel + "/" + row.label, simulator,
+            none ? LifetimeSimulator::MechanismFactory{}
+                 : makeFactory(row.spec, geometry, address_map),
+            row.label + " trials");
+        if (result.interrupted)
+            return false;
+        const RunningStat &stat = metric(result.summary);
+        if (none)
+            baseline = stat.mean();
+        const double reduction = baseline > 0.0
+            ? 100.0 * (1.0 - stat.mean() / baseline) : 0.0;
+        table.addRow({row.label, TextTable::num(stat.mean(), 3),
+                      "+/-" + TextTable::num(stat.ci95(), 3),
+                      none ? std::string("-")
+                           : "-" + TextTable::num(reduction, 1) + "%"});
+        ResultRow &json_row = bench.report().addRow();
+        json_row.set("panel", panel)
+            .set("mechanism", row.label)
+            .set("metric", metric_name)
+            .set("mean", stat.mean())
+            .set("ci95", stat.ci95())
+            .set("reduction_vs_no_repair_pct", none ? 0.0 : reduction);
+        // A quarantined unit's numbers miss those shards' trials; stamp
+        // the row so no one diffs it against a clean run.
+        if (!result.quarantinedShards.empty())
+            json_row.set("quarantined_shards",
+                         static_cast<uint64_t>(
+                             result.quarantinedShards.size()));
+    }
+    table.print(std::cout);
+    return true;
+}
+
+} // namespace relaxfault::bench
+
+#endif // RELAXFAULT_BENCH_LIFETIME_BENCH_H

@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "bench_json.h"
-#include "campaign_flags.h"
 #include "common/table.h"
 #include "core/relaxfault_controller.h"
 
@@ -22,10 +21,7 @@ using relaxfault::bench::BenchReport;
 int
 main(int argc, char **argv)
 {
-    const CliOptions options(
-        argc, argv, bench::withCampaignFlags({"json"}));
-    bench::rejectCampaignFlags(options, "table1_storage_overhead");
-    bench::rejectMappingFlag(options, "table1_storage_overhead");
+    const CliOptions options(argc, argv, {"json"});
     BenchReport report(options, "table1_storage_overhead");
 
     ControllerConfig config;  // Paper defaults: 8 DIMMs, 8MiB LLC.

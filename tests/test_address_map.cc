@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "campaign_flags.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "dram/address_map.h"
@@ -371,52 +370,23 @@ TEST(MappingFlag, ParsesDefaultAndExplicitNames)
 {
     {
         const char *argv[] = {"prog"};
-        const CliOptions options(1, const_cast<char **>(argv),
-                                 bench::withMappingFlag({}));
+        const CliOptions options(1, const_cast<char **>(argv), {"mapping"});
         EXPECT_EQ(bench::mappingFlag(options), "fig7a");
     }
     {
         const char *argv[] = {"prog", "--mapping=amd_zen"};
-        const CliOptions options(2, const_cast<char **>(argv),
-                                 bench::withMappingFlag({}));
+        const CliOptions options(2, const_cast<char **>(argv), {"mapping"});
         EXPECT_EQ(bench::mappingFlag(options), "amd_zen");
     }
-}
-
-TEST(MappingFlagDeathTest, UnmappedBenchRejectsMappingFlag)
-{
-    // The shared flag lists must never drift to include "mapping": a
-    // bench taking only campaign/worker/trace flags rejects --mapping
-    // via the strict parser.
-    const std::vector<std::string> known = bench::withTraceFlags(
-        bench::withWorkerFlags(bench::withCampaignFlags({"trials"})));
-    for (const std::string &flag : known)
-        EXPECT_NE(flag, "mapping");
-
-    const char *argv[] = {"prog", "--mapping=fig7a"};
-    EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv), known),
-                ::testing::ExitedWithCode(1),
-                "unknown option --mapping");
 }
 
 TEST(MappingFlagDeathTest, TypoDiesWithKnownNamesList)
 {
     const char *argv[] = {"prog", "--mapping=intel_ivy_bridge"};
-    const CliOptions options(2, const_cast<char **>(argv),
-                             bench::withMappingFlag({}));
+    const CliOptions options(2, const_cast<char **>(argv), {"mapping"});
     EXPECT_EXIT(bench::mappingFlag(options),
                 ::testing::ExitedWithCode(1),
                 "is not a mapping scheme.*fig7a_nohash");
-}
-
-TEST(MappingFlagDeathTest, RejectMappingFlagIsFatalNotIgnored)
-{
-    // Even if the flag somehow reaches a permissive parser, the guard
-    // on non-mapping benches dies loudly instead of warn-ignoring.
-    const char *argv[] = {"prog", "--mapping=fig7a"};
-    const CliOptions options(2, const_cast<char **>(argv), {"mapping"});
-    EXPECT_EXIT(bench::rejectMappingFlag(options, "fig16_dram_power"),
-                ::testing::ExitedWithCode(1), "not supported here");
 }
 
 TEST(MappingFlagDeathTest, UnknownNameInMakeAddressMapPanics)

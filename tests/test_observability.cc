@@ -35,7 +35,6 @@
 #include "common/log.h"
 #include "common/heartbeat.h"
 #include "common/process.h"
-#include "campaign_flags.h"
 #include "fleet/worker_pool.h"
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
@@ -773,36 +772,6 @@ TEST(BenchCompare, MarkdownReportCarriesTheVerdict)
     const std::string clean = renderBenchDiffMarkdown(
         {compareBenchRecords(baseline, baseline, {})}, {});
     EXPECT_NE(clean.find("PASS"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Flag drift: benches without the plane must hard-reject the flags.
-
-TEST(ObsFlagDeathTest, UninstrumentedBenchRejectsObsFlags)
-{
-    // The campaign flag list must never drift to include the obs flags:
-    // a bench taking only withCampaignFlags rejects them via the strict
-    // parser.
-    const std::vector<std::string> known =
-        bench::withCampaignFlags({"trials"});
-    for (const std::string &flag : known) {
-        EXPECT_NE(flag, "metrics-out");
-        EXPECT_NE(flag, "profile");
-        EXPECT_NE(flag, "stats-plane");
-    }
-    const char *argv[] = {"prog", "--metrics-out=x"};
-    EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv), known),
-                ::testing::ExitedWithCode(1),
-                "unknown option --metrics-out");
-}
-
-TEST(ObsFlagDeathTest, RejectObsFlagsIsFatalNotIgnored)
-{
-    const char *argv[] = {"prog", "--stats-plane=x"};
-    const CliOptions options(2, const_cast<char **>(argv),
-                             {"metrics-out", "profile", "stats-plane"});
-    EXPECT_EXIT(bench::rejectObsFlags(options, "fig15_performance"),
-                ::testing::ExitedWithCode(1), "not supported here");
 }
 
 } // namespace

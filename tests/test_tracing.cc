@@ -22,9 +22,8 @@
 
 #include <unistd.h>
 
-#include "bench_util.h"
-#include "campaign_flags.h"
 #include "campaign/campaign.h"
+#include "lifetime_bench.h"
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
 #include "telemetry/json_reader.h"
@@ -549,7 +548,7 @@ TEST(CampaignTracing, ShardFlushesMatchAbsorbedAggregateAcrossResume)
 }
 
 // ---------------------------------------------------------------------
-// Flag surface (satellite): strict rejection, helpers, filters.
+// Flag parsing: the --trace/--trace-filter helper and filter specs.
 
 TEST(TraceFlags, FilterSpecsParse)
 {
@@ -572,7 +571,7 @@ TEST(TraceFlags, TraceFlagBuildsTracerWithDefaults)
     {
         const char *argv[] = {"prog", "--trace"};
         const CliOptions options(2, const_cast<char **>(argv),
-                                 bench::withTraceFlags({}));
+                                 {"trace", "trace-filter"});
         const bench::BenchTrace trace =
             bench::traceFlag(options, "fig12_due_rates");
         ASSERT_NE(trace.get(), nullptr);
@@ -583,7 +582,7 @@ TEST(TraceFlags, TraceFlagBuildsTracerWithDefaults)
         const char *argv[] = {"prog", "--trace=custom.json",
                               "--trace-filter=fault,verdict"};
         const CliOptions options(3, const_cast<char **>(argv),
-                                 bench::withTraceFlags({}));
+                                 {"trace", "trace-filter"});
         const bench::BenchTrace trace =
             bench::traceFlag(options, "fig12_due_rates");
         ASSERT_NE(trace.get(), nullptr);
@@ -594,46 +593,16 @@ TEST(TraceFlags, TraceFlagBuildsTracerWithDefaults)
     {
         const char *argv[] = {"prog"};
         const CliOptions options(1, const_cast<char **>(argv),
-                                 bench::withTraceFlags({}));
+                                 {"trace", "trace-filter"});
         EXPECT_EQ(bench::traceFlag(options, "x").get(), nullptr);
     }
-}
-
-TEST(TraceFlagDeathTest, UntracedBenchRejectsTraceFlags)
-{
-    // The campaign flag list must never drift to include the trace
-    // flags: a bench taking only withCampaignFlags rejects --trace via
-    // the strict parser.
-    const std::vector<std::string> known =
-        bench::withCampaignFlags({"trials"});
-    for (const std::string &flag : known)
-        EXPECT_NE(flag.substr(0, 5), "trace") << flag;
-
-    const char *argv[] = {"prog", "--trace=x.json"};
-    EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv), known),
-                ::testing::ExitedWithCode(1), "unknown option --trace");
-    const char *argv2[] = {"prog", "--trace-filter=fault"};
-    EXPECT_EXIT(CliOptions(2, const_cast<char **>(argv2), known),
-                ::testing::ExitedWithCode(1),
-                "unknown option --trace-filter");
-}
-
-TEST(TraceFlagDeathTest, RejectTraceFlagsIsFatalNotIgnored)
-{
-    // Even if the flags somehow reach a permissive parser, the guard on
-    // non-traced benches dies loudly instead of warn-ignoring.
-    const char *argv[] = {"prog", "--trace"};
-    const CliOptions options(2, const_cast<char **>(argv),
-                             {"trace", "trace-filter"});
-    EXPECT_EXIT(bench::rejectTraceFlags(options, "fig15_performance"),
-                ::testing::ExitedWithCode(1), "not supported here");
 }
 
 TEST(TraceFlagDeathTest, FilterWithoutTraceIsFatal)
 {
     const char *argv[] = {"prog", "--trace-filter=fault"};
     const CliOptions options(2, const_cast<char **>(argv),
-                             bench::withTraceFlags({}));
+                             {"trace", "trace-filter"});
     EXPECT_EXIT(bench::traceFlag(options, "fig12_due_rates"),
                 ::testing::ExitedWithCode(1),
                 "--trace-filter requires --trace");
@@ -643,7 +612,7 @@ TEST(TraceFlagDeathTest, UnknownFilterKindIsFatal)
 {
     const char *argv[] = {"prog", "--trace", "--trace-filter=bogus"};
     const CliOptions options(3, const_cast<char **>(argv),
-                             bench::withTraceFlags({}));
+                             {"trace", "trace-filter"});
     EXPECT_EXIT(bench::traceFlag(options, "fig12_due_rates"),
                 ::testing::ExitedWithCode(1), "unknown event kind");
 }

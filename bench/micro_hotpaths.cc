@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_geometry.h"
@@ -30,6 +31,8 @@
 #include "core/relaxfault_controller.h"
 #include "dram/address_map.h"
 #include "ecc/chipkill.h"
+#include "repair/freefault_repair.h"
+#include "repair/line_tracker.h"
 #include "repair/relaxfault_map.h"
 #include "repair/relaxfault_repair.h"
 #include "telemetry/metrics.h"
@@ -120,6 +123,98 @@ BM_FaultyBankFilter(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FaultyBankFilter);
+
+/** Repair-layer fault shapes: one cluster on DIMM 0, device 3, bank 2. */
+FaultRecord
+repairFault(const std::string &mode)
+{
+    RegionCluster cluster;
+    cluster.bankMask = 1u << 2;
+    if (mode == "bit") {
+        cluster.rows = RowSet::of({1000});
+        cluster.cols = ColSet::of({17});
+        cluster.bitMask = 1;
+    } else if (mode == "row") {
+        cluster.rows = RowSet::of({1000});
+        cluster.cols = ColSet::allCols();
+    } else {
+        // "column": 64 rows of one column block; "multirow": 32 whole
+        // rows, 8,192 lines, as many as one LLC way holds.
+        const unsigned rows = mode == "column" ? 64 : 32;
+        std::vector<uint32_t> list;
+        for (unsigned i = 0; i < rows; ++i)
+            list.push_back(4096 + i);
+        cluster.rows = RowSet::of(std::move(list));
+        cluster.cols = mode == "column" ? ColSet::of({17})
+                                        : ColSet::allCols();
+    }
+    FaultRecord fault;
+    fault.persistence = Persistence::Permanent;
+    fault.parts.push_back({0, 3, FaultRegion({cluster})});
+    return fault;
+}
+
+/**
+ * tryRepair of one fault on a fresh 1-way mechanism (the fig12
+ * FreeFault-1way / RelaxFault-1way rows), reset included: the repair
+ * layer's per-fault cost, tail shapes included.
+ */
+template <typename Mechanism>
+void
+BM_TryRepair(benchmark::State &state, Mechanism mechanism,
+             const std::string &mode)
+{
+    const FaultRecord fault = repairFault(mode);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(mechanism.tryRepair(fault));
+        mechanism.reset();
+    }
+}
+BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_bit,
+                  FreeFaultRepair(DramAddressMap(kGeometry, true), kLlc,
+                                  RepairBudget{1, 32768}),
+                  "bit")->Name("BM_FreeFaultTryRepair/bit");
+BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_row,
+                  FreeFaultRepair(DramAddressMap(kGeometry, true), kLlc,
+                                  RepairBudget{1, 32768}),
+                  "row")->Name("BM_FreeFaultTryRepair/row");
+BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_column,
+                  FreeFaultRepair(DramAddressMap(kGeometry, true), kLlc,
+                                  RepairBudget{1, 32768}),
+                  "column")->Name("BM_FreeFaultTryRepair/column");
+BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_multirow,
+                  FreeFaultRepair(DramAddressMap(kGeometry, true), kLlc,
+                                  RepairBudget{1, 32768}),
+                  "multirow")->Name("BM_FreeFaultTryRepair/multirow");
+BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_bit,
+                  RelaxFaultRepair(kGeometry, kLlc, RepairBudget{1, 32768}),
+                  "bit")->Name("BM_RelaxFaultTryRepair/bit");
+BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_row,
+                  RelaxFaultRepair(kGeometry, kLlc, RepairBudget{1, 32768}),
+                  "row")->Name("BM_RelaxFaultTryRepair/row");
+BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_column,
+                  RelaxFaultRepair(kGeometry, kLlc, RepairBudget{1, 32768}),
+                  "column")->Name("BM_RelaxFaultTryRepair/column");
+BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_multirow,
+                  RelaxFaultRepair(kGeometry, kLlc, RepairBudget{1, 32768}),
+                  "multirow")->Name("BM_RelaxFaultTryRepair/multirow");
+
+void
+BM_LineTrackerTryAdd(benchmark::State &state)
+{
+    // A 256-line all-or-nothing add, then a reset: the tracker alone.
+    RepairLineTracker tracker(kLlc.sets(), RepairBudget{16, 32768});
+    std::vector<std::pair<uint64_t, uint64_t>> lines;
+    for (uint64_t i = 0; i < 256; ++i) {
+        const uint64_t key = i * 977 + 12345;
+        lines.emplace_back(key % kLlc.sets(), key);
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tracker.tryAdd(lines));
+        tracker.reset();
+    }
+}
+BENCHMARK(BM_LineTrackerTryAdd);
 
 void
 BM_ChipkillEncodeLine(benchmark::State &state)

@@ -116,107 +116,55 @@ FaultRegion::massive() const
 }
 
 uint64_t
+FaultRegion::clusterLineSlices(const RegionCluster &cluster,
+                               const DramGeometry &geometry)
+{
+    return static_cast<uint64_t>(std::popcount(cluster.bankMask)) *
+           cluster.rows.count(geometry) * cluster.cols.count(geometry);
+}
+
+uint64_t
+FaultRegion::clusterRemapUnits(const RegionCluster &cluster,
+                               const DramGeometry &geometry)
+{
+    const unsigned cols_per_unit =
+        geometry.lineBytes / geometry.bytesPerDevicePerLine();
+    uint64_t groups;
+    if (cluster.cols.all) {
+        groups = (geometry.colBlocksPerRow + cols_per_unit - 1) /
+                 cols_per_unit;
+    } else {
+        // Distinct colBlock / 16 values in the sorted column list.
+        groups = 0;
+        uint32_t last_group = ~0u;
+        for (const auto col : cluster.cols.cols) {
+            const uint32_t group = col / cols_per_unit;
+            if (group != last_group) {
+                ++groups;
+                last_group = group;
+            }
+        }
+    }
+    return static_cast<uint64_t>(std::popcount(cluster.bankMask)) *
+           cluster.rows.count(geometry) * groups;
+}
+
+uint64_t
 FaultRegion::lineSliceCount(const DramGeometry &geometry) const
 {
     uint64_t total = 0;
-    for (const auto &cluster : clusters_) {
-        total += static_cast<uint64_t>(std::popcount(cluster.bankMask)) *
-                 cluster.rows.count(geometry) * cluster.cols.count(geometry);
-    }
+    for (const auto &cluster : clusters_)
+        total += clusterLineSlices(cluster, geometry);
     return total;
 }
 
 uint64_t
 FaultRegion::remapUnitCount(const DramGeometry &geometry) const
 {
-    const unsigned cols_per_unit =
-        geometry.lineBytes / geometry.bytesPerDevicePerLine();
     uint64_t total = 0;
-    for (const auto &cluster : clusters_) {
-        uint64_t groups;
-        if (cluster.cols.all) {
-            groups = (geometry.colBlocksPerRow + cols_per_unit - 1) /
-                     cols_per_unit;
-        } else {
-            // Distinct colBlock / 16 values in the sorted column list.
-            groups = 0;
-            uint32_t last_group = ~0u;
-            for (const auto col : cluster.cols.cols) {
-                const uint32_t group = col / cols_per_unit;
-                if (group != last_group) {
-                    ++groups;
-                    last_group = group;
-                }
-            }
-        }
-        total += static_cast<uint64_t>(std::popcount(cluster.bankMask)) *
-                 cluster.rows.count(geometry) * groups;
-    }
+    for (const auto &cluster : clusters_)
+        total += clusterRemapUnits(cluster, geometry);
     return total;
-}
-
-void
-FaultRegion::forEachSlice(
-    const DramGeometry &geometry,
-    const std::function<void(unsigned, uint32_t, uint16_t)> &visit) const
-{
-    for (const auto &cluster : clusters_) {
-        for (unsigned bank = 0; bank < geometry.banksPerDevice; ++bank) {
-            if (!(cluster.bankMask & (1u << bank)))
-                continue;
-            const uint64_t row_count = cluster.rows.count(geometry);
-            for (uint64_t ri = 0; ri < row_count; ++ri) {
-                const uint32_t row = cluster.rows.all
-                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                const uint64_t col_count = cluster.cols.count(geometry);
-                for (uint64_t ci = 0; ci < col_count; ++ci) {
-                    const uint16_t col = cluster.cols.all
-                        ? static_cast<uint16_t>(ci) : cluster.cols.cols[ci];
-                    visit(bank, row, col);
-                }
-            }
-        }
-    }
-}
-
-void
-FaultRegion::forEachRemapUnit(
-    const DramGeometry &geometry,
-    const std::function<void(unsigned, uint32_t, uint16_t)> &visit) const
-{
-    const unsigned cols_per_unit =
-        geometry.lineBytes / geometry.bytesPerDevicePerLine();
-    const unsigned all_groups =
-        (geometry.colBlocksPerRow + cols_per_unit - 1) / cols_per_unit;
-    for (const auto &cluster : clusters_) {
-        // Distinct column groups of this cluster.
-        std::vector<uint16_t> groups;
-        if (cluster.cols.all) {
-            groups.resize(all_groups);
-            for (unsigned g = 0; g < all_groups; ++g)
-                groups[g] = static_cast<uint16_t>(g);
-        } else {
-            uint32_t last_group = ~0u;
-            for (const auto col : cluster.cols.cols) {
-                const uint32_t group = col / cols_per_unit;
-                if (group != last_group) {
-                    groups.push_back(static_cast<uint16_t>(group));
-                    last_group = group;
-                }
-            }
-        }
-        for (unsigned bank = 0; bank < geometry.banksPerDevice; ++bank) {
-            if (!(cluster.bankMask & (1u << bank)))
-                continue;
-            const uint64_t row_count = cluster.rows.count(geometry);
-            for (uint64_t ri = 0; ri < row_count; ++ri) {
-                const uint32_t row = cluster.rows.all
-                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                for (const auto group : groups)
-                    visit(bank, row, group);
-            }
-        }
-    }
 }
 
 uint32_t

@@ -14,8 +14,9 @@
 #ifndef RELAXFAULT_FAULTS_REGION_H
 #define RELAXFAULT_FAULTS_REGION_H
 
+#include <bit>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "dram/geometry.h"
@@ -95,17 +96,29 @@ class FaultRegion
      */
     uint64_t remapUnitCount(const DramGeometry &geometry) const;
 
-    /** Visit every affected (bank, row, colBlock). */
-    void forEachSlice(
-        const DramGeometry &geometry,
-        const std::function<void(unsigned bank, uint32_t row,
-                                 uint16_t colBlock)> &visit) const;
+    /** Line slices of one cluster (all distinct within the cluster). */
+    static uint64_t clusterLineSlices(const RegionCluster &cluster,
+                                      const DramGeometry &geometry);
 
-    /** Visit every affected remap unit (bank, row, colGroup). */
-    void forEachRemapUnit(
-        const DramGeometry &geometry,
-        const std::function<void(unsigned bank, uint32_t row,
-                                 uint16_t colGroup)> &visit) const;
+    /** Remap units of one cluster (all distinct within the cluster). */
+    static uint64_t clusterRemapUnits(const RegionCluster &cluster,
+                                      const DramGeometry &geometry);
+
+    /**
+     * Visit every affected (bank, row, colBlock). A visitor that returns
+     * bool stops the walk by returning false; the call then returns
+     * false. Returns true when every slice was visited.
+     */
+    template <typename Visit>
+    bool forEachSlice(const DramGeometry &geometry, Visit &&visit) const;
+
+    /**
+     * Visit every affected remap unit (bank, row, colGroup), with the
+     * same early-stop contract as forEachSlice.
+     */
+    template <typename Visit>
+    bool forEachRemapUnit(const DramGeometry &geometry,
+                          Visit &&visit) const;
 
     /** Faulty-bit mask of one slice (0 if the slice is healthy). */
     uint32_t sliceMask(unsigned bank, uint32_t row, uint16_t col_block)
@@ -157,6 +170,95 @@ class FaultRegion
   private:
     std::vector<RegionCluster> clusters_;
 };
+
+namespace detail {
+
+/** Call a region visitor; void visitors never stop the walk. */
+template <typename Visit>
+bool
+visitRegionCell(Visit &visit, unsigned bank, uint32_t row, uint16_t col)
+{
+    if constexpr (std::is_void_v<std::invoke_result_t<
+                      Visit &, unsigned, uint32_t, uint16_t>>) {
+        visit(bank, row, col);
+        return true;
+    } else {
+        return visit(bank, row, col);
+    }
+}
+
+} // namespace detail
+
+template <typename Visit>
+bool
+FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
+{
+    for (const auto &cluster : clusters_) {
+        const uint64_t row_count = cluster.rows.count(geometry);
+        const uint64_t col_count = cluster.cols.count(geometry);
+        for (uint32_t banks = cluster.bankMask; banks != 0;
+             banks &= banks - 1) {
+            const auto bank = static_cast<unsigned>(std::countr_zero(banks));
+            if (bank >= geometry.banksPerDevice)
+                break;
+            for (uint64_t ri = 0; ri < row_count; ++ri) {
+                const uint32_t row = cluster.rows.all
+                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
+                for (uint64_t ci = 0; ci < col_count; ++ci) {
+                    const uint16_t col = cluster.cols.all
+                        ? static_cast<uint16_t>(ci) : cluster.cols.cols[ci];
+                    if (!detail::visitRegionCell(visit, bank, row, col))
+                        return false;
+                }
+            }
+        }
+    }
+    return true;
+}
+
+template <typename Visit>
+bool
+FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
+                              Visit &&visit) const
+{
+    const unsigned cols_per_unit =
+        geometry.lineBytes / geometry.bytesPerDevicePerLine();
+    const unsigned all_groups =
+        (geometry.colBlocksPerRow + cols_per_unit - 1) / cols_per_unit;
+    for (const auto &cluster : clusters_) {
+        const uint64_t row_count = cluster.rows.count(geometry);
+        for (uint32_t banks = cluster.bankMask; banks != 0;
+             banks &= banks - 1) {
+            const auto bank = static_cast<unsigned>(std::countr_zero(banks));
+            if (bank >= geometry.banksPerDevice)
+                break;
+            for (uint64_t ri = 0; ri < row_count; ++ri) {
+                const uint32_t row = cluster.rows.all
+                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
+                if (cluster.cols.all) {
+                    for (unsigned g = 0; g < all_groups; ++g) {
+                        if (!detail::visitRegionCell(
+                                visit, bank, row, static_cast<uint16_t>(g)))
+                            return false;
+                    }
+                    continue;
+                }
+                // Distinct colBlock / 16 values of the sorted column list.
+                uint32_t last_group = ~0u;
+                for (const auto col : cluster.cols.cols) {
+                    const uint32_t group = col / cols_per_unit;
+                    if (group == last_group)
+                        continue;
+                    last_group = group;
+                    if (!detail::visitRegionCell(
+                            visit, bank, row, static_cast<uint16_t>(group)))
+                        return false;
+                }
+            }
+        }
+    }
+    return true;
+}
 
 } // namespace relaxfault
 

@@ -1,5 +1,7 @@
 #include "repair/freefault_repair.h"
 
+#include <algorithm>
+
 #include "telemetry/metrics.h"
 
 namespace relaxfault {
@@ -20,34 +22,48 @@ FreeFaultRepair::name() const
 bool
 FreeFaultRepair::tryRepair(const FaultRecord &fault)
 {
+    // Reject before enumerating. A massive region, or a fault whose
+    // lines alone exceed the line budget, never fits. Nor does a cluster
+    // with more lines than the LLC can lock (sets x ways): its lines are
+    // distinct physical blocks, so some set would overflow whatever is
+    // locked already. The bound uses the largest cluster, not the sum:
+    // parts on one rank share physical lines and clusters may overlap.
     const DramGeometry &geometry = map_.geometry();
+    const RepairBudget &budget = tracker_.budget();
     uint64_t total_lines = 0;
+    uint64_t largest_cluster = 0;
     for (const auto &part : fault.parts) {
         if (part.region.massive())
             return false;
-        total_lines += part.region.lineSliceCount(geometry);
+        for (const auto &cluster : part.region.clusters()) {
+            const uint64_t lines =
+                FaultRegion::clusterLineSlices(cluster, geometry);
+            total_lines += lines;
+            largest_cluster = std::max(largest_cluster, lines);
+        }
     }
-    if (total_lines > tracker_.budget().maxLines)
+    if (total_lines > budget.maxLines ||
+        largest_cluster > tracker_.sets() * budget.maxWaysPerSet)
         return false;
 
-    std::vector<std::pair<uint64_t, uint64_t>> lines;
-    lines.reserve(total_lines);
+    bool fits = true;
     for (const auto &part : fault.parts) {
         LineCoord coord;
         coord.channel = part.dimm / geometry.ranksPerChannel;
         coord.rank = part.dimm % geometry.ranksPerChannel;
-        part.region.forEachSlice(
-            geometry,
-            [&](unsigned bank, uint32_t row, uint16_t col_block) {
+        fits = part.region.forEachSlice(
+            geometry, [&](unsigned bank, uint32_t row, uint16_t col_block) {
                 coord.bank = bank;
                 coord.row = row;
                 coord.colBlock = col_block;
                 const uint64_t pa = map_.encode(coord);
-                lines.emplace_back(indexer_.setIndex(pa),
-                                   pa >> geometry.offsetBits());
+                return tracker_.stage(indexer_.setIndex(pa),
+                                      pa >> geometry.offsetBits());
             });
+        if (!fits)
+            break;
     }
-    return tracker_.tryAdd(lines);
+    return tracker_.finish(fits);
 }
 
 void

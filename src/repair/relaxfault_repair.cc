@@ -1,5 +1,6 @@
 #include "repair/relaxfault_repair.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "telemetry/metrics.h"
@@ -44,33 +45,44 @@ RelaxFaultRepair::tryRepair(const FaultRecord &fault)
 {
     // Feasibility pre-pass: a massive region (whole bank or more) or one
     // that alone exceeds the line budget can never fit; reject before
-    // enumerating. A fault's own units are distinct by construction, so
-    // the count is exact for the fault in isolation.
+    // enumerating. Nor can a cluster with more remap units than the LLC
+    // can lock (sets x ways): its units are distinct keys, so some set
+    // would overflow whatever is locked already. The bound uses the
+    // largest cluster, not the sum, because clusters may overlap.
+    const RepairBudget &budget = tracker_.budget();
     uint64_t total_units = 0;
+    uint64_t largest_cluster = 0;
     for (const auto &part : fault.parts) {
         if (part.region.massive())
             return false;
-        total_units += part.region.remapUnitCount(dram_);
+        for (const auto &cluster : part.region.clusters()) {
+            const uint64_t units =
+                FaultRegion::clusterRemapUnits(cluster, dram_);
+            total_units += units;
+            largest_cluster = std::max(largest_cluster, units);
+        }
     }
-    if (total_units > tracker_.budget().maxLines)
+    if (total_units > budget.maxLines ||
+        largest_cluster > tracker_.sets() * budget.maxWaysPerSet)
         return false;
 
-    std::vector<std::pair<uint64_t, uint64_t>> lines;
-    lines.reserve(total_units);
+    bool fits = true;
     for (const auto &part : fault.parts) {
         RemapUnit unit;
         unit.dimm = part.dimm;
         unit.device = part.device;
-        part.region.forEachRemapUnit(
+        fits = part.region.forEachRemapUnit(
             dram_, [&](unsigned bank, uint32_t row, uint16_t col_group) {
                 unit.bank = bank;
                 unit.row = row;
                 unit.colGroup = col_group;
                 const RemapLocation loc = map_.locate(unit);
-                lines.emplace_back(loc.set, loc.key(map_.setBits()));
+                return tracker_.stage(loc.set, loc.key(map_.setBits()));
             });
+        if (!fits)
+            break;
     }
-    if (!tracker_.tryAdd(lines))
+    if (!tracker_.finish(fits))
         return false;
 
     for (const auto &part : fault.parts) {

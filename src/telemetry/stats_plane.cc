@@ -10,6 +10,11 @@
 #include <chrono>
 #include <cstring>
 #include <new>
+#include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/failpoint.h"
 #include "common/log.h"
@@ -34,6 +39,27 @@ constexpr double kRateAlpha = 0.3;
 
 /** Minimum spacing between rate publishes (keeps /proc reads rare). */
 constexpr uint64_t kRatePublishNs = 250'000'000;  // 250 ms.
+
+/** Seqlock read retries that only pause before readSlot yields. */
+constexpr unsigned kSlotReadSpins = 64;
+
+/**
+ * How long readSlot waits on a sequence word that does not move before
+ * it reports the slot unreadable. A live writer, even a preempted one,
+ * moves it sooner; one that died mid-publish never does.
+ */
+constexpr uint64_t kSlotStuckNs = 1'000'000'000;  // 1 s.
+
+/** Spin-wait hint to the core. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#else
+    std::this_thread::yield();
+#endif
+}
 
 } // namespace
 
@@ -92,7 +118,7 @@ StatsPlane::header() const
 StatsPlane::Slot *
 StatsPlane::slot(size_t index) const
 {
-    auto *base = static_cast<unsigned char *>(map_) + sizeof(Header);
+    auto *base = static_cast<unsigned char *>(map_) + kSlotsOffset;
     return reinterpret_cast<Slot *>(base + index * sizeof(Slot));
 }
 
@@ -105,7 +131,7 @@ StatsPlane::create(const std::string &path, size_t slots,
     if (slots > kMaxSlots)
         fatal("stats plane: " + std::to_string(slots) +
               " slots exceeds the cap of " + std::to_string(kMaxSlots));
-    const size_t bytes = sizeof(Header) + slots * sizeof(Slot);
+    const size_t bytes = kSlotsOffset + slots * sizeof(Slot);
 
     const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
@@ -191,7 +217,7 @@ StatsPlane::attach(const std::string &path, std::string *error)
     const uint32_t slots =
         header->slotCount.load(std::memory_order_relaxed);
     if (slots == 0 || slots > kMaxSlots ||
-        bytes < sizeof(Header) + slots * sizeof(Slot))
+        bytes < kSlotsOffset + slots * sizeof(Slot))
         return fail(path + ": slot count inconsistent with file size");
     return plane;
 }
@@ -240,12 +266,11 @@ StatsPlane::readSlot(size_t index, StatsSlotSample &out) const
     if (index >= slots())
         return false;
     const Slot *s = slot(index);
-    // The monotone counters are single atomics — read outside the
-    // seqlock, they are exact at some instant during the call.
-    for (unsigned attempt = 0; attempt < 1000; ++attempt) {
-        const uint64_t seq1 = s->seq.load(std::memory_order_acquire);
+    // One seqlock attempt at the descriptive block: false if the writer
+    // held or moved the sequence word meanwhile.
+    const auto try_read = [s, &out](uint64_t seq1) {
         if ((seq1 & 1) != 0)
-            continue;
+            return false;
         out.pid = s->pid.load(std::memory_order_relaxed);
         out.phase = static_cast<StatsPhase>(
             s->phase.load(std::memory_order_relaxed));
@@ -260,18 +285,40 @@ StatsPlane::readSlot(size_t index, StatsSlotSample &out) const
         out.updateEpochMs =
             s->updateEpochMs.load(std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_acquire);
-        const uint64_t seq2 = s->seq.load(std::memory_order_relaxed);
-        if (seq1 != seq2)
+        return s->seq.load(std::memory_order_relaxed) == seq1;
+    };
+    // Retry with a pause, then by yielding so a writer preempted
+    // mid-publish can finish. Give up only once the sequence word has
+    // not moved for kSlotStuckNs: a live writer keeps moving it.
+    unsigned spins = 0;
+    uint64_t last_seq = 0;
+    uint64_t stuck_since_ns = 0;
+    for (uint64_t seq1 = s->seq.load(std::memory_order_acquire);
+         !try_read(seq1); seq1 = s->seq.load(std::memory_order_acquire)) {
+        if (spins < kSlotReadSpins) {
+            ++spins;
+            cpuRelax();
             continue;
-        out.trialsStarted =
-            s->trialsStarted.load(std::memory_order_relaxed);
-        out.trialsCompleted =
-            s->trialsCompleted.load(std::memory_order_relaxed);
-        out.heartbeatTick =
-            s->heartbeatTick.load(std::memory_order_relaxed);
-        return true;
+        }
+        const uint64_t now_ns = steadyNowNs();
+        if (stuck_since_ns == 0 || seq1 != last_seq) {
+            last_seq = seq1;
+            stuck_since_ns = now_ns;
+        } else if (now_ns - stuck_since_ns > kSlotStuckNs) {
+            return false;
+        }
+        std::this_thread::yield();
     }
-    return false;
+    // The monotone counters are single atomics — read outside the
+    // seqlock, they are exact at some instant during the call.
+    // Completed first, with acquire (it pairs with the release add in
+    // trialFinished): every trial it counts has its start visible, so
+    // the sample never shows more completed than started.
+    out.trialsCompleted =
+        s->trialsCompleted.load(std::memory_order_acquire);
+    out.trialsStarted = s->trialsStarted.load(std::memory_order_relaxed);
+    out.heartbeatTick = s->heartbeatTick.load(std::memory_order_relaxed);
+    return true;
 }
 
 StatsPublisher

@@ -78,7 +78,8 @@ class StatsPlane
 {
   public:
     static constexpr uint64_t kMagic = 0x31534154'53465258ull; // "XRFSTATS1"
-    static constexpr uint32_t kVersion = 1;
+    /** 2: slot 0 starts at a Slot-aligned offset, not right after the header. */
+    static constexpr uint32_t kVersion = 2;
     static constexpr size_t kMaxSlots = 256;
     static constexpr size_t kCampaignBytes = 64;
 
@@ -123,10 +124,10 @@ class StatsPlane
     void noteQuarantine();
 
     /**
-     * Observer: sample slot @p slot. Retries the seqlock until a
-     * consistent snapshot is read (bounded; returns false if the writer
-     * kept the slot write-locked past the retry budget, which only a
-     * crashed-mid-publish writer can cause).
+     * Observer: sample slot @p slot. Retries the seqlock, backing off
+     * from pause to yield, until a consistent snapshot is read. Returns
+     * false only if the sequence word stays unchanged for a second,
+     * which only a crashed-mid-publish writer can cause.
      */
     bool readSlot(size_t slot, StatsSlotSample &out) const;
 
@@ -182,6 +183,10 @@ class StatsPlane
     static_assert(std::atomic<uint64_t>::is_always_lock_free,
                   "stats plane requires lock-free 64-bit atomics");
 
+    /** Byte offset of slot 0: the header rounded up to a slot boundary. */
+    static constexpr size_t kSlotsOffset =
+        (sizeof(Header) + alignof(Slot) - 1) / alignof(Slot) * alignof(Slot);
+
     StatsPlane(void *map, size_t bytes, bool writable);
 
     Header *header() const;
@@ -194,7 +199,7 @@ class StatsPlane
 
 /**
  * Writer handle bound to one slot. Trial loops call `trialStarted` /
- * `trialFinished` (relaxed atomic adds plus an occasional try-locked
+ * `trialFinished` (atomic adds plus an occasional try-locked
  * rate/RSS publish); the worker main loop frames shards with
  * `beginShard` / `endShard`. The null-pointer form of every caller is
  * the disabled path.
@@ -234,7 +239,8 @@ class StatsPublisher
     {
         if (slot_ == nullptr)
             return;
-        slot_->trialsCompleted.fetch_add(1, std::memory_order_relaxed);
+        // Release: an observer that sees this count sees the start too.
+        slot_->trialsCompleted.fetch_add(1, std::memory_order_release);
         slot_->heartbeatTick.fetch_add(1, std::memory_order_relaxed);
         maybePublishRate();
     }

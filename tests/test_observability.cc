@@ -198,10 +198,11 @@ TEST(StatsPlane, SeqlockNeverTearsUnderConcurrentWriter)
     StatsPublisher pub = plane.publisher(0);
     pub.announce(StatsPhase::Running);
 
-    std::atomic<bool> stop{false};
-    std::thread writer([&] {
+    // A jthread stops and joins the writer on every exit, so a failed
+    // ASSERT reports a failure instead of destroying a joinable thread.
+    std::jthread writer([&](std::stop_token stop) {
         uint64_t shard = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
+        while (!stop.stop_requested()) {
             pub.beginShard(shard++);
             for (int i = 0; i < 16; ++i) {
                 pub.trialStarted();
@@ -222,8 +223,6 @@ TEST(StatsPlane, SeqlockNeverTearsUnderConcurrentWriter)
         EXPECT_GE(sample.trialsStarted, sample.trialsCompleted);
         last_completed = sample.trialsCompleted;
     }
-    stop.store(true);
-    writer.join();
     std::remove(path.c_str());
 }
 

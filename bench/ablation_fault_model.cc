@@ -40,7 +40,7 @@ coverageFor(const FaultModelConfig &model, uint64_t faulty_nodes,
     const CoverageEvaluator evaluator(config);
     const CacheGeometry llc = paperLlc();
     const RepairBudget budget{1, 32768};
-    const DramAddressMap map(model.geometry, true);
+    const DramAddressMap map = makeAddressMap("fig7a", model.geometry);
 
     Outcome outcome;
     Rng rng_a(seed);

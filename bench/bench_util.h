@@ -35,9 +35,9 @@ inline std::string
 mappingFlag(const CliOptions &options)
 {
     const std::string name = options.getString("mapping", "fig7a");
-    if (!isAddressMappingName(name))
+    if (!isAddressMapName(name))
         fatal("--mapping=" + name + " is not a mapping scheme (expected " +
-              addressMappingNamesHint() + ")");
+              addressMapNamesHint() + ")");
     return name;
 }
 
@@ -116,7 +116,7 @@ makeFactory(const MechanismSpec &spec, const DramGeometry &geometry,
 inline LifetimeSimulator::MechanismFactory
 makeFactory(const MechanismSpec &spec, const DramGeometry &geometry)
 {
-    return makeFactory(spec, geometry, DramAddressMap(geometry, true));
+    return makeFactory(spec, geometry, makeAddressMap("fig7a", geometry));
 }
 
 } // namespace relaxfault::bench

@@ -50,7 +50,7 @@ main(int argc, char **argv)
     const CoverageEvaluator evaluator(config);
     const DramGeometry geometry = config.faultModel.geometry;
     const CacheGeometry llc = paperLlc();
-    const DramAddressMap address_map(geometry, true);
+    const DramAddressMap address_map = makeAddressMap("fig7a", geometry);
 
     std::cout << "Extension: RelaxFault vs the coarse retirement "
                  "alternatives of Sec. 6\n(page budget "

@@ -51,7 +51,7 @@ const CacheGeometry kLlc{8 * 1024 * 1024, 16, 64};
 void
 BM_DramAddressMapDecode(benchmark::State &state)
 {
-    const DramAddressMap map(kGeometry, true);
+    const DramAddressMap map = makeAddressMap("fig7a", kGeometry);
     Rng rng(1);
     uint64_t pa = rng.next() % kGeometry.nodeBytes();
     for (auto _ : state) {
@@ -60,6 +60,19 @@ BM_DramAddressMapDecode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DramAddressMapDecode);
+
+void
+BM_DramAddressMapEncode(benchmark::State &state)
+{
+    // FreeFault's direction: the column blocks of one row, in order.
+    const DramAddressMap map = makeAddressMap("fig7a", kGeometry);
+    LineCoord coord{1, 0, 3, 4242, 0};
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(map.encode(coord));
+        coord.colBlock = (coord.colBlock + 1) % kGeometry.colBlocksPerRow;
+    }
+}
+BENCHMARK(BM_DramAddressMapEncode);
 
 void
 BM_XorMappingDecode(benchmark::State &state)
@@ -171,19 +184,19 @@ BM_TryRepair(benchmark::State &state, Mechanism mechanism,
     }
 }
 BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_bit,
-                  FreeFaultRepair(DramAddressMap(kGeometry, true), kLlc,
+                  FreeFaultRepair(makeAddressMap("fig7a", kGeometry), kLlc,
                                   RepairBudget{1, 32768}),
                   "bit")->Name("BM_FreeFaultTryRepair/bit");
 BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_row,
-                  FreeFaultRepair(DramAddressMap(kGeometry, true), kLlc,
+                  FreeFaultRepair(makeAddressMap("fig7a", kGeometry), kLlc,
                                   RepairBudget{1, 32768}),
                   "row")->Name("BM_FreeFaultTryRepair/row");
 BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_column,
-                  FreeFaultRepair(DramAddressMap(kGeometry, true), kLlc,
+                  FreeFaultRepair(makeAddressMap("fig7a", kGeometry), kLlc,
                                   RepairBudget{1, 32768}),
                   "column")->Name("BM_FreeFaultTryRepair/column");
 BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_multirow,
-                  FreeFaultRepair(DramAddressMap(kGeometry, true), kLlc,
+                  FreeFaultRepair(makeAddressMap("fig7a", kGeometry), kLlc,
                                   RepairBudget{1, 32768}),
                   "multirow")->Name("BM_FreeFaultTryRepair/multirow");
 BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_bit,

@@ -66,7 +66,7 @@ main(int argc, char **argv)
         const char *name;
         LifetimeSimulator::MechanismFactory factory;
     };
-    const DramAddressMap address_map(geometry, true);
+    const DramAddressMap address_map = makeAddressMap("fig7a", geometry);
     const std::vector<Row> rows = {
         {"no-repair", {}},
         {"PPR",

@@ -9,6 +9,7 @@
 #ifndef RELAXFAULT_COMMON_BITOPS_H
 #define RELAXFAULT_COMMON_BITOPS_H
 
+#include <bit>
 #include <cstdint>
 
 namespace relaxfault {
@@ -35,14 +36,14 @@ depositBits(uint64_t value, unsigned lsb, unsigned width, uint64_t field)
     return (value & ~mask) | ((field << lsb) & mask);
 }
 
-/** Number of bits needed to index @p count distinct values (count >= 1). */
+/**
+ * Number of bits needed to index @p count distinct values: the width of
+ * count - 1, so 0 and 1 both need none.
+ */
 constexpr unsigned
 indexBits(uint64_t count)
 {
-    unsigned bits = 0;
-    while ((uint64_t{1} << bits) < count)
-        ++bits;
-    return bits;
+    return count == 0 ? 0 : static_cast<unsigned>(std::bit_width(count - 1));
 }
 
 /** True if @p value is a power of two (and nonzero). */

@@ -13,7 +13,8 @@ namespace relaxfault {
 
 RelaxFaultController::RelaxFaultController(const ControllerConfig &config)
     : config_(config),
-      addressMap_(config.geometry, config.bankXorHash),
+      addressMap_(makeAddressMap(config.bankXorHash ? "fig7a" : "fig7a_nohash",
+                                 config.geometry)),
       dram_(config.geometry), faults_(config.geometry),
       repair_(config.geometry, config.llc, config.budget, config.xorFold)
 {

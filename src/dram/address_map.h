@@ -1,11 +1,12 @@
 /**
  * @file
- * Physical-address <-> DRAM-coordinate mapping (paper Fig. 7a).
+ * Physical-address <-> DRAM-coordinate mapping (paper Fig. 7a), as one
+ * GF(2)-linear value type.
  *
  * Modern controllers swizzle physical-address bits so that consecutive
  * lines rotate across channels and banks while staying in an open row as
- * long as possible. We implement the Nehalem-style layout the paper uses
- * as its running example, from LSB to MSB of the line address:
+ * long as possible. The paper's running example is a Nehalem-style
+ * layout, from LSB to MSB of the line address:
  *
  *   channel | column-low | bank | column-high | rank | row
  *
@@ -13,115 +14,216 @@
  * index, so the lines of one DRAM row occupy distinct sets even without
  * LLC set hashing — while a column fault's lines (row bits vary, column
  * bits fixed) pile up, which is exactly the asymmetry Fig. 8 shows for
- * FreeFault.
+ * FreeFault. The paper's controller also enables the permutation-based
+ * bank hash of Zhang et al. (bank XOR row-low, Table 3).
  *
- * plus the optional permutation-based bank hash of Zhang et al. (bank XOR
- * row-low), which the paper's memory controller enables (Table 3).
+ * That layout, bank permutation included, is linear over GF(2), and so
+ * are the Intel and AMD XOR schemes DRAMDig and Knock-Knock recover from
+ * real parts. Every mapping is therefore an `XorScheme`: one decode
+ * mask per canonical coordinate bit, naming the line-address bits whose
+ * parity yields it. Coordinate bits pack LSB-first as
+ * channel | rank | bank | row | col; masks index line-address bits,
+ * i.e. bit 0 of `pa >> offsetBits`.
  *
- * The layout lives in `Fig7aMapping`, one strategy behind the pluggable
- * `AddressMapping` interface (address_mapping.h); `DramAddressMap` is
- * the cheap-to-copy value handle the rest of the system passes around.
- * `makeAddressMap` instantiates any registered strategy by name
- * (`fig7a` — the default, bit-identical to the seed — `fig7a_nohash`,
- * `intel_ivy`, `intel_haswell`, `amd_zen`).
+ * `DramAddressMap` inverts the decode matrix once by Gauss-Jordan
+ * elimination (construction panics on a malformed or non-invertible
+ * scheme, so every map is a bijection) and then evaluates both
+ * directions byte-sliced: one 256-entry table per input byte, holding
+ * the XOR of the matrix columns that byte selects, so a translation is
+ * a few shifts plus one table load per input byte. `makeAddressMap`
+ * builds any registered scheme by name (`fig7a` — the default —
+ * `fig7a_nohash`, `intel_ivy`, `intel_haswell`, `amd_zen`).
  */
 
 #ifndef RELAXFAULT_DRAM_ADDRESS_MAP_H
 #define RELAXFAULT_DRAM_ADDRESS_MAP_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "dram/address_mapping.h"
 #include "dram/geometry.h"
 
 namespace relaxfault {
 
-/** The seed Fig. 7a scheme: contiguous fields + optional bank hash. */
-class Fig7aMapping : public AddressMapping
+/**
+ * The canonical coordinate packing (channel | rank | bank | row | col,
+ * LSB-first) with its field shifts precomputed. Out-of-range field
+ * values are masked to their width.
+ */
+class CoordBitLayout
 {
   public:
-    /**
-     * @param geometry Memory-system shape; field widths derive from it.
-     * @param bank_xor_hash Enable the bank XOR row-low permutation.
-     * @param col_low_bits How many column-block bits sit below the bank
-     *        field (the rest sit above rank); 6 of 8 in the example map.
-     */
-    explicit Fig7aMapping(const DramGeometry &geometry,
-                          bool bank_xor_hash = true,
-                          unsigned col_low_bits = 6);
+    explicit CoordBitLayout(const DramGeometry &geometry);
 
-    uint64_t encode(const LineCoord &coord) const override;
-    LineCoord decode(uint64_t pa) const override;
+    uint64_t
+    pack(const LineCoord &coord) const
+    {
+        return (coord.channel & mask_[0]) |
+               (uint64_t{coord.rank & mask_[1]} << lsb_[1]) |
+               (uint64_t{coord.bank & mask_[2]} << lsb_[2]) |
+               (uint64_t{coord.row & mask_[3]} << lsb_[3]) |
+               (uint64_t{coord.colBlock & mask_[4]} << lsb_[4]);
+    }
 
-    bool bankXorHash() const { return bankXorHash_; }
+    LineCoord
+    unpack(uint64_t bits) const
+    {
+        LineCoord coord;
+        coord.channel = static_cast<unsigned>(bits & mask_[0]);
+        coord.rank = static_cast<unsigned>(bits >> lsb_[1]) & mask_[1];
+        coord.bank = static_cast<unsigned>(bits >> lsb_[2]) & mask_[2];
+        coord.row = static_cast<unsigned>(bits >> lsb_[3]) & mask_[3];
+        coord.colBlock = static_cast<unsigned>(bits >> lsb_[4]) & mask_[4];
+        return coord;
+    }
 
-    /** LSB position of each field within the physical address. */
-    unsigned channelLsb() const { return channelLsb_; }
-    unsigned colLowLsb() const { return colLowLsb_; }
-    unsigned bankLsb() const { return bankLsb_; }
-    unsigned rankLsb() const { return rankLsb_; }
-    unsigned colHighLsb() const { return colHighLsb_; }
-    unsigned rowLsb() const { return rowLsb_; }
-    unsigned colLowBits() const { return colLowBits_; }
-    unsigned colHighBits() const { return colHighBits_; }
+    /** Total packed width. */
+    unsigned bits() const { return bits_; }
 
   private:
-    /** Bank permutation: physical bank = bank XOR low row bits. */
-    unsigned permuteBank(unsigned bank, unsigned row) const;
-
-    bool bankXorHash_;
-    unsigned colLowBits_;
-    unsigned colHighBits_;
-    unsigned channelLsb_;
-    unsigned colLowLsb_;
-    unsigned bankLsb_;
-    unsigned rankLsb_;
-    unsigned colHighLsb_;
-    unsigned rowLsb_;
+    unsigned lsb_[5] = {};
+    unsigned mask_[5] = {};
+    unsigned bits_ = 0;
 };
 
+/** Pack a coordinate into its canonical bit vector. */
+inline uint64_t
+packCoordBits(const DramGeometry &geometry, const LineCoord &coord)
+{
+    return CoordBitLayout(geometry).pack(coord);
+}
+
+/** Inverse of packCoordBits. */
+inline LineCoord
+unpackCoordBits(const DramGeometry &geometry, uint64_t bits)
+{
+    return CoordBitLayout(geometry).unpack(bits);
+}
+
 /**
- * Value handle over a mapping strategy. Copies share the immutable
- * strategy object, so mechanisms can hold maps by value as before.
+ * An XOR-bit scheme: decodeMasks[i] is the set of line-address bits
+ * whose parity yields canonical coordinate bit i. Must hold exactly
+ * `lineBits` masks and describe an invertible GF(2) matrix.
  */
+struct XorScheme
+{
+    std::string name;
+    std::vector<uint64_t> decodeMasks;
+};
+
+/** A bidirectional PA <-> DRAM-coordinate map over one XOR scheme. */
 class DramAddressMap
 {
   public:
-    /** The seed constructor: a Fig. 7a map (bit-identical default). */
-    explicit DramAddressMap(const DramGeometry &geometry,
-                            bool bank_xor_hash = true,
-                            unsigned col_low_bits = 6)
-        : impl_(std::make_shared<Fig7aMapping>(geometry, bank_xor_hash,
-                                               col_low_bits))
-    {
-    }
-
-    /** Wrap any strategy (from makeAddressMapping or hand-built). */
-    explicit DramAddressMap(std::shared_ptr<const AddressMapping> impl);
+    /** Panics if the scheme is malformed or not invertible. */
+    DramAddressMap(const DramGeometry &geometry, XorScheme scheme);
 
     /** Translate DRAM coordinates to a full physical (byte) address. */
-    uint64_t encode(const LineCoord &coord) const
+    uint64_t
+    encode(const LineCoord &coord) const
     {
-        return impl_->encode(coord);
+        return evaluate(tables_.data(), layout_.pack(coord))
+               << offsetBits_;
     }
 
     /** Translate a physical address to DRAM coordinates. */
-    LineCoord decode(uint64_t pa) const { return impl_->decode(pa); }
+    LineCoord
+    decode(uint64_t pa) const
+    {
+        return layout_.unpack(
+            evaluate(tables_.data() + slices_ * 256, pa >> offsetBits_));
+    }
 
-    const DramGeometry &geometry() const { return impl_->geometry(); }
-    const std::string &name() const { return impl_->name(); }
-    const AddressMapping &impl() const { return *impl_; }
+    const DramGeometry &geometry() const { return geometry_; }
+    const std::string &name() const { return name_; }
+
+    /** Line-address width: PA bits above the 64B line offset. */
+    unsigned lineBits() const { return layout_.bits(); }
+
+    /** Scheme masks (coordinate bit -> line-address bits). */
+    const std::vector<uint64_t> &decodeMasks() const
+    {
+        return decodeMasks_;
+    }
+
+    /** Inverse masks (line-address bit -> coordinate bits). */
+    const std::vector<uint64_t> &encodeMasks() const
+    {
+        return encodeMasks_;
+    }
 
   private:
-    std::shared_ptr<const AddressMapping> impl_;
+    /**
+     * XOR one table entry per input byte. Inputs wider than the matrix
+     * hit all-zero columns, so PA bits above paBits never leak in.
+     */
+    uint64_t
+    evaluate(const uint64_t *table, uint64_t in) const
+    {
+        uint64_t out = 0;
+        for (unsigned k = 0; k < slices_; ++k, table += 256, in >>= 8)
+            out ^= table[in & 0xff];
+        return out;
+    }
+
+    DramGeometry geometry_;
+    std::string name_;
+    CoordBitLayout layout_;
+    unsigned offsetBits_;
+    unsigned slices_;  ///< Input bytes per direction.
+    std::vector<uint64_t> decodeMasks_;
+    std::vector<uint64_t> encodeMasks_;
+    /** Encode tables, then decode tables: slices_ x 256 entries each. */
+    std::vector<uint64_t> tables_;
 };
 
 /**
- * Instantiate a registered mapping by name as a value handle; panics
- * (with the known-names list) on an unknown name — CLI layers validate
- * first via `isAddressMappingName`.
+ * Scheme builders. Real controllers hash fixed absolute bit positions;
+ * the simulator sweeps geometries, so each builder places the published
+ * XOR structure relative to the geometry's Fig. 7a field layout (six
+ * column-block bits below the bank field, the rest above it) and taps
+ * only row / high-column bits, which keeps every instance invertible
+ * for any power-of-two shape.
+ */
+
+/** The Fig. 7a layout, with or without the bank XOR row-low hash. */
+XorScheme fig7aXorScheme(const DramGeometry &geometry,
+                         bool bank_xor_hash = true);
+
+/**
+ * Intel Ivy Bridge-style functions (DRAMDig Table 3): the channel is a
+ * wide XOR over row and high-column bits and each bank bit XORs two row
+ * bits; ranks ride a two-tap row hash.
+ */
+XorScheme intelIvyScheme(const DramGeometry &geometry);
+
+/**
+ * Intel Haswell-style functions (DRAMDig Table 3): same structure as
+ * Ivy with shifted tap positions (the controller generation moved the
+ * hash functions up the address).
+ */
+XorScheme intelHaswellScheme(const DramGeometry &geometry);
+
+/**
+ * AMD Zen-style functions (Knock-Knock Sec. 5): bank bits are full
+ * stride-XOR reductions of the row (and high column), the widest
+ * published hash family.
+ */
+XorScheme amdZenScheme(const DramGeometry &geometry);
+
+/** Registered scheme names, in registry order ("fig7a" first). */
+const std::vector<std::string> &addressMapNames();
+
+/** True if @p name is registered. */
+bool isAddressMapName(const std::string &name);
+
+/** "fig7a | fig7a_nohash | ..." for CLI diagnostics. */
+std::string addressMapNamesHint();
+
+/**
+ * Build a registered scheme by name; panics (with the known-names list)
+ * on an unknown name — CLI layers validate first via `isAddressMapName`.
  */
 DramAddressMap makeAddressMap(const std::string &name,
                               const DramGeometry &geometry);

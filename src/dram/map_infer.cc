@@ -285,15 +285,11 @@ inferFromObservations(const std::vector<MapObservation> &observations,
     return solveSystem(solver, equations, line_bits);
 }
 
-std::shared_ptr<const AddressMapping>
+DramAddressMap
 mappingFromMasks(const std::string &name, const DramGeometry &geometry,
                  const std::vector<uint64_t> &masks)
 {
-    XorScheme scheme;
-    scheme.name = name;
-    scheme.decodeMasks = masks;
-    return std::make_shared<XorAddressMapping>(geometry,
-                                               std::move(scheme));
+    return DramAddressMap(geometry, XorScheme{name, masks});
 }
 
 bool

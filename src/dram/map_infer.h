@@ -25,11 +25,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "dram/address_mapping.h"
+#include "dram/address_map.h"
 
 namespace relaxfault {
 
@@ -89,9 +88,9 @@ std::vector<uint64_t> basisDecodeMasks(const DecodeOracle &oracle,
  * Rebuild a runnable mapping from recovered masks (panics if the masks
  * are not a bijection). Only valid for affineOffset == 0.
  */
-std::shared_ptr<const AddressMapping>
-mappingFromMasks(const std::string &name, const DramGeometry &geometry,
-                 const std::vector<uint64_t> &masks);
+DramAddressMap mappingFromMasks(const std::string &name,
+                                const DramGeometry &geometry,
+                                const std::vector<uint64_t> &masks);
 
 /**
  * True when @p masks / @p affine reproduce @p oracle on every basis

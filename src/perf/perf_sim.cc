@@ -119,7 +119,8 @@ PerfSimulator::runStreams(
     ScopedTimer run_timer(
         telemetry_ ? &telemetry_->histogram("perf.run_us") : nullptr);
     const DramGeometry dram_geometry = PerfConfig::dramGeometry();
-    const DramAddressMap address_map(dram_geometry, /*bank_xor_hash=*/true);
+    const DramAddressMap address_map =
+        makeAddressMap("fig7a", dram_geometry);
 
     CacheModel llc(config_.llc, config_.llcXorHash);
     Rng placement_rng(repair.placementSeed);

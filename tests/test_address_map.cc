@@ -2,14 +2,16 @@
  * @file
  * The mapping differential-test layer (ctest -L mapping).
  *
- * Pins the pluggable address-mapping subsystem from three directions:
+ * Pins the GF(2)-matrix address map from three directions:
  *
- *  1. Properties: every registered strategy is a bijection over fuzzed
+ *  1. Properties: every registered scheme is a bijection over fuzzed
  *     geometry shapes (decode(encode(c)) == c and encode(decode(pa)) ==
- *     pa), and the seed Fig. 7a arithmetic equals its expression as a
- *     generic XOR scheme — including the bank XOR row-low permutation.
- *  2. Seed pins: frozen golden encode values keep the default mapping
- *     bit-identical to the seed across refactors.
+ *     pa); the Fig. 7a shift arithmetic (kept here as a test-local
+ *     oracle) equals its expression as an XOR scheme, bank XOR row-low
+ *     permutation included; and the byte-sliced tables equal the
+ *     per-bit parity product of the scheme's masks.
+ *  2. Seed pins: frozen golden encode values keep every registered
+ *     scheme bit-identical to the seed across refactors.
  *  3. Inference differential: map_infer's GF(2) recovery must exactly
  *     reproduce the masks of every registered scheme (oracle and
  *     observation-log modes), and a corrupted log must fail loudly
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/bitops.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "dram/address_map.h"
@@ -32,6 +35,85 @@
 
 namespace relaxfault {
 namespace {
+
+/**
+ * The Fig. 7a layout written as field shifts plus the Zhang et al.
+ * bank XOR row-low permutation, kept verbatim from the pre-matrix
+ * implementation as an independent oracle for the XOR-scheme form.
+ * Line-address fields, LSB to MSB: channel | col-low (6 bits) | bank |
+ * col-high | rank | row.
+ */
+class Fig7aOracle
+{
+  public:
+    Fig7aOracle(const DramGeometry &geometry, bool bank_xor_hash)
+        : geometry_(geometry), bankXorHash_(bank_xor_hash)
+    {
+        const unsigned col_bits = geometry.colBlockBits();
+        colLowBits_ = col_bits < 6 ? col_bits : 6;
+        colHighBits_ = col_bits - colLowBits_;
+        channelLsb_ = geometry.offsetBits();
+        colLowLsb_ = channelLsb_ + geometry.channelBits();
+        bankLsb_ = colLowLsb_ + colLowBits_;
+        colHighLsb_ = bankLsb_ + geometry.bankBits();
+        rankLsb_ = colHighLsb_ + colHighBits_;
+        rowLsb_ = rankLsb_ + geometry.rankBits();
+    }
+
+    uint64_t
+    encode(const LineCoord &coord) const
+    {
+        // The permutation is an involution, so encode applies it too.
+        const unsigned bank_field = permuteBank(coord.bank, coord.row);
+        uint64_t pa = 0;
+        pa = depositBits(pa, channelLsb_, geometry_.channelBits(),
+                         coord.channel);
+        pa = depositBits(pa, colLowLsb_, colLowBits_,
+                         coord.colBlock & maskBits(colLowBits_));
+        pa = depositBits(pa, bankLsb_, geometry_.bankBits(), bank_field);
+        pa = depositBits(pa, rankLsb_, geometry_.rankBits(), coord.rank);
+        pa = depositBits(pa, colHighLsb_, colHighBits_,
+                         coord.colBlock >> colLowBits_);
+        pa = depositBits(pa, rowLsb_, geometry_.rowBits(), coord.row);
+        return pa;
+    }
+
+    LineCoord
+    decode(uint64_t pa) const
+    {
+        LineCoord coord;
+        coord.channel = static_cast<unsigned>(
+            extractBits(pa, channelLsb_, geometry_.channelBits()));
+        const auto col_low = static_cast<unsigned>(
+            extractBits(pa, colLowLsb_, colLowBits_));
+        const auto bank_field = static_cast<unsigned>(
+            extractBits(pa, bankLsb_, geometry_.bankBits()));
+        coord.rank = static_cast<unsigned>(
+            extractBits(pa, rankLsb_, geometry_.rankBits()));
+        const auto col_high = static_cast<unsigned>(
+            extractBits(pa, colHighLsb_, colHighBits_));
+        coord.row = static_cast<unsigned>(
+            extractBits(pa, rowLsb_, geometry_.rowBits()));
+        coord.colBlock = (col_high << colLowBits_) | col_low;
+        coord.bank = permuteBank(bank_field, coord.row);
+        return coord;
+    }
+
+  private:
+    unsigned
+    permuteBank(unsigned bank, unsigned row) const
+    {
+        if (!bankXorHash_)
+            return bank;
+        return bank ^ (row & maskBits(geometry_.bankBits()));
+    }
+
+    DramGeometry geometry_;
+    bool bankXorHash_;
+    unsigned colLowBits_, colHighBits_;
+    unsigned channelLsb_, colLowLsb_, bankLsb_, colHighLsb_, rankLsb_,
+        rowLsb_;
+};
 
 /** Preset shapes plus fuzzed power-of-two variations. */
 std::vector<DramGeometry>
@@ -90,7 +172,7 @@ TEST(MappingProperty, EveryMappingIsABijectionOverFuzzedGeometries)
 {
     Rng rng(42);
     for (const DramGeometry &geometry : fuzzedGeometries()) {
-        for (const std::string &name : addressMappingNames()) {
+        for (const std::string &name : addressMapNames()) {
             const DramAddressMap map = makeAddressMap(name, geometry);
             EXPECT_EQ(map.name(), name);
             for (unsigned i = 0; i < 200; ++i) {
@@ -124,15 +206,15 @@ TEST(MappingProperty, PackUnpackCoordBitsRoundTrips)
 TEST(MappingProperty, Fig7aEqualsItsXorSchemeExpression)
 {
     // The seed arithmetic (field extraction + the Zhang et al. bank XOR
-    // row-low permutation) and its expression as a generic GF(2) XOR
-    // scheme must be the same function — this is what lets map_infer
-    // treat every built-in, permutation included, as mask recovery.
+    // row-low permutation) and its expression as a GF(2) XOR scheme
+    // must be the same function — this is what lets the map be one
+    // matrix and map_infer treat every built-in as mask recovery.
     Rng rng(11);
     for (const DramGeometry &geometry : fuzzedGeometries()) {
         for (const bool hash : {true, false}) {
-            const Fig7aMapping legacy(geometry, hash);
-            const XorAddressMapping xorform(
-                geometry, fig7aXorScheme(geometry, hash));
+            const Fig7aOracle legacy(geometry, hash);
+            const DramAddressMap xorform = makeAddressMap(
+                hash ? "fig7a" : "fig7a_nohash", geometry);
             for (unsigned i = 0; i < 200; ++i) {
                 const uint64_t pa = randomLinePa(geometry, rng);
                 EXPECT_EQ(legacy.decode(pa), xorform.decode(pa)) << hash;
@@ -150,7 +232,7 @@ TEST(MappingProperty, NonDefaultSchemesDifferFromFig7a)
     // scheme must actually decode some addresses differently.
     const DramGeometry geometry;
     const DramAddressMap fig7a = makeAddressMap("fig7a", geometry);
-    for (const std::string &name : addressMappingNames()) {
+    for (const std::string &name : addressMapNames()) {
         if (name == "fig7a")
             continue;
         const DramAddressMap other = makeAddressMap(name, geometry);
@@ -164,13 +246,58 @@ TEST(MappingProperty, NonDefaultSchemesDifferFromFig7a)
     }
 }
 
-TEST(MappingProperty, HandleCopiesShareTheStrategy)
+/** Per-bit parity product of @p masks (output bit i = mask i). */
+uint64_t
+parityProduct(const std::vector<uint64_t> &masks, uint64_t in)
 {
-    const DramGeometry geometry;
-    const DramAddressMap map = makeAddressMap("amd_zen", geometry);
-    const DramAddressMap copy = map;  // NOLINT: the copy is the test.
-    EXPECT_EQ(&copy.impl(), &map.impl());
-    EXPECT_EQ(copy.name(), "amd_zen");
+    uint64_t out = 0;
+    for (unsigned i = 0; i < masks.size(); ++i)
+        out |= static_cast<uint64_t>(__builtin_parityll(in & masks[i]))
+               << i;
+    return out;
+}
+
+TEST(MappingProperty, TablesMatchTheParityProduct)
+{
+    // The byte-sliced tables are a re-encoding of the matrix, so they
+    // must agree with the plain parity product of the scheme masks —
+    // also for inputs the masks ignore: coordinate fields beyond their
+    // width (masked off) and PA bits above paBits (dropped).
+    Rng rng(19);
+    for (const DramGeometry &geometry : fuzzedGeometries()) {
+        const CoordBitLayout layout(geometry);
+        const unsigned offset = geometry.offsetBits();
+        for (const std::string &name : addressMapNames()) {
+            const DramAddressMap map = makeAddressMap(name, geometry);
+            ASSERT_EQ(map.lineBits(), layout.bits()) << name;
+            for (unsigned i = 0; i < 200; ++i) {
+                const uint64_t pa = rng.next();
+                EXPECT_EQ(map.decode(pa),
+                          layout.unpack(parityProduct(map.decodeMasks(),
+                                                      pa >> offset)))
+                    << name;
+
+                // Full-width fields; only their low bits may count.
+                LineCoord coord;
+                coord.channel = static_cast<unsigned>(rng.next());
+                coord.rank = static_cast<unsigned>(rng.next());
+                coord.bank = static_cast<unsigned>(rng.next());
+                coord.row = static_cast<unsigned>(rng.next());
+                coord.colBlock = static_cast<unsigned>(rng.next());
+                LineCoord in_range = coord;
+                in_range.channel &= maskBits(geometry.channelBits());
+                in_range.rank &= maskBits(geometry.rankBits());
+                in_range.bank &= maskBits(geometry.bankBits());
+                in_range.row &= maskBits(geometry.rowBits());
+                in_range.colBlock &= maskBits(geometry.colBlockBits());
+                EXPECT_EQ(map.encode(coord),
+                          parityProduct(map.encodeMasks(),
+                                        layout.pack(in_range))
+                              << offset)
+                    << name;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -182,8 +309,8 @@ TEST(MappingSeedPin, Fig7aGoldenEncodeValues)
     // change here is a break of the bit-identity contract that the
     // fig08/fig12 CI gates also enforce end-to-end.
     const DramGeometry geometry;
-    const DramAddressMap hash(geometry, true);
-    const DramAddressMap nohash(geometry, false);
+    const DramAddressMap hash = makeAddressMap("fig7a", geometry);
+    const DramAddressMap nohash = makeAddressMap("fig7a_nohash", geometry);
     const struct
     {
         LineCoord coord;
@@ -204,12 +331,46 @@ TEST(MappingSeedPin, Fig7aGoldenEncodeValues)
     }
 }
 
+TEST(MappingSeedPin, XorSchemeGoldenEncodeValues)
+{
+    // Frozen from the per-bit parity evaluation the tables replaced
+    // (default DDR3 geometry), same coordinates as the Fig. 7a pins.
+    const DramGeometry geometry;
+    const LineCoord coords[] = {
+        {0, 0, 0, 0, 0},
+        {1, 0, 2, 5, 3},
+        {3, 1, 7, 65535, 255},
+        {2, 1, 4, 12345, 100},
+        {0, 1, 1, 1, 1},
+    };
+    const struct
+    {
+        const char *name;
+        uint64_t pa[5];
+    } golden[] = {
+        {"intel_ivy",
+         {0x0, 0x59c340, 0xfffffffc0, 0x3039aa4c0, 0x100140}},
+        {"intel_haswell",
+         {0x0, 0x50c3c0, 0xfffffff40, 0x30392e400, 0x184100}},
+        {"amd_zen",
+         {0x0, 0x59c340, 0xffffebfc0, 0x303922440, 0x180140}},
+    };
+    for (const auto &pin : golden) {
+        const DramAddressMap map = makeAddressMap(pin.name, geometry);
+        for (unsigned i = 0; i < 5; ++i) {
+            EXPECT_EQ(map.encode(coords[i]), pin.pa[i]) << pin.name;
+            EXPECT_EQ(map.decode(pin.pa[i]), coords[i]) << pin.name;
+        }
+    }
+}
+
 TEST(MappingSeedPin, DefaultConstructionIsFig7a)
 {
     const DramGeometry geometry;
-    EXPECT_EQ(DramAddressMap(geometry).name(), "fig7a");
-    EXPECT_EQ(DramAddressMap(geometry, false).name(), "fig7a_nohash");
-    EXPECT_EQ(addressMappingNames().front(), "fig7a");
+    EXPECT_EQ(makeAddressMap("fig7a", geometry).name(), "fig7a");
+    EXPECT_EQ(makeAddressMap("fig7a_nohash", geometry).name(),
+              "fig7a_nohash");
+    EXPECT_EQ(addressMapNames().front(), "fig7a");
     LifetimeConfig config;
     EXPECT_EQ(config.mapping, "fig7a");
 }
@@ -226,7 +387,7 @@ TEST(MapInferDifferential, OracleRecoveryIsExactForEveryScheme)
         DramGeometry::hbmStack(),
     };
     for (const DramGeometry &geometry : geometries) {
-        for (const std::string &name : addressMappingNames()) {
+        for (const std::string &name : addressMapNames()) {
             const DramAddressMap map = makeAddressMap(name, geometry);
             const DecodeOracle oracle = [&map](uint64_t pa) {
                 return map.decode(pa);
@@ -237,6 +398,7 @@ TEST(MapInferDifferential, OracleRecoveryIsExactForEveryScheme)
             EXPECT_EQ(inference.affineOffset, 0u) << name;
             EXPECT_EQ(inference.masks, basisDecodeMasks(oracle, geometry))
                 << name;
+            EXPECT_EQ(inference.masks, map.decodeMasks()) << name;
             EXPECT_TRUE(verifyMasks(inference.masks,
                                     inference.affineOffset, oracle,
                                     geometry, /*seed=*/3))
@@ -276,7 +438,7 @@ sampleObservations(const DramAddressMap &map, unsigned count,
 
 TEST(MapInferDifferential, ObservationLogRecoveryMatchesGroundTruth)
 {
-    for (const std::string &name : addressMappingNames()) {
+    for (const std::string &name : addressMapNames()) {
         const DramGeometry geometry;
         const DramAddressMap map = makeAddressMap(name, geometry);
         const std::vector<MapObservation> observations =
@@ -290,6 +452,7 @@ TEST(MapInferDifferential, ObservationLogRecoveryMatchesGroundTruth)
         };
         EXPECT_EQ(inference.masks, basisDecodeMasks(oracle, geometry))
             << name;
+        EXPECT_EQ(inference.masks, map.decodeMasks()) << name;
     }
 }
 
@@ -355,15 +518,14 @@ TEST(MappingRegistry, NamesAreRegisteredAndHintListsThem)
 {
     const std::vector<std::string> expected = {
         "fig7a", "fig7a_nohash", "intel_ivy", "intel_haswell", "amd_zen"};
-    EXPECT_EQ(addressMappingNames(), expected);
+    EXPECT_EQ(addressMapNames(), expected);
     for (const std::string &name : expected) {
-        EXPECT_TRUE(isAddressMappingName(name));
-        EXPECT_NE(addressMappingNamesHint().find(name),
+        EXPECT_TRUE(isAddressMapName(name));
+        EXPECT_NE(addressMapNamesHint().find(name),
                   std::string::npos);
-        EXPECT_NE(makeAddressMapping(name, DramGeometry{}), nullptr);
+        EXPECT_EQ(makeAddressMap(name, DramGeometry{}).name(), name);
     }
-    EXPECT_FALSE(isAddressMappingName("nehalem"));
-    EXPECT_EQ(makeAddressMapping("nehalem", DramGeometry{}), nullptr);
+    EXPECT_FALSE(isAddressMapName("nehalem"));
 }
 
 TEST(MappingFlag, ParsesDefaultAndExplicitNames)
@@ -401,7 +563,7 @@ TEST(MappingFlagDeathTest, NonInvertibleXorSchemePanics)
     XorScheme scheme = fig7aXorScheme(geometry);
     scheme.name = "degenerate";
     scheme.decodeMasks[1] = scheme.decodeMasks[0];  // Two equal rows.
-    EXPECT_DEATH(XorAddressMapping(geometry, scheme), "not invertible");
+    EXPECT_DEATH(DramAddressMap(geometry, scheme), "not invertible");
 }
 
 } // namespace

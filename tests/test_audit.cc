@@ -214,7 +214,7 @@ TEST(MetadataInjection, SetLoadCounterFlipIsDetected)
 
 TEST(MetadataInjection, FreeFaultLockKeyBitFlipIsDetected)
 {
-    const DramAddressMap map(geom());
+    const DramAddressMap map = makeAddressMap("fig7a", geom());
     FreeFaultRepair repair(map, llc(), RepairBudget{4, 32768});
     std::vector<FaultRecord> faults = {makeFault(bitRegion(3, 42, 7), 0, 9)};
     ASSERT_TRUE(repair.tryRepair(faults[0]));

@@ -59,7 +59,7 @@ massiveBank(unsigned bank)
 
 TEST(PageRetirementTest, BitFaultRetiresOnePage)
 {
-    const DramAddressMap map(DramGeometry{}, true);
+    const DramAddressMap map = makeAddressMap("fig7a", DramGeometry{});
     PageRetirement retirement(map, 4096, 64 << 20);
     EXPECT_TRUE(retirement.tryRepair(makeFault(bitRegion(0, 10, 20))));
     EXPECT_EQ(retirement.retiredPages(), 1u);
@@ -71,7 +71,7 @@ TEST(PageRetirementTest, DeviceRowCosts16Frames)
     // One device row = 256 physical blocks; column bits sit low in the
     // PA, so they tile exactly 16 4KiB frames = 64KiB of DRAM — 64x
     // what RelaxFault pays in LLC (1KiB) for the same fault.
-    const DramAddressMap map(DramGeometry{}, true);
+    const DramAddressMap map = makeAddressMap("fig7a", DramGeometry{});
     PageRetirement retirement(map, 4096, 64 << 20);
     EXPECT_TRUE(retirement.tryRepair(makeFault(rowRegion(2, 100))));
     EXPECT_EQ(retirement.retiredPages(), 16u);
@@ -83,7 +83,7 @@ TEST(PageRetirementTest, ColumnFaultCostsOneFramePerBadWord)
     // The Sec. 6 point in its sharpest form: a column fault's cells sit
     // in different rows, i.e., different frames — 4KiB retired per 4
     // faulty bytes.
-    const DramAddressMap map(DramGeometry{}, true);
+    const DramAddressMap map = makeAddressMap("fig7a", DramGeometry{});
     PageRetirement retirement(map, 4096, 64 << 20);
     std::vector<uint32_t> rows;
     for (uint32_t r = 0; r < 24; ++r)
@@ -99,7 +99,7 @@ TEST(PageRetirementTest, ColumnFaultCostsOneFramePerBadWord)
 
 TEST(PageRetirementTest, BudgetEnforced)
 {
-    const DramAddressMap map(DramGeometry{}, true);
+    const DramAddressMap map = makeAddressMap("fig7a", DramGeometry{});
     PageRetirement retirement(map, 4096, 8 * 4096);  // 8 frames.
     EXPECT_FALSE(retirement.tryRepair(makeFault(rowRegion(2, 100))));
     EXPECT_EQ(retirement.retiredPages(), 0u);
@@ -108,14 +108,14 @@ TEST(PageRetirementTest, BudgetEnforced)
 
 TEST(PageRetirementTest, MassiveRejected)
 {
-    const DramAddressMap map(DramGeometry{}, true);
+    const DramAddressMap map = makeAddressMap("fig7a", DramGeometry{});
     PageRetirement retirement(map, 4096, 1ull << 30);
     EXPECT_FALSE(retirement.tryRepair(makeFault(massiveBank(0))));
 }
 
 TEST(PageRetirementTest, SharedFrameNotDoubleCounted)
 {
-    const DramAddressMap map(DramGeometry{}, true);
+    const DramAddressMap map = makeAddressMap("fig7a", DramGeometry{});
     PageRetirement retirement(map, 4096, 64 << 20);
     EXPECT_TRUE(retirement.tryRepair(makeFault(bitRegion(0, 10, 20))));
     const uint64_t first = retirement.retiredPages();
@@ -172,7 +172,7 @@ TEST_P(OrganizationPreset, GeometryConsistent)
     EXPECT_TRUE(isPowerOfTwo(geometry.nodeBytes()));
     EXPECT_EQ(geometry.bytesPerDevicePerLine(), 4u);
     // The address map must tile the PA space exactly.
-    const DramAddressMap map(geometry, true);
+    const DramAddressMap map = makeAddressMap("fig7a", geometry);
     Rng rng(5);
     for (int i = 0; i < 2000; ++i) {
         const uint64_t pa =

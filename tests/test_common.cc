@@ -63,6 +63,28 @@ TEST(Bitops, IndexBits)
     EXPECT_EQ(indexBits(2), 1u);
     EXPECT_EQ(indexBits(8192), 13u);
     EXPECT_EQ(indexBits(3), 2u);
+    EXPECT_EQ(indexBits(0), 0u);
+}
+
+/** The shift loop indexBits used to be, as the reference. */
+unsigned
+indexBitsLoop(uint64_t count)
+{
+    unsigned bits = 0;
+    while ((uint64_t{1} << bits) < count)
+        ++bits;
+    return bits;
+}
+
+TEST(Bitops, IndexBitsMatchesTheShiftLoop)
+{
+    for (uint64_t count = 0; count <= (uint64_t{1} << 16); ++count)
+        ASSERT_EQ(indexBits(count), indexBitsLoop(count)) << count;
+    for (unsigned k = 1; k <= 62; ++k) {
+        const uint64_t power = uint64_t{1} << k;
+        for (const uint64_t count : {power - 1, power, power + 1})
+            ASSERT_EQ(indexBits(count), indexBitsLoop(count)) << count;
+    }
 }
 
 TEST(Bitops, IsPowerOfTwo)

@@ -124,7 +124,7 @@ TEST(BudgetExhaustion, FreeFaultCapacityCeiling)
 {
     // FreeFault locks one whole line per 64B block: a full device row
     // far exceeds a small line budget.
-    const DramAddressMap map(geom());
+    const DramAddressMap map = makeAddressMap("fig7a", geom());
     FreeFaultRepair repair(map, llc(), RepairBudget{4, 8});
     EXPECT_FALSE(repair.tryRepair(makeFault(rowRegion(1, 500), 0, 6)));
     EXPECT_EQ(repair.usedLines(), 0u);

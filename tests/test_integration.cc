@@ -136,7 +136,7 @@ TEST(Integration, CoverageRankingStableAcrossSeeds)
     const DramGeometry geometry = config.faultModel.geometry;
     const CacheGeometry llc{8 * 1024 * 1024, 16, 64};
     const RepairBudget budget{1, 32768};
-    const DramAddressMap map(geometry, true);
+    const DramAddressMap map = makeAddressMap("fig7a", geometry);
 
     for (uint64_t seed = 1; seed <= 5; ++seed) {
         Rng rng_a(seed);
@@ -164,7 +164,7 @@ TEST(Integration, RelaxFaultCapacityRoughly16xBelowFreeFault)
     // coalescing map needs 1/16th the lines of physical-block locking.
     const DramGeometry geometry;
     const CacheGeometry llc{8 * 1024 * 1024, 16, 64};
-    const DramAddressMap map(geometry, true);
+    const DramAddressMap map = makeAddressMap("fig7a", geometry);
     RelaxFaultRepair relax(geometry, llc, RepairBudget{16, 65536}, true);
     FreeFaultRepair free_fault(map, llc, RepairBudget{16, 65536}, true);
 

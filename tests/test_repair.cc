@@ -254,7 +254,7 @@ TEST_F(RelaxFaultRepairTest, ResetReleasesEverything)
 
 TEST(FreeFaultTest, RowFaultUses256Lines)
 {
-    const DramAddressMap map(geom(), true);
+    const DramAddressMap map = makeAddressMap("fig7a", geom());
     FreeFaultRepair repair(map, llc(), RepairBudget{1, 32768}, true);
     EXPECT_TRUE(repair.tryRepair(makeFault(rowFault(0, 100))));
     // 16x the lines RelaxFault needs for the same fault (paper Sec. 1).
@@ -265,7 +265,7 @@ TEST(FreeFaultTest, RowFaultRepairableWithoutHash)
 {
     // Column-block bits reach the set index, so a row's 256 lines fall
     // into 256 distinct sets even without hashing.
-    const DramAddressMap map(geom(), true);
+    const DramAddressMap map = makeAddressMap("fig7a", geom());
     FreeFaultRepair repair(map, llc(), RepairBudget{1, 32768}, false);
     EXPECT_TRUE(repair.tryRepair(makeFault(rowFault(5, 31000))));
     EXPECT_EQ(repair.maxWaysUsed(), 1u);
@@ -275,7 +275,7 @@ TEST(FreeFaultTest, ColumnFaultDefeatsUnhashedLlc)
 {
     // All lines of a column fault share channel/column/bank/rank bits:
     // one set, many lines -> unrepairable without XOR hashing (Fig. 8).
-    const DramAddressMap map(geom(), true);
+    const DramAddressMap map = makeAddressMap("fig7a", geom());
     FreeFaultRepair unhashed(map, llc(), RepairBudget{1, 32768}, false);
     EXPECT_FALSE(unhashed.tryRepair(
         makeFault(columnFault(1, 512 * 3, 24, 77))));
@@ -291,7 +291,7 @@ TEST(FreeFaultTest, ColumnFaultEvenDefeats16WayUnhashed)
     // fault over at most 2^bankBits = 8 sets, so a large column fault
     // (~64 lines per set) exceeds even full associativity when the LLC
     // set index is unhashed.
-    const DramAddressMap map(geom(), true);
+    const DramAddressMap map = makeAddressMap("fig7a", geom());
     FreeFaultRepair unhashed(map, llc(), RepairBudget{16, 32768}, false);
     EXPECT_FALSE(unhashed.tryRepair(
         makeFault(columnFault(1, 512 * 3, 512, 77))));
@@ -303,7 +303,7 @@ TEST(FreeFaultTest, ColumnFaultEvenDefeats16WayUnhashed)
 
 TEST(FreeFaultTest, MassiveAndOversizedRejected)
 {
-    const DramAddressMap map(geom(), true);
+    const DramAddressMap map = makeAddressMap("fig7a", geom());
     FreeFaultRepair repair(map, llc(), RepairBudget{16, 32768}, true);
     EXPECT_FALSE(repair.tryRepair(makeFault(massiveBank(0))));
     // A 512-row medium bank fault needs 131072 lines > 32768 budget.
@@ -394,7 +394,7 @@ TEST(Coverage, RelaxFaultBeatsFreeFaultBeatsNothing)
         },
         rng_a);
     Rng rng_b(42);
-    const DramAddressMap map(geometry, true);
+    const DramAddressMap map = makeAddressMap("fig7a", geometry);
     const CoverageResult free_fault = evaluator.run(
         [&] {
             return std::make_unique<FreeFaultRepair>(map, cache, budget,
@@ -444,7 +444,7 @@ TEST(Coverage, PaperAnchorsRegression)
     const DramGeometry geometry = config.faultModel.geometry;
     const CacheGeometry cache{8 * 1024 * 1024, 16, 64};
     const RepairBudget budget{1, 32768};
-    const DramAddressMap map(geometry, true);
+    const DramAddressMap map = makeAddressMap("fig7a", geometry);
 
     Rng rng_a(20160618);
     const double relax = evaluator.run(

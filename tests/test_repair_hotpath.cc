@@ -440,7 +440,7 @@ TEST(PigeonholeDifferential, RejectImpliesFullEnumerationRejects)
 {
     const std::vector<FaultRecord> faults = sampledFaults();
     const DramGeometry geometry;
-    const DramAddressMap address_map(geometry, true);
+    const DramAddressMap address_map = makeAddressMap("fig7a", geometry);
     unsigned fired = 0;
     for (const unsigned ways : {1u, 4u, 16u}) {
         for (const bool hash : {true, false}) {
@@ -493,7 +493,7 @@ repeatedRowsFault(unsigned rows, unsigned copies)
 TEST(PigeonholeDifferential, BoundUsesTheLargestClusterAndIsTight)
 {
     const DramGeometry geometry;
-    const DramAddressMap address_map(geometry, true);
+    const DramAddressMap address_map = makeAddressMap("fig7a", geometry);
     const RepairBudget one_way{1, kMaxLines};
     for (const bool hash : {true, false}) {
         // 520 copies of one row: 8,320 summed units, 16 distinct. A sum
@@ -515,8 +515,9 @@ TEST(PigeonholeDifferential, BoundUsesTheLargestClusterAndIsTight)
                   kLlc.sets());
         const bool fits = exact_oracle.tryRepair(full);
         EXPECT_EQ(exact.tryRepair(full), fits) << "hash=" << hash;
-        if (!hash)
+        if (!hash) {
             EXPECT_TRUE(fits);
+        }
     }
     // FreeFault: 33 copies of one row are 8,448 summed lines, 256
     // distinct ones.
@@ -536,7 +537,7 @@ TEST(RepairReplayDifferential, Fig12TenXStreamSameDecisions)
     config.fitScale = 10.0;
     const NodeFaultSampler sampler(config);
     const DramGeometry &geometry = config.geometry;
-    const DramAddressMap address_map(geometry, true);
+    const DramAddressMap address_map = makeAddressMap("fig7a", geometry);
 
     std::vector<std::unique_ptr<FreeFaultRepair>> free_repairs;
     std::vector<std::unique_ptr<RelaxFaultRepair>> relax_repairs;

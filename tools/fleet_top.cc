@@ -6,7 +6,7 @@
  *   fleet_top STATS.plane                 # refreshing per-worker table
  *   fleet_top STATS.plane --once          # one frame, then exit
  *   fleet_top STATS.plane --once --json   # machine snapshot
- *                                         # (relaxfault.top.v1)
+ *                                         # (relaxfault.top.v2)
  *
  * The viewer is a pure observer: it maps the plane read-only and
  * samples the per-slot seqlock, so attaching (or hammering refreshes)
@@ -48,7 +48,9 @@ struct PlaneFrame
     uint64_t quarantinedShards = 0;
     uint64_t nowEpochMs = 0;
     std::vector<StatsSlotSample> slots;
-    std::vector<bool> torn;  ///< readSlot exhausted its retry budget.
+    /// readSlot failed: the slot's sequence word stayed odd for a
+    /// second, which only a writer that died mid-publish leaves behind.
+    std::vector<bool> stuck;
 };
 
 PlaneFrame
@@ -61,9 +63,9 @@ sample(const StatsPlane &plane)
     frame.quarantinedShards = plane.quarantinedShards();
     frame.nowEpochMs = runTimestampMs();
     frame.slots.resize(plane.slots());
-    frame.torn.resize(plane.slots(), false);
+    frame.stuck.resize(plane.slots(), false);
     for (size_t slot = 0; slot < plane.slots(); ++slot)
-        frame.torn[slot] = !plane.readSlot(slot, frame.slots[slot]);
+        frame.stuck[slot] = !plane.readSlot(slot, frame.slots[slot]);
     return frame;
 }
 
@@ -103,8 +105,8 @@ renderTable(const PlaneFrame &frame, uint64_t stale_ms)
         const StatsSlotSample &slot = frame.slots[i];
         const uint64_t age = publishAgeMs(frame, slot);
         std::string note;
-        if (frame.torn[i])
-            note = "<< TORN (writer died mid-publish?)";
+        if (frame.stuck[i])
+            note = "<< STUCK (writer died mid-publish)";
         else if (slot.phase == StatsPhase::Stalled)
             note = "<< STALLED (watchdog verdict)";
         else if (slot.phase == StatsPhase::Crashed)
@@ -146,7 +148,7 @@ writeJsonFrame(const PlaneFrame &frame, uint64_t stale_ms,
 {
     JsonWriter json(os);
     json.beginObject();
-    json.key("schema").value("relaxfault.top.v1");
+    json.key("schema").value("relaxfault.top.v2");
     writeProvenance(json);
     json.key("campaign").value(frame.campaign);
     json.key("owner_pid").value(frame.ownerPid);
@@ -169,7 +171,7 @@ writeJsonFrame(const PlaneFrame &frame, uint64_t stale_ms,
         json.key("armed_failpoints").value(slot.armedFailpoints);
         json.key("update_epoch_ms").value(slot.updateEpochMs);
         json.key("publish_age_ms").value(age);
-        json.key("torn").value(bool{frame.torn[i]});
+        json.key("stuck").value(bool{frame.stuck[i]});
         json.key("stale").value(slot.phase == StatsPhase::Running &&
                                 stale_ms != 0 && age >= stale_ms);
         json.endObject();

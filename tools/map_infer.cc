@@ -206,7 +206,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (options.has("list")) {
-        for (const std::string &name : addressMappingNames())
+        for (const std::string &name : addressMapNames())
             std::cout << name << "\n";
         return 0;
     }
@@ -247,11 +247,11 @@ main(int argc, char **argv)
     if (mapping_name.empty())
         fatal("one of --mapping=NAME, --observations=FILE, or --list "
               "is required (known schemes: " +
-              addressMappingNamesHint() + ")");
-    if (!isAddressMappingName(mapping_name))
+              addressMapNamesHint() + ")");
+    if (!isAddressMapName(mapping_name))
         fatal("--mapping=" + mapping_name +
               " is not a known scheme (expected " +
-              addressMappingNamesHint() + ")");
+              addressMapNamesHint() + ")");
     const DramAddressMap map = makeAddressMap(mapping_name, geometry);
 
     if (options.has("emit-observations")) {

@@ -13,8 +13,8 @@
  *  - `--trials`, `--seed`, `--nodes`, `--threads=N` (0 = auto),
  *    `--progress`, `--json[=PATH]`;
  *  - `--checkpoint=PATH`, `--resume`, `--shards=N` run each unit shard
- *    by shard against a checkpoint (`CampaignRunner`); results are
- *    bit-identical to an unsharded run;
+ *    by shard against a checkpoint (`CampaignRunner`, on either engine);
+ *    results are bit-identical to an unsharded run;
  *  - `--workers=N` (N > 0) distributes each unit's shards over N forked
  *    worker processes through a shared-memory ring
  *    (`WorkerCampaignRunner`), also bit-identical; worker `k` commits to
@@ -31,10 +31,10 @@
  *    in-process.
  * The classic engine (Figs. 9-14) adds `--audit`, `--audit-every`,
  * `--trace`, `--trace-filter` and `--mapping`; Figs. 12-14 add
- * `--degrade`; the fleet engine adds `--mode`.
+ * `--degrade`. Both engines run through the same runners.
  *
- * `--nodes`, `--degrade`, `--mapping` and `--mode` change results and
- * enter the campaign fingerprint. Auditing, tracing and the three
+ * `--nodes`, `--degrade` and `--mapping` change results and enter the
+ * campaign fingerprint. Auditing, tracing and the three
  * observability flags are observation-only: they consume no RNG and
  * leave results bit-identical.
  *
@@ -135,8 +135,8 @@ traceFlag(const CliOptions &options, const std::string &bench_name)
 /** Which simulation engine a lifetime bench drives. */
 enum class LifetimeEngine
 {
-    Classic,  ///< `LifetimeSimulator`, in-process via `CampaignRunner`.
-    Fleet,    ///< `FleetSimulator`, in-process via its own `runTrials`.
+    Classic,  ///< `LifetimeSimulator`: Figs. 9-14.
+    Fleet,    ///< `FleetSimulator`: `fleet_scale`.
 };
 
 /** What sets one lifetime bench apart: its name, defaults and knobs. */
@@ -201,13 +201,7 @@ class LifetimeBench
                                             "retire | due | failstop)");
             config_.degradation = *policy;
         }
-        if (fleet) {
-            modeName_ = options_.getString("mode", "lazy");
-            if (modeName_ == "eager")
-                mode_ = FleetMode::Eager;
-            else if (modeName_ != "lazy")
-                fatal("--mode=" + modeName_ + " (expected lazy | eager)");
-        } else {
+        if (!fleet) {
             config_.mapping = mappingFlag(options_);
             run_.audit.enabled = options_.has("audit");
             run_.audit.everyFaults = static_cast<unsigned>(
@@ -238,8 +232,8 @@ class LifetimeBench
         statsPath_ = options_.getString("stats-plane", "");
         validate(campaign);
 
-        // The degradation policy, address mapping and fleet mode change
-        // results, so they are part of the campaign identity.
+        // The degradation policy and address mapping change results, so
+        // they are part of the campaign identity.
         RunRecord &record = report_.record();
         record.setSeed(seed_).setTrials(trials_).setThreads(
             run_.parallel.threads);
@@ -252,9 +246,10 @@ class LifetimeBench
             identity += ",degrade=" + name;
         }
         if (fleet) {
-            record.setConfig("mode", modeName_);
             record.setConfig("workers", static_cast<int64_t>(workers_));
-            identity += ",mode=" + modeName_;
+            // The fleet engine lost its eager mode; the suffix stays so
+            // checkpoints written while it had one still resume.
+            identity += ",mode=lazy";
         } else {
             record.setConfig("mapping", config_.mapping);
             identity += ",mapping=" + config_.mapping;
@@ -268,7 +263,7 @@ class LifetimeBench
         if (workers_ > 0)
             pool_ = std::make_unique<WorkerCampaignRunner>(
                 fingerprint_, workerOptions(campaign));
-        else if (!fleet)
+        else
             runner_ = std::make_unique<CampaignRunner>(fingerprint_,
                                                        campaign);
         startObservability();
@@ -282,7 +277,6 @@ class LifetimeBench
     unsigned trials() const { return trials_; }
     unsigned nodes() const { return config_.nodesPerSystem; }
     unsigned workers() const { return workers_; }
-    const std::string &modeName() const { return modeName_; }
     BenchReport &report() { return report_; }
     const CampaignFingerprint &fingerprint() const { return fingerprint_; }
 
@@ -293,9 +287,10 @@ class LifetimeBench
     const LifetimeConfig &config() const { return config_; }
 
     /**
-     * Run `trials()` lifetimes of @p unit on the classic engine, through
-     * the worker pool or the in-process campaign runner. The caller
-     * checks `interrupted` and, when set, returns `finish()`.
+     * Run `trials()` lifetimes of @p unit on @p simulator (either
+     * engine), through the worker pool or the in-process campaign
+     * runner. The caller checks `interrupted` and, when set, returns
+     * `finish()`.
      */
     CampaignResult
     runUnit(const std::string &unit, const LifetimeSimulator &simulator,
@@ -312,26 +307,6 @@ class LifetimeBench
                                   run);
         return runner_->runUnit(unit, simulator, factory, trials_, seed_,
                                 run);
-    }
-
-    /** `runUnit` on the fleet engine; in-process it runs unsharded. */
-    CampaignResult
-    runUnit(const std::string &unit, const FleetSimulator &simulator,
-            const FleetSimulator::MechanismFactory &factory)
-    {
-        FleetTrialOptions run;
-        run.mode = mode_;
-        run.parallel = run_.parallel;
-        run.progress = run_.progress;
-        run.metrics = report_.metrics();
-        run.stats = run_.stats;
-        if (pool_ != nullptr)
-            return pool_->runUnitFleet(unit, simulator, factory, trials_,
-                                       seed_, run);
-        CampaignResult result;
-        result.summary = simulator.runTrials(trials_, factory, seed_, run);
-        result.shardsRun = 1;
-        return result;
     }
 
     /**
@@ -373,9 +348,7 @@ class LifetimeBench
             "trials", "seed", "nodes", "threads", "progress", "json",
             "checkpoint", "resume", "shards", "workers", "watchdog-ms",
             "quarantine-after", "metrics-out", "profile", "stats-plane"};
-        if (spec.engine == LifetimeEngine::Fleet)
-            known.push_back("mode");
-        else
+        if (spec.engine == LifetimeEngine::Classic)
             known.insert(known.end(), {"audit", "audit-every", "trace",
                                        "trace-filter", "mapping"});
         if (spec.degrade)
@@ -416,12 +389,6 @@ class LifetimeBench
                 fatal(bench + ": --watchdog-ms/--quarantine-after "
                               "require --workers=N (they configure the "
                               "fleet supervisor)");
-            if (spec_.engine == LifetimeEngine::Fleet &&
-                (options_.has("checkpoint") || options_.has("resume") ||
-                 options_.has("shards")))
-                fatal(bench + ": --checkpoint/--resume/--shards require "
-                              "--workers=N (the in-process fleet engine "
-                              "runs unsharded)");
         } else {
             if (options_.has("trace"))
                 fatal(bench + ": --workers does not support --trace "
@@ -519,9 +486,7 @@ class LifetimeBench
     uint64_t seed_ = 0;
     unsigned workers_ = 0;
     LifetimeConfig config_;
-    std::string modeName_;
-    FleetMode mode_ = FleetMode::Lazy;
-    TrialRunOptions run_;  ///< Shared per-unit options (classic engine).
+    TrialRunOptions run_;  ///< Shared per-unit options.
     BenchTrace trace_;
     BenchReport report_;
     CampaignFingerprint fingerprint_;

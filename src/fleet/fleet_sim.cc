@@ -2,22 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/log.h"
-#include "dram/address_map.h"
 #include "repair/page_retirement.h"
-#include "telemetry/metrics.h"
 #include "telemetry/profiler.h"
-#include "telemetry/stats_plane.h"
+#include "tracing/tracer.h"
 
 namespace relaxfault {
-
-const char *
-fleetModeName(FleetMode mode)
-{
-    return mode == FleetMode::Lazy ? "lazy" : "eager";
-}
 
 FleetNodeSampler::FleetNodeSampler(const FaultModelConfig &config)
     : inner_(config), dimms_(config.geometry.dimmsPerNode())
@@ -142,126 +133,38 @@ FleetNodeSampler::sampleNodeInto(NodeSample &sample, Rng &rng) const
 }
 
 FleetSimulator::FleetSimulator(const LifetimeConfig &config)
-    : sim_(config), sampler_(config.faultModel)
+    : LifetimeSimulator(config), sampler_(config.faultModel)
 {
 }
 
 LifetimeMetrics
-FleetSimulator::runSystemTrial(uint64_t trial,
-                               const MechanismFactory &factory,
-                               uint64_t seed, FleetMode mode,
-                               MetricRegistry *telemetry) const
+FleetSimulator::runTrial(uint64_t trial, const MechanismFactory &factory,
+                         uint64_t seed, MetricRegistry *telemetry,
+                         TrialAuditState *audit, TraceSink *trace) const
 {
-    const LifetimeConfig &cfg = config();
-    std::unique_ptr<RepairMechanism> mechanism;
-    if (factory)
-        mechanism = factory();
+    const TraceSpan trial_span(trace, TracePhase::Trial);
+    const ProfilePhase profile_trial(ProfilePhaseId::FleetTrial);
+    const TrialRepair repair = makeTrialRepair(factory);
 
-    std::unique_ptr<PageRetirement> retirement;
-    if (mechanism != nullptr &&
-        cfg.degradation == DegradationPolicy::RetirePages) {
-        retirement = std::make_unique<PageRetirement>(
-            makeAddressMap(cfg.mapping, cfg.faultModel.geometry),
-            cfg.retirePageBytes, cfg.retireMaxBytes);
-    }
-
-    const uint64_t nodes = cfg.nodesPerSystem;
-    const uint64_t base = trial * nodes;
+    // One pooled NodeSample, reused across the fleet. Nodes whose
+    // aggregate arrival draw is zero cost ~2 uniforms and touch no
+    // heap; only faulty nodes run the full pipeline.
+    const uint32_t nodes = config().nodesPerSystem;
     LifetimeMetrics metrics;
-
-    if (mode == FleetMode::Eager) {
-        // Reference mode: materialize the whole fleet first, then
-        // simulate. Same per-node streams and draw order as lazy, so
-        // the results are bit-identical; memory is O(fleet).
-        std::vector<NodeSample> fleet(nodes);
-        std::vector<Rng> streams;
-        streams.reserve(nodes);
-        for (uint64_t n = 0; n < nodes; ++n) {
-            streams.push_back(Rng::forkAt(seed, base + n));
-            sampler_.sampleNodeInto(fleet[n], streams.back());
-        }
-        for (uint64_t n = 0; n < nodes; ++n) {
-            if (fleet[n].faults.empty())
-                continue;
-            if (retirement != nullptr)
-                retirement->reset();
-            sim_.simulateNode(fleet[n], mechanism.get(),
-                              retirement.get(), metrics, streams[n],
-                              telemetry, nullptr, nullptr);
-        }
-        return metrics;
-    }
-
-    // Lazy mode: one pooled NodeSample, reused across the fleet. Nodes
-    // whose aggregate arrival draw is zero cost ~2 uniforms and touch
-    // no heap; only faulty nodes run the full pipeline.
     NodeSample pooled;
-    for (uint64_t n = 0; n < nodes; ++n) {
-        Rng rng = Rng::forkAt(seed, base + n);
+    for (uint32_t n = 0; n < nodes; ++n) {
+        Rng rng = Rng::forkAt(seed, nodeStreamIndex(trial, n));
         if (sampler_.sampleNodeInto(pooled, rng) == 0)
             continue;
-        if (retirement != nullptr)
-            retirement->reset();
-        sim_.simulateNode(pooled, mechanism.get(), retirement.get(),
-                          metrics, rng, telemetry, nullptr, nullptr);
+        if (repair.retirement != nullptr)
+            repair.retirement->reset();
+        if (trace != nullptr)
+            trace->setNode(n);
+        simulateNode(pooled, repair.mechanism.get(),
+                     repair.retirement.get(), metrics, rng, telemetry,
+                     audit, trace);
     }
     return metrics;
-}
-
-std::vector<LifetimeMetrics>
-FleetSimulator::runTrialRange(uint64_t first_trial, unsigned count,
-                              const MechanismFactory &factory,
-                              uint64_t seed,
-                              const FleetTrialOptions &options) const
-{
-    // Trial t owns slot t and node streams depend only on (seed, global
-    // trial, node), so any thread may run any trial — the same
-    // bit-identical-at-any-split invariant as the classic engine's
-    // runTrialRange, extended down to per-node granularity.
-    std::vector<LifetimeMetrics> per_trial(count);
-    ProgressMeter meter(options.progressLabel, count, options.progress,
-                        options.clock);
-    StatsPublisher *const stats = options.stats;
-    TrialTelemetry fold(options.metrics, /*audit_counters=*/false);
-    Log2Histogram *const h_trial_us = fold.trialUs();
-
-    parallelFor(
-        count,
-        [&](size_t begin, size_t end) {
-            HistogramBatch trial_us_batch(h_trial_us);
-            for (size_t t = begin; t < end; ++t) {
-                if (stats != nullptr)
-                    stats->trialStarted();
-                {
-                    const ProfilePhase profile(
-                        ProfilePhaseId::FleetTrial);
-                    ScopedTimer timer(&trial_us_batch);
-                    per_trial[t] = runSystemTrial(
-                        first_trial + t, factory, seed, options.mode,
-                        options.metrics);
-                }
-                fold.foldTrial(per_trial[t]);
-                if (stats != nullptr)
-                    stats->trialFinished();
-                meter.tick();
-            }
-        },
-        options.parallel);
-    meter.finish();
-    return per_trial;
-}
-
-LifetimeSummary
-FleetSimulator::runTrials(unsigned trials,
-                          const MechanismFactory &factory, uint64_t seed,
-                          const FleetTrialOptions &options) const
-{
-    const std::vector<LifetimeMetrics> per_trial =
-        runTrialRange(0, trials, factory, seed, options);
-    LifetimeSummary summary;
-    for (const LifetimeMetrics &m : per_trial)
-        summary.addTrial(m);
-    return summary;
 }
 
 } // namespace relaxfault

@@ -19,58 +19,40 @@
  * and run the full per-node pipeline (`LifetimeSimulator::simulateNode`
  * — identical physics to the classic engine).
  *
- * Determinism: lazy and eager modes consume the exact same per-node
- * draws in the exact same order, so their `LifetimeSummary` is
- * bit-identical (test-enforced at 16,384 nodes); and because streams
- * are keyed only on (seed, trial, node), results are bit-identical at
- * any thread count, shard split, or worker-process count.
+ * `FleetSimulator` IS a `LifetimeSimulator`: it overrides only the
+ * per-trial hook, so `runTrials`/`runTrialRange`, the campaign runner,
+ * the worker pool, auditing, tracing, live stats and telemetry are the
+ * classic engine's, unchanged. Because streams are keyed only on
+ * (seed, trial, node), results are bit-identical at any thread count,
+ * shard split, or worker-process count. (An eager whole-fleet walk over
+ * the same per-node streams is the lazy walk's test-local oracle in
+ * `tests/test_fleet.cc`.)
  *
  * The fleet engine is a separate deterministic universe from the
  * classic engine: same physics, different stream keying, so its numbers
- * are statistically equivalent but not bit-equal to `runTrials` on the
- * classic path. The paper-figure benches keep the classic engine; the
- * fleet benches (`bench/fleet_scale`) use this one.
+ * are statistically equivalent but not bit-equal to the classic
+ * engine's. The paper-figure benches keep the classic engine; the fleet
+ * benches (`bench/fleet_scale`) use this one.
  */
 
 #ifndef RELAXFAULT_FLEET_FLEET_SIM_H
 #define RELAXFAULT_FLEET_FLEET_SIM_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "faults/fault_model.h"
 #include "sim/lifetime.h"
 
 namespace relaxfault {
 
-/** Node-state materialization policy of a fleet run. */
-enum class FleetMode : uint8_t
-{
-    Lazy,   ///< Skip-ahead: materialize only nodes with arrivals.
-    Eager,  ///< Materialize the whole fleet (O(fleet) memory; reference).
-};
-
-/** "lazy" / "eager". */
-const char *fleetModeName(FleetMode mode);
-
-/** Execution knobs of a fleet run; never affects its results. */
-struct FleetTrialOptions
-{
-    FleetMode mode = FleetMode::Lazy;
-    ParallelConfig parallel;
-    bool progress = false;
-    std::string progressLabel = "fleet trials";
-    MetricRegistry *metrics = nullptr;
-
-    /** Live-stats sink; same contract as TrialRunOptions::stats. */
-    StatsPublisher *stats = nullptr;
-
-    /** Progress-meter clock; same contract as TrialRunOptions::clock. */
-    Clock *clock = nullptr;
-};
+/**
+ * The fleet engine's run options are the classic engine's. Kept as a
+ * name only because the benchmark program (perfbench/) spells it; it
+ * goes with the next benchmark change.
+ */
+using FleetTrialOptions = TrialRunOptions;
 
 /**
  * Skip-ahead node sampler: per-node draw order is (acceleration class,
@@ -114,12 +96,13 @@ class FleetNodeSampler
     std::vector<double> classMean_;
 };
 
-/** Monte Carlo engine over fleet-scale system lifetimes. */
-class FleetSimulator
+/**
+ * Monte Carlo engine over fleet-scale system lifetimes: the classic
+ * engine with a lazy, per-node-keyed trial walk.
+ */
+class FleetSimulator : public LifetimeSimulator
 {
   public:
-    using MechanismFactory = LifetimeSimulator::MechanismFactory;
-
     explicit FleetSimulator(const LifetimeConfig &config);
 
     /** Stream index of node @p node in trial @p trial. */
@@ -128,41 +111,21 @@ class FleetSimulator
         return trial * config().nodesPerSystem + node;
     }
 
-    /**
-     * Simulate one full fleet lifetime (global trial index @p trial).
-     * Lazy and eager modes return bit-identical metrics; lazy holds
-     * O(faulty nodes) state, eager materializes the fleet.
-     */
-    LifetimeMetrics runSystemTrial(uint64_t trial,
-                                   const MechanismFactory &factory,
-                                   uint64_t seed, FleetMode mode,
-                                   MetricRegistry *telemetry
-                                   = nullptr) const;
-
-    /**
-     * Shard-granular entry point, mirroring
-     * `LifetimeSimulator::runTrialRange`: folding the ranges back
-     * together in global trial order reproduces `runTrials`
-     * bit-for-bit at any split — the invariant the multi-process
-     * worker pool builds on.
-     */
-    std::vector<LifetimeMetrics>
-    runTrialRange(uint64_t first_trial, unsigned count,
-                  const MechanismFactory &factory, uint64_t seed,
-                  const FleetTrialOptions &options = {}) const;
-
-    /** Run and aggregate trials [0, trials). */
-    LifetimeSummary runTrials(unsigned trials,
-                              const MechanismFactory &factory,
-                              uint64_t seed,
-                              const FleetTrialOptions &options = {}) const;
-
-    const LifetimeConfig &config() const { return sim_.config(); }
-
     const FleetNodeSampler &sampler() const { return sampler_; }
 
+  protected:
+    /**
+     * Node n of trial t draws from `Rng::forkAt(seed, t * nodes + n)`
+     * into one pooled `NodeSample`; nodes without arrivals are skipped
+     * after ~2 uniforms, so a trial holds O(faulty nodes) state.
+     */
+    LifetimeMetrics runTrial(uint64_t trial,
+                             const MechanismFactory &factory,
+                             uint64_t seed, MetricRegistry *telemetry,
+                             TrialAuditState *audit,
+                             TraceSink *trace) const override;
+
   private:
-    LifetimeSimulator sim_;     ///< Shared per-node pipeline.
     FleetNodeSampler sampler_;
 };
 

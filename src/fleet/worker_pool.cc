@@ -464,47 +464,4 @@ WorkerCampaignRunner::runUnit(const std::string &unit,
     return runUnitImpl(unit, trials, run_options.metrics, body);
 }
 
-CampaignResult
-WorkerCampaignRunner::runUnitFleet(const std::string &unit,
-                                   const FleetSimulator &simulator,
-                                   const FleetSimulator::MechanismFactory &factory,
-                                   unsigned trials, uint64_t seed,
-                                   const FleetTrialOptions &run_options)
-{
-    const ShardBody body = [&](unsigned shard, unsigned shards,
-                               StatsPublisher *stats) {
-        const uint64_t first =
-            CampaignRunner::shardFirstTrial(trials, shards, shard);
-        const uint64_t end =
-            CampaignRunner::shardFirstTrial(trials, shards, shard + 1);
-
-        ShardRecord record;
-        record.unit = unit;
-        record.shard = shard;
-        record.firstTrial = first;
-        record.threads = resolveThreads(run_options.parallel);
-        record.gitRev = runGitRev();
-
-        MetricRegistry shard_metrics;
-        FleetTrialOptions shard_options = run_options;
-        shard_options.progress = false;
-        shard_options.metrics =
-            run_options.metrics != nullptr ? &shard_metrics : nullptr;
-        shard_options.stats = stats;
-
-        Clock &clock = Clock::steady();
-        const Clock::TimePoint start = clock.now();
-        record.trials = simulator.runTrialRange(
-            first, static_cast<unsigned>(end - first), factory, seed,
-            shard_options);
-        record.durationMs = clock.elapsedMs(start);
-        record.timestampMs = runTimestampMs();
-        if (shard_options.metrics != nullptr)
-            record.metrics = shard_metrics.snapshot();
-        record.metrics.setGauge(kPeakRssGauge, peakRssBytes());
-        return record;
-    };
-    return runUnitImpl(unit, trials, run_options.metrics, body);
-}
-
 } // namespace relaxfault

@@ -169,19 +169,28 @@ class WorkerCampaignRunner
     WorkerCampaignRunner(const WorkerCampaignRunner &) = delete;
     WorkerCampaignRunner &operator=(const WorkerCampaignRunner &) = delete;
 
-    /** Run a unit on the classic engine across the worker pool. */
+    /**
+     * Run a unit across the worker pool, on either engine (a
+     * `FleetSimulator` is a `LifetimeSimulator`).
+     */
     CampaignResult runUnit(const std::string &unit,
                            const LifetimeSimulator &simulator,
                            const LifetimeSimulator::MechanismFactory &factory,
                            unsigned trials, uint64_t seed,
                            const TrialRunOptions &run_options = {});
 
-    /** Run a unit on the fleet engine across the worker pool. */
+    /**
+     * Forwards to `runUnit`. Kept only because the benchmark program
+     * (perfbench/) calls it; it goes with the next benchmark change.
+     */
     CampaignResult runUnitFleet(const std::string &unit,
                                 const FleetSimulator &simulator,
                                 const FleetSimulator::MechanismFactory &factory,
                                 unsigned trials, uint64_t seed,
-                                const FleetTrialOptions &run_options = {});
+                                const FleetTrialOptions &run_options = {})
+    {
+        return runUnit(unit, simulator, factory, trials, seed, run_options);
+    }
 
     /** True once a stop signal halted the pool. */
     bool interrupted() const { return SignalGuard::stopRequested(); }

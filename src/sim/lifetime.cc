@@ -475,6 +475,23 @@ LifetimeSimulator::simulateNode(const NodeSample &node,
     }
 }
 
+LifetimeSimulator::TrialRepair
+LifetimeSimulator::makeTrialRepair(const MechanismFactory &factory) const
+{
+    TrialRepair repair;
+    if (factory)
+        repair.mechanism = factory();
+    // No-repair rows degrade nothing, so no engine is built without a
+    // mechanism.
+    if (repair.mechanism != nullptr &&
+        config_.degradation == DegradationPolicy::RetirePages) {
+        repair.retirement = std::make_unique<PageRetirement>(
+            makeAddressMap(config_.mapping, config_.faultModel.geometry),
+            config_.retirePageBytes, config_.retireMaxBytes);
+    }
+    return repair;
+}
+
 LifetimeMetrics
 LifetimeSimulator::runSystemTrial(const MechanismFactory &factory,
                                   Rng &rng,
@@ -485,20 +502,7 @@ LifetimeSimulator::runSystemTrial(const MechanismFactory &factory,
     const TraceSpan trial_span(trace, TracePhase::Trial);
     const ProfilePhase profile_trial(ProfilePhaseId::Trial);
     NodeFaultSampler sampler(config_.faultModel);
-    std::unique_ptr<RepairMechanism> mechanism;
-    if (factory)
-        mechanism = factory();
-
-    // The RetirePages fallback engine; reset per node (its budget is a
-    // per-node capacity cap). No-repair rows degrade nothing, so no
-    // engine is built without a mechanism.
-    std::unique_ptr<PageRetirement> retirement;
-    if (mechanism != nullptr &&
-        config_.degradation == DegradationPolicy::RetirePages) {
-        retirement = std::make_unique<PageRetirement>(
-            makeAddressMap(config_.mapping, config_.faultModel.geometry),
-            config_.retirePageBytes, config_.retireMaxBytes);
-    }
+    const TrialRepair repair = makeTrialRepair(factory);
 
     LifetimeMetrics metrics;
     for (unsigned n = 0; n < config_.nodesPerSystem; ++n) {
@@ -507,15 +511,27 @@ LifetimeSimulator::runSystemTrial(const MechanismFactory &factory,
             const ProfilePhase profile(ProfilePhaseId::NodeSample);
             node = sampler.sampleNode(rng);
         }
-        if (retirement != nullptr)
-            retirement->reset();
+        if (repair.retirement != nullptr)
+            repair.retirement->reset();
         if (trace != nullptr)
             trace->setNode(n);
         const ProfilePhase profile(ProfilePhaseId::NodeSim);
-        simulateNode(node, mechanism.get(), retirement.get(), metrics,
-                     rng, telemetry, audit, trace);
+        simulateNode(node, repair.mechanism.get(),
+                     repair.retirement.get(), metrics, rng, telemetry,
+                     audit, trace);
     }
     return metrics;
+}
+
+LifetimeMetrics
+LifetimeSimulator::runTrial(uint64_t trial,
+                            const MechanismFactory &factory,
+                            uint64_t seed, MetricRegistry *telemetry,
+                            TrialAuditState *audit,
+                            TraceSink *trace) const
+{
+    Rng trial_rng = Rng::forkAt(seed, trial);
+    return runSystemTrial(factory, trial_rng, telemetry, audit, trace);
 }
 
 LifetimeSummary
@@ -538,19 +554,18 @@ LifetimeSimulator::runTrialRange(uint64_t first_trial, unsigned count,
                                  uint64_t seed,
                                  const TrialRunOptions &options) const
 {
-    // Each trial owns slot t of `per_trial` and draws from the
-    // counter-derived stream forkAt(seed, first_trial + t): no
-    // cross-trial state, so any thread may run any trial, and the
-    // stream depends only on the trial's global index — never on which
-    // range, shard, or thread executed it.
+    // Each trial owns slot t of `per_trial`, and `runTrial` keys its
+    // streams on the trial's global index first_trial + t alone: no
+    // cross-trial state, so any thread may run any trial, and no
+    // result depends on which range, shard, or thread executed it.
     std::vector<LifetimeMetrics> per_trial(count);
     ProgressMeter meter(options.progressLabel, count, options.progress,
                         options.clock);
     StatsPublisher *const stats = options.stats;
 
-    // Hoisted counter handles shared with the fleet engine; SDC
-    // expectations fold as integer micro-units so the merged counters
-    // are bit-identical regardless of which thread ran which trial.
+    // Hoisted counter handles; SDC expectations fold as integer
+    // micro-units so the merged counters are bit-identical regardless
+    // of which thread ran which trial.
     MetricRegistry *const telemetry = options.metrics;
     TrialTelemetry fold(telemetry, options.audit.enabled);
     Log2Histogram *const h_trial_us = fold.trialUs();
@@ -578,7 +593,6 @@ LifetimeSimulator::runTrialRange(uint64_t first_trial, unsigned count,
             for (size_t t = begin; t < end; ++t) {
                 if (stats != nullptr)
                     stats->trialStarted();
-                Rng trial_rng = Rng::forkAt(seed, first_trial + t);
                 if (sink != nullptr)
                     sink->beginTrial(first_trial + t);
                 TrialAuditState audit_state;
@@ -591,9 +605,9 @@ LifetimeSimulator::runTrialRange(uint64_t first_trial, unsigned count,
                 }
                 {
                     ScopedTimer timer(&trial_us_batch);
-                    per_trial[t] =
-                        runSystemTrial(factory, trial_rng, telemetry,
-                                       audit_ptr, sink);
+                    per_trial[t] = runTrial(first_trial + t, factory,
+                                            seed, telemetry, audit_ptr,
+                                            sink);
                 }
                 fold.foldTrial(per_trial[t]);
                 if (audit_ptr != nullptr)

@@ -227,13 +227,12 @@ struct TrialRunOptions
 
 /**
  * Hoisted handles to the `sim.*` / `repair.*` trial counters, with the
- * per-trial fold shared by every trial loop (the classic engine's
- * `runTrialRange` and the fleet engine's). Metric creation takes the
- * registry mutex, so the handles are resolved once up front; the folds
- * themselves are lock-free integer adds (SDC expectations fold as
- * micro-units), which keeps merged totals bit-identical no matter which
- * thread — or which worker process — ran which trial. A null registry
- * disables everything (all folds are no-ops).
+ * per-trial fold of the trial loop (`runTrialRange`). Metric creation
+ * takes the registry mutex, so the handles are resolved once up front;
+ * the folds themselves are lock-free integer adds (SDC expectations
+ * fold as micro-units), which keeps merged totals bit-identical no
+ * matter which thread — or which worker process — ran which trial. A
+ * null registry disables everything (all folds are no-ops).
  */
 class TrialTelemetry
 {
@@ -270,7 +269,17 @@ class TrialTelemetry
     Log2Histogram *trialUs_ = nullptr;
 };
 
-/** Monte Carlo engine over whole-system lifetimes. */
+/**
+ * Monte Carlo engine over whole-system lifetimes.
+ *
+ * `runTrialRange` is the one trial loop: it owns threading, progress,
+ * live stats, the trace lease, auditing and the telemetry fold, and
+ * hands each global trial index to the `runTrial` hook. The hook is the
+ * one decision the engines differ in — how trial t's nodes get their
+ * random streams. This class walks every node off one per-trial stream
+ * `Rng::forkAt(seed, t)`; the fleet engine (`src/fleet/fleet_sim.h`)
+ * overrides the hook with per-node streams.
+ */
 class LifetimeSimulator
 {
   public:
@@ -279,11 +288,17 @@ class LifetimeSimulator
         std::function<std::unique_ptr<RepairMechanism>()>;
 
     explicit LifetimeSimulator(const LifetimeConfig &config);
+    virtual ~LifetimeSimulator() = default;
+    LifetimeSimulator(const LifetimeSimulator &) = default;
+    LifetimeSimulator &operator=(const LifetimeSimulator &) = default;
+    LifetimeSimulator(LifetimeSimulator &&) = default;
+    LifetimeSimulator &operator=(LifetimeSimulator &&) = default;
 
     /**
-     * Simulate one full system lifetime. A non-null @p metrics receives
-     * the trial mechanism's end-of-trial occupancy telemetry; a
-     * non-null @p audit accumulates invariant-audit outcomes.
+     * Simulate one full system lifetime, every node drawn in turn from
+     * @p rng (this class's per-trial walk). A non-null @p metrics
+     * receives the trial mechanism's end-of-trial occupancy telemetry;
+     * a non-null @p audit accumulates invariant-audit outcomes.
      */
     LifetimeMetrics runSystemTrial(const MechanismFactory &factory,
                                    Rng &rng,
@@ -294,11 +309,12 @@ class LifetimeSimulator
     /**
      * Run @p trials independent lifetimes in parallel and aggregate.
      *
-     * Trial t draws from `Rng::forkAt(seed, t)`, so every per-trial
-     * stream — and therefore the summary — is bit-identical regardless
-     * of thread count, chunking, or scheduling; per-trial metrics are
-     * folded in trial order. The factory is invoked concurrently and
-     * must return mechanisms that share no mutable state.
+     * Trial t's random streams depend only on (seed, t), so every
+     * per-trial result — and therefore the summary — is bit-identical
+     * regardless of thread count, chunking, or scheduling; per-trial
+     * metrics are folded in trial order. The factory is invoked
+     * concurrently and must return mechanisms that share no mutable
+     * state.
      */
     LifetimeSummary runTrials(unsigned trials,
                               const MechanismFactory &factory,
@@ -308,11 +324,12 @@ class LifetimeSimulator
     /**
      * Shard-granular entry point: run the @p count trials starting at
      * global trial index @p first_trial and return their metrics in
-     * trial order. Trial t still draws from `Rng::forkAt(seed, t)`, so
+     * trial order. Trial t's streams still depend only on (seed, t), so
      * folding the ranges [0,a), [a,b), ... [z,trials) back together in
      * order reproduces `runTrials(trials, ...)` bit-for-bit at any
-     * split — the invariant the campaign checkpoint layer is built on.
-     * `runTrials` itself is the single-range [0, trials) case.
+     * split — the invariant the campaign checkpoint layer and the
+     * worker pool are built on. `runTrials` itself is the single-range
+     * [0, trials) case.
      */
     std::vector<LifetimeMetrics>
     runTrialRange(uint64_t first_trial, unsigned count,
@@ -324,16 +341,41 @@ class LifetimeSimulator
     /**
      * Process one node's full mission; accumulates into @p metrics and
      * consumes @p rng only when the node has faults. Public because it
-     * is the shared node pipeline: `runSystemTrial` drives it off one
-     * sequential trial stream, while the fleet engine
-     * (`src/fleet/fleet_sim.h`) iterates nodes lazily and drives it off
-     * per-node counter-forked streams — both get identical physics.
+     * is the shared node pipeline of both engines' trial hooks (and of
+     * test-local reference walks): identical physics whichever stream
+     * feeds it.
      */
     void simulateNode(const NodeSample &node, RepairMechanism *mechanism,
                       PageRetirement *retirement,
                       LifetimeMetrics &metrics, Rng &rng,
                       MetricRegistry *telemetry, TrialAuditState *audit,
                       TraceSink *trace) const;
+
+  protected:
+    /** One trial's repair mechanism and its RetirePages fallback. */
+    struct TrialRepair
+    {
+        std::unique_ptr<RepairMechanism> mechanism;  ///< Null: no repair.
+        /// Reset per node (its budget is a per-node capacity cap); null
+        /// unless the policy is RetirePages and there is a mechanism.
+        std::unique_ptr<PageRetirement> retirement;
+    };
+
+    /** The trial prologue both engines share. */
+    TrialRepair makeTrialRepair(const MechanismFactory &factory) const;
+
+    /**
+     * Simulate global trial @p trial of the run seeded @p seed. Called
+     * concurrently by `runTrialRange`; an override must keep the
+     * result a pure function of (seed, trial) and consume no state
+     * shared across trials.
+     */
+    virtual LifetimeMetrics runTrial(uint64_t trial,
+                                     const MechanismFactory &factory,
+                                     uint64_t seed,
+                                     MetricRegistry *telemetry,
+                                     TrialAuditState *audit,
+                                     TraceSink *trace) const;
 
   private:
     LifetimeConfig config_;

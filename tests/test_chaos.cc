@@ -584,11 +584,10 @@ chaosFactory(const LifetimeConfig &config)
     };
 }
 
-FleetTrialOptions
+TrialRunOptions
 chaosRun(MetricRegistry *metrics = nullptr)
 {
-    FleetTrialOptions options;
-    options.mode = FleetMode::Lazy;
+    TrialRunOptions options;
     options.parallel.threads = 1;
     options.metrics = metrics;
     return options;
@@ -664,7 +663,7 @@ TEST_F(ChaosTest, HungWorkerIsKilledAndItsShardRecoveredBitIdentically)
     WorkerCampaignRunner pool(fleetFingerprint(kSeed, kTrials, 4),
                               options);
     MetricRegistry metrics;
-    const CampaignResult result = pool.runUnitFleet(
+    const CampaignResult result = pool.runUnit(
         "fleet", simulator, factory, kTrials, kSeed,
         chaosRun(&metrics));
 
@@ -705,7 +704,7 @@ TEST_F(ChaosTest, PoisonShardIsQuarantinedAndTheMergeStaysPartial)
     WorkerCampaignRunner pool(fleetFingerprint(kSeed, kTrials, kShards),
                               options);
     MetricRegistry metrics;
-    const CampaignResult result = pool.runUnitFleet(
+    const CampaignResult result = pool.runUnit(
         "fleet", simulator, factory, kTrials, kSeed,
         chaosRun(&metrics));
 

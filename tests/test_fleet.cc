@@ -4,13 +4,16 @@
  *
  * The load-bearing invariants, all checked with exact double equality:
  *
- *  - Lazy (O(faulty) skip-ahead) and eager (whole-fleet) modes produce
- *    bit-identical `LifetimeSummary` and telemetry — at 16,384 nodes
- *    per system and at multiple thread counts (the issue's acceptance
- *    bar for the lazy node-state optimization).
+ *  - The engine's lazy (O(faulty) skip-ahead) walk and a test-local
+ *    eager (whole-fleet) reference walk over the same per-node streams
+ *    produce bit-identical `LifetimeSummary` and telemetry — at 16,384
+ *    nodes per system and at multiple thread counts.
  *  - Folding `runTrialRange` splits back together reproduces
- *    `runTrials` bit-for-bit — the shard invariance the worker pool
- *    builds on.
+ *    `runTrials` bit-for-bit — the shard invariance the campaign runner
+ *    and the worker pool build on; in-process `CampaignRunner` shards
+ *    match too, resumed or not.
+ *  - The shared trial loop's instruments (auditor, tracer) reach the
+ *    fleet engine without changing its results.
  *  - The multi-process worker pool (forked workers over the shared
  *    shard ring) matches the in-process run at any worker count, on
  *    both the fleet and the classic engine, including after a worker
@@ -23,18 +26,21 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/fs.h"
+#include "common/parallel.h"
 #include "common/process.h"
 #include "common/signal_guard.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/worker_pool.h"
 #include "repair/relaxfault_repair.h"
 #include "telemetry/metrics.h"
+#include "tracing/tracer.h"
 
 namespace relaxfault {
 namespace {
@@ -115,15 +121,60 @@ expectIdenticalTelemetry(const MetricsSnapshot &a,
     }
 }
 
-FleetTrialOptions
-fleetRun(FleetMode mode, unsigned threads,
-         MetricRegistry *metrics = nullptr)
+TrialRunOptions
+fleetRun(unsigned threads, MetricRegistry *metrics = nullptr)
 {
-    FleetTrialOptions options;
-    options.mode = mode;
+    TrialRunOptions options;
     options.parallel.threads = threads;
     options.metrics = metrics;
     return options;
+}
+
+/**
+ * The eager reference walk: materialize a trial's whole fleet first —
+ * node n sampled from the same per-node stream the engine uses — then
+ * simulate it, folding telemetry like the trial loop does. O(fleet)
+ * memory, and built only from the engine's public sampler and node
+ * pipeline, so it checks the engine's lazy walk from outside.
+ */
+LifetimeSummary
+eagerRun(const FleetSimulator &simulator, unsigned trials,
+         const FleetSimulator::MechanismFactory &factory, uint64_t seed,
+         unsigned threads, MetricRegistry *metrics = nullptr)
+{
+    const uint64_t nodes = simulator.config().nodesPerSystem;
+    std::vector<LifetimeMetrics> per_trial(trials);
+    TrialTelemetry fold(metrics, /*audit_counters=*/false);
+    ParallelConfig parallel;
+    parallel.threads = threads;
+    parallelFor(
+        trials,
+        [&](size_t begin, size_t end) {
+            for (size_t t = begin; t < end; ++t) {
+                const std::unique_ptr<RepairMechanism> mechanism =
+                    factory();
+                std::vector<NodeSample> fleet(nodes);
+                std::vector<Rng> streams;
+                streams.reserve(nodes);
+                for (uint64_t n = 0; n < nodes; ++n) {
+                    streams.push_back(Rng::forkAt(
+                        seed, simulator.nodeStreamIndex(t, n)));
+                    simulator.sampler().sampleNodeInto(fleet[n],
+                                                       streams.back());
+                }
+                for (uint64_t n = 0; n < nodes; ++n)
+                    simulator.simulateNode(fleet[n], mechanism.get(),
+                                           nullptr, per_trial[t],
+                                           streams[n], metrics, nullptr,
+                                           nullptr);
+                fold.foldTrial(per_trial[t]);
+            }
+        },
+        parallel);
+    LifetimeSummary summary;
+    for (const LifetimeMetrics &m : per_trial)
+        summary.addTrial(m);
+    return summary;
 }
 
 CampaignFingerprint
@@ -193,7 +244,7 @@ TEST(FleetSampler, ObservedSkipRateMatchesPrediction)
 }
 
 // ---------------------------------------------------------------------
-// Lazy == eager, bit for bit.
+// Lazy engine == eager reference, bit for bit.
 
 TEST(Fleet, LazyAndEagerBitIdenticalAt16kNodes)
 {
@@ -206,14 +257,13 @@ TEST(Fleet, LazyAndEagerBitIdenticalAt16kNodes)
     MetricRegistry lazy_metrics;
     const LifetimeSummary lazy = simulator.runTrials(
         kTrials, factory, kSeed,
-        fleetRun(FleetMode::Lazy, 1, &lazy_metrics));
+        fleetRun(1, &lazy_metrics));
     ASSERT_GT(lazy.faultyNodes.mean(), 0.0);
 
     for (const unsigned threads : {1u, 4u}) {
         MetricRegistry eager_metrics;
-        const LifetimeSummary eager = simulator.runTrials(
-            kTrials, factory, kSeed,
-            fleetRun(FleetMode::Eager, threads, &eager_metrics));
+        const LifetimeSummary eager = eagerRun(
+            simulator, kTrials, factory, kSeed, threads, &eager_metrics);
         expectIdentical(lazy, eager);
         expectIdenticalTelemetry(lazy_metrics.snapshot(),
                                  eager_metrics.snapshot());
@@ -221,7 +271,7 @@ TEST(Fleet, LazyAndEagerBitIdenticalAt16kNodes)
         MetricRegistry lazy_mt_metrics;
         const LifetimeSummary lazy_mt = simulator.runTrials(
             kTrials, factory, kSeed,
-            fleetRun(FleetMode::Lazy, threads, &lazy_mt_metrics));
+            fleetRun(threads, &lazy_mt_metrics));
         expectIdentical(lazy, lazy_mt);
         expectIdenticalTelemetry(lazy_metrics.snapshot(),
                                  lazy_mt_metrics.snapshot());
@@ -240,10 +290,9 @@ TEST(Fleet, LazyAndEagerBitIdenticalWithAcceleratedFleet)
     const FleetSimulator simulator(config);
     const auto factory = relaxFactory(config);
 
-    const LifetimeSummary lazy = simulator.runTrials(
-        6, factory, 77, fleetRun(FleetMode::Lazy, 2));
-    const LifetimeSummary eager = simulator.runTrials(
-        6, factory, 77, fleetRun(FleetMode::Eager, 2));
+    const LifetimeSummary lazy =
+        simulator.runTrials(6, factory, 77, fleetRun(2));
+    const LifetimeSummary eager = eagerRun(simulator, 6, factory, 77, 2);
     ASSERT_GT(lazy.faultyNodes.mean(), 0.0);
     expectIdentical(lazy, eager);
 }
@@ -257,7 +306,7 @@ TEST(Fleet, TrialRangeSplitsFoldBackToRunTrials)
     constexpr uint64_t kSeed = 5;
 
     const LifetimeSummary straight = simulator.runTrials(
-        kTrials, factory, kSeed, fleetRun(FleetMode::Lazy, 1));
+        kTrials, factory, kSeed, fleetRun(1));
 
     for (const unsigned shards : {1u, 2u, 4u, 9u}) {
         LifetimeSummary folded;
@@ -269,11 +318,190 @@ TEST(Fleet, TrialRangeSplitsFoldBackToRunTrials)
             const std::vector<LifetimeMetrics> range =
                 simulator.runTrialRange(
                     first, static_cast<unsigned>(end - first), factory,
-                    kSeed, fleetRun(FleetMode::Lazy, 2));
+                    kSeed, fleetRun(2));
             for (const LifetimeMetrics &m : range)
                 folded.addTrial(m);
         }
         expectIdentical(straight, folded);
+    }
+}
+
+// ---------------------------------------------------------------------
+// In-process campaign shards: the runner the fig benches use.
+
+TEST(FleetCampaign, InProcessShardsMatchRunTrials)
+{
+    SignalGuard::reset();
+    const LifetimeConfig config = fleetConfig(1024, 10.0);
+    const FleetSimulator simulator(config);
+    const auto factory = relaxFactory(config);
+    constexpr unsigned kTrials = 6;
+    constexpr uint64_t kSeed = 17;
+
+    MetricRegistry straight_metrics;
+    const LifetimeSummary straight = simulator.runTrials(
+        kTrials, factory, kSeed, fleetRun(2, &straight_metrics));
+    ASSERT_GT(straight.faultyNodes.mean(), 0.0);
+
+    for (const unsigned shards : {1u, 3u}) {
+        CampaignOptions options;
+        options.shards = shards;
+        CampaignRunner runner(fleetFingerprint(kSeed, kTrials, shards),
+                              options);
+        MetricRegistry metrics;
+        const CampaignResult result = runner.runUnit(
+            "fleet", simulator, factory, kTrials, kSeed,
+            fleetRun(2, &metrics));
+        ASSERT_FALSE(result.interrupted);
+        EXPECT_EQ(result.shardsRun, shards);
+        expectIdentical(straight, result.summary);
+        expectIdenticalTelemetry(straight_metrics.snapshot(),
+                                 metrics.snapshot());
+    }
+}
+
+TEST(FleetCampaign, ResumedPartialCheckpointMatchesRunTrials)
+{
+    SignalGuard::reset();
+    const LifetimeConfig config = fleetConfig(1024, 10.0);
+    const FleetSimulator simulator(config);
+    const auto factory = relaxFactory(config);
+    constexpr unsigned kTrials = 6;
+    constexpr unsigned kShards = 3;
+    constexpr uint64_t kSeed = 18;
+    const std::string path = tempBase("campaign");
+    std::remove(path.c_str());
+
+    {
+        // A stop lands while shard 1 is in flight: shards 0 and 1
+        // commit, shard 2 never runs.
+        CampaignOptions options;
+        options.checkpointPath = path;
+        options.shards = kShards;
+        options.onShardStart = [](const std::string &, unsigned shard,
+                                  unsigned) {
+            if (shard == 1)
+                SignalGuard::requestStop();
+        };
+        CampaignRunner runner(fleetFingerprint(kSeed, kTrials, kShards),
+                              options);
+        MetricRegistry metrics;
+        const CampaignResult partial = runner.runUnit(
+            "fleet", simulator, factory, kTrials, kSeed,
+            fleetRun(1, &metrics));
+        EXPECT_TRUE(partial.interrupted);
+        EXPECT_EQ(runner.log().committedShards(), 2u);
+    }
+
+    SignalGuard::reset();
+    CampaignOptions options;
+    options.checkpointPath = path;
+    options.resume = true;
+    options.shards = kShards;
+    CampaignRunner runner(fleetFingerprint(kSeed, kTrials, kShards),
+                          options);
+    MetricRegistry metrics;
+    const CampaignResult resumed = runner.runUnit(
+        "fleet", simulator, factory, kTrials, kSeed, fleetRun(1, &metrics));
+    ASSERT_FALSE(resumed.interrupted);
+    EXPECT_EQ(resumed.shardsResumed, 2u);
+    EXPECT_EQ(resumed.shardsRun, 1u);
+
+    MetricRegistry straight_metrics;
+    const LifetimeSummary straight = simulator.runTrials(
+        kTrials, factory, kSeed, fleetRun(1, &straight_metrics));
+    expectIdentical(straight, resumed.summary);
+    expectIdenticalTelemetry(straight_metrics.snapshot(),
+                             metrics.snapshot());
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// The shared trial loop's instruments on the fleet engine.
+
+TEST(FleetInstruments, AuditedRunHasNoViolationsAndTheSameSummary)
+{
+    const LifetimeConfig config = fleetConfig(1024, 10.0);
+    const FleetSimulator simulator(config);
+    const auto factory = relaxFactory(config);
+
+    const LifetimeSummary plain =
+        simulator.runTrials(4, factory, 9, fleetRun(2));
+    ASSERT_GT(plain.faultyNodes.mean(), 0.0);
+
+    MetricRegistry metrics;
+    TrialRunOptions audited = fleetRun(2, &metrics);
+    audited.audit.enabled = true;
+    const LifetimeSummary checked =
+        simulator.runTrials(4, factory, 9, audited);
+    expectIdentical(plain, checked);
+    const MetricsSnapshot snapshot = metrics.snapshot();
+    EXPECT_GT(snapshot.counterValue("audit.checks"), 0u);
+    EXPECT_EQ(snapshot.counterValue("audit.violations"), 0u);
+}
+
+TEST(FleetInstruments, TracerSeesOneTrialSpanPerTrialAndFaultNodeIds)
+{
+    const LifetimeConfig config = fleetConfig(512, 10.0);
+    const FleetSimulator simulator(config);
+    const auto factory = relaxFactory(config);
+    constexpr unsigned kTrials = 3;
+    constexpr uint64_t kSeed = 21;
+
+    const LifetimeSummary untraced =
+        simulator.runTrials(kTrials, factory, kSeed, fleetRun(2));
+    Tracer tracer;
+    TrialRunOptions run = fleetRun(2);
+    run.tracer = &tracer;
+    run.traceUnit = tracer.registerUnit("fleet");
+    const LifetimeSummary traced =
+        simulator.runTrials(kTrials, factory, kSeed, run);
+    expectIdentical(untraced, traced);
+    ASSERT_EQ(tracer.dropped(), 0u);
+
+    std::multiset<uint64_t> span_trials;
+    std::set<std::pair<uint64_t, uint32_t>> arrival_nodes;
+    for (const TraceEvent &e : tracer.collect()) {
+        if (e.kind == TraceKind::Span &&
+            e.sub == static_cast<uint8_t>(TracePhase::Trial))
+            span_trials.insert(e.trial);
+        if (e.kind == TraceKind::FaultArrival)
+            arrival_nodes.insert({e.trial, e.node});
+    }
+    EXPECT_EQ(span_trials, (std::multiset<uint64_t>{0, 1, 2}));
+
+    // Arrivals carry exactly the nodes whose own stream draws faults.
+    std::set<std::pair<uint64_t, uint32_t>> faulty_nodes;
+    NodeSample sample;
+    for (uint64_t t = 0; t < kTrials; ++t) {
+        for (uint32_t n = 0; n < config.nodesPerSystem; ++n) {
+            Rng rng = Rng::forkAt(kSeed, simulator.nodeStreamIndex(t, n));
+            if (simulator.sampler().sampleNodeInto(sample, rng) > 0)
+                faulty_nodes.insert({t, n});
+        }
+    }
+    ASSERT_GT(faulty_nodes.size(), kTrials);
+    EXPECT_EQ(arrival_nodes, faulty_nodes);
+}
+
+TEST(FleetWorkersDeathTest, TracedWorkerRunIsFatalOnBothEngines)
+{
+    SignalGuard::reset();
+    const LifetimeConfig config = fleetConfig(256, 10.0);
+    const LifetimeSimulator classic(config);
+    const FleetSimulator fleet(config);
+    Tracer tracer;
+    TrialRunOptions run = fleetRun(1);
+    run.tracer = &tracer;
+    for (const LifetimeSimulator *simulator :
+         {&classic, static_cast<const LifetimeSimulator *>(&fleet)}) {
+        WorkerOptions options;
+        options.workers = 1;
+        WorkerCampaignRunner pool(fleetFingerprint(3, 2, 1), options);
+        EXPECT_EXIT(pool.runUnit("traced", *simulator,
+                                 relaxFactory(config), 2, 3, run),
+                    ::testing::ExitedWithCode(1),
+                    "worker mode does not support tracing");
     }
 }
 
@@ -292,7 +520,7 @@ TEST(FleetWorkers, FleetEngineMatchesInProcessAtOneAndTwoWorkers)
     MetricRegistry straight_metrics;
     const LifetimeSummary straight = simulator.runTrials(
         kTrials, factory, kSeed,
-        fleetRun(FleetMode::Lazy, 1, &straight_metrics));
+        fleetRun(1, &straight_metrics));
 
     for (const unsigned workers : {1u, 2u}) {
         WorkerOptions options;
@@ -301,9 +529,9 @@ TEST(FleetWorkers, FleetEngineMatchesInProcessAtOneAndTwoWorkers)
         WorkerCampaignRunner pool(fleetFingerprint(kSeed, kTrials, 4),
                                   options);
         MetricRegistry metrics;
-        const CampaignResult result = pool.runUnitFleet(
+        const CampaignResult result = pool.runUnit(
             "fleet", simulator, factory, kTrials, kSeed,
-            fleetRun(FleetMode::Lazy, 1, &metrics));
+            fleetRun(1, &metrics));
         ASSERT_FALSE(result.interrupted);
         EXPECT_EQ(result.shardsRun, 4u);
         expectIdentical(straight, result.summary);
@@ -361,9 +589,8 @@ TEST(FleetWorkers, TemporaryCheckpointDirIsRemovedOnDestruction)
         const std::string &base = pool.checkpointBasePath();
         EXPECT_EQ(base.rfind("/tmp/relaxfault_fleet.", 0), 0u) << base;
         dir = base.substr(0, base.rfind('/'));
-        const CampaignResult result = pool.runUnitFleet(
-            "fleet", simulator, relaxFactory(config), 4, 1,
-            fleetRun(FleetMode::Lazy, 1));
+        const CampaignResult result = pool.runUnit(
+            "fleet", simulator, relaxFactory(config), 4, 1, fleetRun(1));
         ASSERT_FALSE(result.interrupted);
         EXPECT_TRUE(fileExists(
             WorkerCampaignRunner::workerLogPath(base, 0)));
@@ -405,9 +632,8 @@ runKilledPoolChild(const std::string &base, unsigned shards)
     // so the resumed run can merge them (resume inherits the original
     // run's telemetry choice).
     MetricRegistry metrics;
-    pool.runUnitFleet("fleet", simulator, relaxFactory(config),
-                      kKillTrials, kKillSeed,
-                      fleetRun(FleetMode::Lazy, 1, &metrics));
+    pool.runUnit("fleet", simulator, relaxFactory(config), kKillTrials,
+                 kKillSeed, fleetRun(1, &metrics));
     return 0;
 }
 
@@ -449,16 +675,16 @@ TEST_P(FleetWorkerKillResume, ResumeAfterSigkillMatchesStraightRun)
     WorkerCampaignRunner pool(
         fleetFingerprint(kKillSeed, kKillTrials, shards), options);
     MetricRegistry metrics;
-    const CampaignResult resumed = pool.runUnitFleet(
+    const CampaignResult resumed = pool.runUnit(
         "fleet", simulator, factory, kKillTrials, kKillSeed,
-        fleetRun(FleetMode::Lazy, 1, &metrics));
+        fleetRun(1, &metrics));
     ASSERT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.shardsResumed + resumed.shardsRun, shards);
 
     MetricRegistry straight_metrics;
     const LifetimeSummary straight = simulator.runTrials(
         kKillTrials, factory, kKillSeed,
-        fleetRun(FleetMode::Lazy, 1, &straight_metrics));
+        fleetRun(1, &straight_metrics));
     expectIdentical(straight, resumed.summary);
     expectIdenticalTelemetry(straight_metrics.snapshot(),
                              metrics.snapshot());
@@ -485,9 +711,8 @@ TEST(FleetWorkersDeathTest, ExhaustedRoundsWithLostShardIsFatal)
     options.maxRounds = 1;
     options.killBeforeCommit = 1;
     WorkerCampaignRunner pool(fleetFingerprint(8, 6, 3), options);
-    EXPECT_EXIT(pool.runUnitFleet("fleet", simulator,
-                                  relaxFactory(config), 6, 8,
-                                  fleetRun(FleetMode::Lazy, 1)),
+    EXPECT_EXIT(pool.runUnit("fleet", simulator, relaxFactory(config), 6,
+                             8, fleetRun(1)),
                 ::testing::ExitedWithCode(1), "still missing");
     removeWorkerLogs(base);
 }
@@ -506,9 +731,8 @@ TEST(FleetWorkersDeathTest, ForeignWorkerLogIsNeverMerged)
         options.checkpointPath = base;
         options.shards = 2;
         WorkerCampaignRunner pool(fleetFingerprint(1, 4, 2), options);
-        const CampaignResult result = pool.runUnitFleet(
-            "fleet", simulator, factory, 4, 1,
-            fleetRun(FleetMode::Lazy, 1));
+        const CampaignResult result = pool.runUnit(
+            "fleet", simulator, factory, 4, 1, fleetRun(1));
         ASSERT_FALSE(result.interrupted);
     }
     // Same path, different campaign (seed): the resume scan must refuse
@@ -520,8 +744,8 @@ TEST(FleetWorkersDeathTest, ForeignWorkerLogIsNeverMerged)
     options.resume = true;
     options.shards = 2;
     WorkerCampaignRunner pool(fleetFingerprint(2, 4, 2), options);
-    EXPECT_EXIT(pool.runUnitFleet("fleet", simulator, factory, 4, 2,
-                                  fleetRun(FleetMode::Lazy, 1)),
+    EXPECT_EXIT(pool.runUnit("fleet", simulator, factory, 4, 2,
+                             fleetRun(1)),
                 ::testing::ExitedWithCode(1), "different campaign");
     removeWorkerLogs(base);
 }

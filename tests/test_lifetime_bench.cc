@@ -8,8 +8,6 @@
  *    deliberate edit here, never a side effect of a refactor.
  *  - A rejected flag combination exits before any runner, temporary
  *    directory or stats plane exists.
- *  - The in-process fleet engine runs unsharded, so it rejects the
- *    campaign flags instead of ignoring them.
  */
 
 #include <gtest/gtest.h>
@@ -84,6 +82,20 @@ TEST(LifetimeBenchFingerprint, FleetScaleAtDefaultFlags)
     EXPECT_EQ(fp.seed, 1206u);
     EXPECT_EQ(fp.trials, 8u);
     EXPECT_EQ(fp.shards, 1u);
+    // The fleet engine has no modes any more; the suffix stays so
+    // checkpoints written while it had them still resume.
+    EXPECT_EQ(fp.config, "nodes=1000000,mode=lazy");
+}
+
+TEST(LifetimeBenchFingerprint, InProcessFleetScaleTakesShards)
+{
+    CampaignFingerprint fp;
+    withArgv({"--shards=3"}, [&](int argc, char **argv) {
+        const LifetimeBench harness(argc, argv, bench::kFleetScaleBench);
+        EXPECT_EQ(harness.pool(), nullptr);
+        fp = harness.fingerprint();
+    });
+    EXPECT_EQ(fp.shards, 3u);
     EXPECT_EQ(fp.config, "nodes=1000000,mode=lazy");
 }
 
@@ -99,20 +111,6 @@ TEST(LifetimeBenchDeathTest, RejectedComboLeavesNoStatsPlane)
                              "--profile does not support --workers");
              });
     EXPECT_FALSE(fileExists(plane));
-}
-
-TEST(LifetimeBenchDeathTest, InProcessFleetRejectsCampaignFlags)
-{
-    const std::string checkpoint = "--checkpoint=" + tempPath("fleet.ckpt");
-    const std::vector<std::vector<std::string>> cases = {
-        {"--shards=4"}, {checkpoint}, {checkpoint, "--resume"}};
-    for (const std::vector<std::string> &args : cases)
-        withArgv(args, [](int argc, char **argv) {
-            EXPECT_EXIT(
-                LifetimeBench(argc, argv, bench::kFleetScaleBench),
-                ::testing::ExitedWithCode(1),
-                "--checkpoint/--resume/--shards require --workers=N");
-        });
 }
 
 } // namespace

@@ -337,11 +337,10 @@ void
 BM_TelemetryDisabledBranch(benchmark::State &state)
 {
     // The disabled-telemetry hot path: the per-trial null-registry
-    // branch plus a ScopedTimer with no sink (no clock read).
+    // branch.
     MetricRegistry *registry = nullptr;
     uint64_t work = 0;
     for (auto _ : state) {
-        ScopedTimer timer(nullptr);
         benchmark::DoNotOptimize(++work);
         if (registry != nullptr)
             registry->counter("sim.trials").add(1);
@@ -490,18 +489,20 @@ BM_StatsPublisherDisabled(benchmark::State &state)
 BENCHMARK(BM_StatsPublisherDisabled);
 
 void
-BM_ProfilePhaseDisabled(benchmark::State &state)
+BM_PhaseScopeDisabled(benchmark::State &state)
 {
-    // Disarmed profiler: the RAII marker's enabled() check, compiled at
-    // every phase boundary in the engines. One relaxed load + branch
-    // on enter, one branch on exit. CI pins this under 5ns.
+    // Every sink off: profiler disarmed, null trace sink, null batch —
+    // the PhaseScope compiled at every phase boundary in the engines.
+    // One relaxed load + branches, no clock read. CI pins this under
+    // 5ns.
+    TraceSink *volatile sink_slot = nullptr;
     uint64_t work = 0;
     for (auto _ : state) {
-        const ProfilePhase phase(ProfilePhaseId::Trial);
+        const PhaseScope scope(Phase::Trial, sink_slot, nullptr);
         benchmark::DoNotOptimize(++work);
     }
 }
-BENCHMARK(BM_ProfilePhaseDisabled);
+BENCHMARK(BM_PhaseScopeDisabled);
 
 /**
  * Console reporter that also keeps each per-iteration run so main can

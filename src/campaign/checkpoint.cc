@@ -10,8 +10,8 @@
 #include "common/log.h"
 #include "telemetry/json_reader.h"
 #include "telemetry/json_writer.h"
-#include "telemetry/profiler.h"
 #include "telemetry/run_record.h"
+#include "tracing/tracer.h"
 
 namespace relaxfault {
 
@@ -413,7 +413,7 @@ CheckpointLog::publish()
 void
 CheckpointLog::commit(const ShardRecord &record)
 {
-    const ProfilePhase profile(ProfilePhaseId::Commit);
+    const PhaseScope scope(Phase::Commit);
     records_[{record.unit, record.shard}] = record;
     if (path_.empty())
         return;

@@ -8,7 +8,8 @@
 namespace relaxfault {
 
 void
-CliOptions::parse(int argc, char **argv)
+CliOptions::parse(int argc, char **argv,
+                  const std::vector<std::string> &booleans)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -20,8 +21,10 @@ CliOptions::parse(int argc, char **argv)
         const auto eq = arg.find('=');
         if (eq != std::string::npos) {
             values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-        } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0)
-                   != 0) {
+        } else if (i + 1 < argc &&
+                   std::string(argv[i + 1]).rfind("--", 0) != 0 &&
+                   std::find(booleans.begin(), booleans.end(), arg) ==
+                       booleans.end()) {
             values_[arg] = argv[++i];
         } else {
             values_[arg] = "";
@@ -31,13 +34,14 @@ CliOptions::parse(int argc, char **argv)
 
 CliOptions::CliOptions(int argc, char **argv)
 {
-    parse(argc, argv);
+    parse(argc, argv, {});
 }
 
 CliOptions::CliOptions(int argc, char **argv,
-                       const std::vector<std::string> &known)
+                       const std::vector<std::string> &known,
+                       const std::vector<std::string> &booleans)
 {
-    parse(argc, argv);
+    parse(argc, argv, booleans);
     std::string listing;
     for (const auto &option : known)
         listing += " --" + option;

@@ -33,10 +33,12 @@ class CliOptions
     /**
      * Strict form: options not in @p known are fatal. Pass every flag
      * the program understands; `--help` is implicitly known and lists
-     * them.
+     * them. Options in @p booleans never take the next token as their
+     * value, so `--summary TRACE.json` leaves TRACE.json positional.
      */
     CliOptions(int argc, char **argv,
-               const std::vector<std::string> &known);
+               const std::vector<std::string> &known,
+               const std::vector<std::string> &booleans = {});
 
     /** True if `--name` was passed (with or without a value). */
     bool has(const std::string &name) const;
@@ -63,7 +65,8 @@ class CliOptions
     const std::vector<std::string> &positional() const { return positional_; }
 
   private:
-    void parse(int argc, char **argv);
+    void parse(int argc, char **argv,
+               const std::vector<std::string> &booleans);
 
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;

@@ -5,7 +5,6 @@
 
 #include "common/log.h"
 #include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 #include "tracing/trace_payloads.h"
 #include "tracing/tracer.h"
 
@@ -93,7 +92,7 @@ RelaxFaultController::fetchAndDecode(const LineCoord &coord,
 
     LineCodec::LineResult decoded;
     {
-        const ProfilePhase profile(ProfilePhaseId::EccDecode);
+        const PhaseScope scope(Phase::EccDecode);
         decoded = LineCodec::decodeLineBatched(line, erased_devices);
     }
     if (count_stats) {

@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 #include "tracing/trace_payloads.h"
 #include "tracing/tracer.h"
 
@@ -32,8 +31,7 @@ FaultScrubber::scrub(unsigned channel, unsigned rank, unsigned bank,
     const DramGeometry &geometry = controller_.config().geometry;
     const unsigned dimm = channel * geometry.ranksPerChannel + rank;
     ++totals_.scrubPasses;
-    const TraceSpan pass_span(trace_, TracePhase::ScrubPass);
-    const ProfilePhase profile(ProfilePhaseId::Scrub);
+    const PhaseScope pass_scope(Phase::ScrubPass, trace_);
 
     controller_.setErrorObserver(
         [&](const LineCoord &coord, uint32_t device_mask,
@@ -169,7 +167,7 @@ FaultScrubber::inferRegion(const DeviceLog &log) const
 FaultScrubber::Report
 FaultScrubber::inferAndRepair()
 {
-    const TraceSpan pass_span(trace_, TracePhase::InferPass);
+    const PhaseScope pass_scope(Phase::InferPass, trace_);
     Report report = pending_;
     for (const auto &[key, log] : logs_) {
         const auto &[dimm, device] = key;

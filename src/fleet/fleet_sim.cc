@@ -5,7 +5,6 @@
 
 #include "common/log.h"
 #include "repair/page_retirement.h"
-#include "telemetry/profiler.h"
 #include "tracing/tracer.h"
 
 namespace relaxfault {
@@ -142,8 +141,6 @@ FleetSimulator::runTrial(uint64_t trial, const MechanismFactory &factory,
                          uint64_t seed, MetricRegistry *telemetry,
                          TrialAuditState *audit, TraceSink *trace) const
 {
-    const TraceSpan trial_span(trace, TracePhase::Trial);
-    const ProfilePhase profile_trial(ProfilePhaseId::FleetTrial);
     const TrialRepair repair = makeTrialRepair(factory);
 
     // One pooled NodeSample, reused across the fleet. Nodes whose

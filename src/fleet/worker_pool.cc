@@ -21,9 +21,9 @@
 #include "common/process.h"
 #include "common/shm_ring.h"
 #include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 #include "telemetry/run_record.h"
 #include "telemetry/stats_plane.h"
+#include "tracing/tracer.h"
 
 namespace relaxfault {
 
@@ -382,7 +382,7 @@ WorkerCampaignRunner::runUnitImpl(const std::string &unit,
     // RSS gauge merges with max semantics, so it is stripped from the
     // snapshot before the additive absorb. Quarantined shards have no
     // record — they are reported, never silently dropped.
-    const ProfilePhase profile_merge(ProfilePhaseId::Merge);
+    const PhaseScope merge_scope(Phase::Merge);
     if (statsPlane_ != nullptr)
         statsPlane_->markPhase(0, StatsPhase::Merging);
     for (unsigned shard = 0; shard < shards; ++shard) {

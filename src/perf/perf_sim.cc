@@ -5,6 +5,7 @@
 
 #include "common/log.h"
 #include "telemetry/metrics.h"
+#include "tracing/tracer.h"
 
 namespace relaxfault {
 
@@ -116,8 +117,9 @@ PerfSimulator::runStreams(
     std::vector<std::unique_ptr<AccessStream>> streams,
     const LlcRepairConfig &repair) const
 {
-    ScopedTimer run_timer(
+    HistogramBatch run_us(
         telemetry_ ? &telemetry_->histogram("perf.run_us") : nullptr);
+    const PhaseScope run_scope(Phase::PerfRun, nullptr, &run_us);
     const DramGeometry dram_geometry = PerfConfig::dramGeometry();
     const DramAddressMap address_map =
         makeAddressMap("fig7a", dram_geometry);

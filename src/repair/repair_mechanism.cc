@@ -1,7 +1,6 @@
 #include "repair/repair_mechanism.h"
 
 #include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 #include "tracing/tracer.h"
 
 namespace relaxfault {
@@ -17,10 +16,9 @@ RepairMechanism::publishTelemetry(MetricRegistry &registry) const
 bool
 RepairMechanism::tracedRepair(const FaultRecord &fault, TraceSink *trace)
 {
-    const ProfilePhase profile(ProfilePhaseId::Repair);
+    const PhaseScope scope(Phase::RepairAttempt, trace);
     if (trace == nullptr)
         return tryRepair(fault);
-    const TraceSpan span(trace, TracePhase::RepairAttempt);
     const uint64_t lines_before = usedLines();
     const bool ok = tryRepair(fault);
     const uint64_t lines_after = usedLines();

@@ -9,7 +9,6 @@
 #include "dram/address_map.h"
 #include "repair/page_retirement.h"
 #include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 #include "telemetry/stats_plane.h"
 #include "tracing/trace_payloads.h"
 #include "tracing/tracer.h"
@@ -499,8 +498,6 @@ LifetimeSimulator::runSystemTrial(const MechanismFactory &factory,
                                   TrialAuditState *audit,
                                   TraceSink *trace) const
 {
-    const TraceSpan trial_span(trace, TracePhase::Trial);
-    const ProfilePhase profile_trial(ProfilePhaseId::Trial);
     NodeFaultSampler sampler(config_.faultModel);
     const TrialRepair repair = makeTrialRepair(factory);
 
@@ -508,14 +505,14 @@ LifetimeSimulator::runSystemTrial(const MechanismFactory &factory,
     for (unsigned n = 0; n < config_.nodesPerSystem; ++n) {
         NodeSample node;
         {
-            const ProfilePhase profile(ProfilePhaseId::NodeSample);
+            const PhaseScope scope(Phase::NodeSample);
             node = sampler.sampleNode(rng);
         }
         if (repair.retirement != nullptr)
             repair.retirement->reset();
         if (trace != nullptr)
             trace->setNode(n);
-        const ProfilePhase profile(ProfilePhaseId::NodeSim);
+        const PhaseScope scope(Phase::NodeSim);
         simulateNode(node, repair.mechanism.get(),
                      repair.retirement.get(), metrics, rng, telemetry,
                      audit, trace);
@@ -604,7 +601,10 @@ LifetimeSimulator::runTrialRange(uint64_t first_trial, unsigned count,
                     audit_ptr = &audit_state;
                 }
                 {
-                    ScopedTimer timer(&trial_us_batch);
+                    // The one Trial scope of both engines: profiler
+                    // frame, trace span and `sim.trial_us` sample.
+                    const PhaseScope trial_scope(Phase::Trial, sink,
+                                                 &trial_us_batch);
                     per_trial[t] = runTrial(first_trial + t, factory,
                                             seed, telemetry, audit_ptr,
                                             sink);

@@ -242,17 +242,6 @@ MetricsSnapshot::findHistogram(const std::string &name) const
     return nullptr;
 }
 
-uint64_t
-ScopedTimer::elapsedUs() const
-{
-    if (sink_ == nullptr && batch_ == nullptr)
-        return 0;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count());
-}
-
 Counter &
 MetricRegistry::counter(const std::string &name)
 {

@@ -24,7 +24,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -234,52 +233,6 @@ class HistogramBatch
     Log2Histogram *sink_;
     size_t count_ = 0;
     std::array<uint64_t, kCapacity> values_{};
-};
-
-/**
- * RAII wall-clock timer: records elapsed microseconds into a histogram
- * (directly, or staged through a HistogramBatch) on destruction. A null
- * or disabled sink disables the timer entirely (no clock read), so
- * callers thread one through unconditionally.
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Log2Histogram *sink)
-        : sink_(sink),
-          start_(sink ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{})
-    {
-    }
-
-    /** A literal nullptr sink: fully disabled. */
-    explicit ScopedTimer(std::nullptr_t) : start_{} {}
-
-    explicit ScopedTimer(HistogramBatch *batch)
-        : batch_(batch && batch->enabled() ? batch : nullptr),
-          start_(batch_ ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{})
-    {
-    }
-
-    ~ScopedTimer()
-    {
-        if (batch_)
-            batch_->record(elapsedUs());
-        else if (sink_)
-            sink_->record(elapsedUs());
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-    /** Microseconds since construction (0 when disabled). */
-    uint64_t elapsedUs() const;
-
-  private:
-    Log2Histogram *sink_ = nullptr;
-    HistogramBatch *batch_ = nullptr;
-    std::chrono::steady_clock::time_point start_;
 };
 
 /** Name-sorted point-in-time view of every metric in a registry. */

@@ -13,22 +13,21 @@
 
 namespace relaxfault {
 
+namespace {
+
+constexpr const char *kPhaseNames[kPhaseCount] = {
+    "trial",       "scrub_pass", "infer_pass", "repair_attempt",
+    "node_sample", "node_sim",   "ecc_decode", "commit",
+    "merge",       "perf_run",
+};
+
+} // namespace
+
 const char *
-profilePhaseName(ProfilePhaseId id)
+phaseName(Phase phase)
 {
-    switch (id) {
-      case ProfilePhaseId::Trial:      return "trial";
-      case ProfilePhaseId::NodeSample: return "node_sample";
-      case ProfilePhaseId::NodeSim:    return "node_sim";
-      case ProfilePhaseId::Repair:     return "repair";
-      case ProfilePhaseId::EccDecode:  return "ecc_decode";
-      case ProfilePhaseId::Scrub:      return "scrub";
-      case ProfilePhaseId::Commit:     return "commit";
-      case ProfilePhaseId::FleetTrial: return "fleet_trial";
-      case ProfilePhaseId::Merge:      return "merge";
-      case ProfilePhaseId::kCount:     break;
-    }
-    return "unknown";
+    const auto index = static_cast<unsigned>(phase);
+    return index < kPhaseCount ? kPhaseNames[index] : "?";
 }
 
 namespace profiler {
@@ -132,9 +131,7 @@ pathOf(int32_t node)
 {
     std::vector<const char *> names;
     for (int32_t i = node; i > 0; i = g_nodes[i].parent)
-        names.push_back(
-            profilePhaseName(static_cast<ProfilePhaseId>(
-                g_nodes[i].phase)));
+        names.push_back(phaseName(static_cast<Phase>(g_nodes[i].phase)));
     std::string path = "relaxfault";
     for (auto it = names.rbegin(); it != names.rend(); ++it) {
         path += ';';
@@ -148,12 +145,12 @@ pathOf(int32_t node)
 namespace detail {
 
 int32_t
-enterPhase(ProfilePhaseId id)
+enterPhase(Phase phase)
 {
     const int32_t parent = t_current.load(std::memory_order_relaxed);
-    int32_t node = findChild(parent, static_cast<uint8_t>(id));
+    int32_t node = findChild(parent, static_cast<uint8_t>(phase));
     if (node < 0)
-        node = intern(parent, static_cast<uint8_t>(id));
+        node = intern(parent, static_cast<uint8_t>(phase));
     t_current.store(node, std::memory_order_relaxed);
     return parent;
 }
@@ -235,7 +232,7 @@ std::string
 selfTimeTable()
 {
     const int32_t count = g_nodeCount.load(std::memory_order_relaxed);
-    uint64_t per_phase[static_cast<size_t>(ProfilePhaseId::kCount)] = {};
+    uint64_t per_phase[kPhaseCount] = {};
     uint64_t root_samples = g_samples[0].load(std::memory_order_relaxed);
     uint64_t total = root_samples;
     for (int32_t i = 1; i < count; ++i) {
@@ -254,11 +251,10 @@ selfTimeTable()
                                  static_cast<double>(total),
                              1);
     };
-    for (size_t p = 0; p < static_cast<size_t>(ProfilePhaseId::kCount);
-         ++p) {
+    for (unsigned p = 0; p < kPhaseCount; ++p) {
         if (per_phase[p] == 0)
             continue;
-        table.addRow({profilePhaseName(static_cast<ProfilePhaseId>(p)),
+        table.addRow({phaseName(static_cast<Phase>(p)),
                       TextTable::num(per_phase[p]), pct(per_phase[p])});
     }
     table.addRow({"(unmarked)", TextTable::num(root_samples),

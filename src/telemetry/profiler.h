@@ -6,7 +6,7 @@
  * phases (trial setup, node sampling, node simulation, repair
  * attempts, ECC decode, scrubbing, checkpoint commits). Instead of
  * unwinding native stacks — which needs frame pointers, libunwind, and
- * luck — the hot layers mark those phases with RAII `ProfilePhase`
+ * luck — the hot layers mark those phases with RAII `PhaseScope`
  * guards, maintaining a per-thread position in a small interned tree of
  * phase paths. A `SIGPROF` handler driven by `ITIMER_PROF` (CPU time,
  * so idle waits are never charged) attributes each sample to the
@@ -24,8 +24,9 @@
  * Determinism: sampling reads simulator state through nothing — it
  * cannot perturb a verdict, consume RNG, or reorder trials. Enabling
  * the profiler leaves every result bit-identical (CI-gated on fig12
- * `--json`). Disabled `ProfilePhase` guards cost one relaxed load and
- * a predictable branch (pinned by `micro_hotpaths`).
+ * `--json`). A `PhaseScope` with the profiler disarmed and no other
+ * sink costs one relaxed load and a predictable branch (pinned by
+ * `micro_hotpaths`).
  *
  * Output: `flamegraph.pl`-compatible folded stacks
  * (`relaxfault;trial;node_sim 1234` per line) plus a self-time-per-
@@ -42,23 +43,35 @@
 
 namespace relaxfault {
 
-/** The fixed phase taxonomy markers push. */
-enum class ProfilePhaseId : uint8_t
+/**
+ * The one phase taxonomy, shared by every phase instrument: profiler
+ * frames, trace Span events and latency histograms (`PhaseScope`). The
+ * first four are also trace Span subkinds — their values are the
+ * exported `sub` field, so they never move; the rest are profiler-only.
+ */
+enum class Phase : uint8_t
 {
-    Trial,       ///< One classic-engine system trial.
-    NodeSample,  ///< Drawing a node's fault history.
-    NodeSim,     ///< Full per-node pipeline (classify/repair/replace).
-    Repair,      ///< A repair-mechanism attempt.
-    EccDecode,   ///< ECC decode of a cache line.
-    Scrub,       ///< A scrubber pass.
-    Commit,      ///< Checkpoint shard commit (serialize + publish).
-    FleetTrial,  ///< One fleet-engine system trial.
-    Merge,       ///< Parent-side shard merge.
-    kCount,
+    Trial,          ///< One whole system-lifetime trial (either engine).
+    ScrubPass,      ///< One FaultScrubber::scrub region walk.
+    InferPass,      ///< One FaultScrubber::inferAndRepair pass.
+    RepairAttempt,  ///< One RepairMechanism::tracedRepair call.
+    NodeSample,     ///< Drawing a node's fault history.
+    NodeSim,        ///< Full per-node pipeline (classify/repair/replace).
+    EccDecode,      ///< ECC decode of a cache line.
+    Commit,         ///< Checkpoint shard commit (serialize + publish).
+    Merge,          ///< Parent-side shard merge.
+    PerfRun,        ///< One PerfSimulator::runStreams run.
 };
 
-/** Canonical snake_case name of @p id ("node_sim", "ecc_decode", ...). */
-const char *profilePhaseName(ProfilePhaseId id);
+/** Number of distinct phases. */
+constexpr unsigned kPhaseCount = 10;
+
+/**
+ * Stable snake_case name of @p phase ("trial", "repair_attempt",
+ * "node_sim", ...): the profiler frame and the exported Span "name".
+ * "?" for a value out of range.
+ */
+const char *phaseName(Phase phase);
 
 namespace profiler {
 
@@ -66,8 +79,8 @@ namespace detail {
 /** Nonzero while sampling is armed; the markers' fast-path gate. */
 extern std::atomic<bool> g_enabled;
 
-/** Enter @p id; returns the previous node for the paired leave. */
-int32_t enterPhase(ProfilePhaseId id);
+/** Enter @p phase; returns the previous node for the paired leave. */
+int32_t enterPhase(Phase phase);
 
 /** Leave the current phase, restoring @p previous. */
 void leavePhase(int32_t previous);
@@ -109,37 +122,6 @@ std::string selfTimeTable();
 void reset();
 
 } // namespace profiler
-
-/**
- * RAII phase marker. Constructing while the profiler is disabled costs
- * one relaxed load and a predictable branch; while enabled, entry
- * interns/looks up the child node of the current phase path and points
- * the thread at it.
- */
-class ProfilePhase
-{
-  public:
-    explicit ProfilePhase(ProfilePhaseId id)
-    {
-        if (!profiler::enabled())
-            return;
-        previous_ = profiler::detail::enterPhase(id);
-        active_ = true;
-    }
-
-    ~ProfilePhase()
-    {
-        if (active_)
-            profiler::detail::leavePhase(previous_);
-    }
-
-    ProfilePhase(const ProfilePhase &) = delete;
-    ProfilePhase &operator=(const ProfilePhase &) = delete;
-
-  private:
-    int32_t previous_ = 0;
-    bool active_ = false;
-};
 
 } // namespace relaxfault
 

@@ -1,5 +1,7 @@
 #include "tracing/trace_event.h"
 
+#include "telemetry/profiler.h"
+
 namespace relaxfault {
 
 namespace {
@@ -9,10 +11,6 @@ namespace {
 constexpr const char *kKindNames[kTraceKindCount] = {
     "fault", "repair", "scrub", "budget", "degrade",
     "verdict", "replace", "span", "heartbeat",
-};
-
-constexpr const char *kPhaseNames[kTracePhaseCount] = {
-    "trial", "scrub_pass", "infer_pass", "repair_attempt",
 };
 
 } // namespace
@@ -74,13 +72,6 @@ traceFilterSpec(uint32_t mask)
     return spec;
 }
 
-const char *
-tracePhaseName(TracePhase phase)
-{
-    const auto index = static_cast<unsigned>(phase);
-    return index < kTracePhaseCount ? kPhaseNames[index] : "?";
-}
-
 std::string
 traceEventName(TraceKind kind, uint8_t sub)
 {
@@ -113,8 +104,8 @@ traceEventName(TraceKind kind, uint8_t sub)
     case TraceKind::Replacement:
         return "dimm_replacement";
     case TraceKind::Span:
-        if (sub < kTracePhaseCount)
-            return kPhaseNames[sub];
+        if (sub < kPhaseCount)
+            return phaseName(static_cast<Phase>(sub));
         break;
     case TraceKind::Heartbeat:
         switch (sub) {

@@ -68,21 +68,6 @@ std::optional<uint32_t> parseTraceFilter(std::string_view spec);
 /** Spell a filter mask back as a spec string ("all" when complete). */
 std::string traceFilterSpec(uint32_t mask);
 
-/** Phases timed by TraceSpan (the Span event's subkind). */
-enum class TracePhase : uint8_t
-{
-    Trial,          ///< One whole system-lifetime trial.
-    ScrubPass,      ///< One FaultScrubber::scrub region walk.
-    InferPass,      ///< One FaultScrubber::inferAndRepair pass.
-    RepairAttempt,  ///< One RepairMechanism::tracedRepair call.
-};
-
-/** Number of distinct phases. */
-constexpr unsigned kTracePhaseCount = 4;
-
-/** Stable phase name (the exported Span "name" field). */
-const char *tracePhaseName(TracePhase phase);
-
 // Subkind values (the `sub` field), per kind.
 // FaultArrival:
 constexpr uint8_t kFaultSampled = 0;   ///< Monte Carlo sampler.
@@ -101,6 +86,8 @@ constexpr uint8_t kDegradeFailStop = 2;
 // Verdict:
 constexpr uint8_t kVerdictDue = 0;
 constexpr uint8_t kVerdictSdc = 1;
+// Span: the timed Phase (telemetry/profiler.h); only the first four
+// phases ever reach a trace.
 // Heartbeat:
 constexpr uint8_t kHeartbeatStart = 0;
 constexpr uint8_t kHeartbeatCommit = 1;

@@ -19,6 +19,38 @@ eventBefore(const TraceEvent &lhs, const TraceEvent &rhs)
 
 } // namespace
 
+void
+PhaseScope::begin(Phase phase, TraceSink *sink, HistogramBatch *batch)
+{
+    live_ = true;
+    phase_ = phase;
+    sink_ = sink != nullptr && sink->accepts(TraceKind::Span) ? sink
+                                                              : nullptr;
+    batch_ = batch != nullptr && batch->enabled() ? batch : nullptr;
+    previous_ =
+        profiler::enabled() ? profiler::detail::enterPhase(phase) : -1;
+    if (sink_ != nullptr || batch_ != nullptr)
+        start_ = std::chrono::steady_clock::now();
+}
+
+void
+PhaseScope::end()
+{
+    if (sink_ != nullptr || batch_ != nullptr) {
+        const auto micros = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start_)
+                .count());
+        if (sink_ != nullptr)
+            sink_->emit(TraceKind::Span, static_cast<uint8_t>(phase_),
+                        micros);
+        if (batch_ != nullptr)
+            batch_->record(micros);
+    }
+    if (previous_ >= 0)
+        profiler::detail::leavePhase(previous_);
+}
+
 uint16_t
 Tracer::registerUnit(const std::string &label)
 {

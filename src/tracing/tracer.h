@@ -34,6 +34,8 @@
 #include <string_view>
 #include <vector>
 
+#include "telemetry/metrics.h"
+#include "telemetry/profiler.h"
 #include "tracing/trace_event.h"
 
 namespace relaxfault {
@@ -201,6 +203,12 @@ class TraceSink
 
     bool enabled() const { return tracer_ != nullptr && shard_ != nullptr; }
 
+    /** True if an emit of @p kind would record (live and not filtered). */
+    bool accepts(TraceKind kind) const
+    {
+        return enabled() && tracer_->accepts(kind);
+    }
+
     /** Start trial @p trial: resets the id sequence and parent stack. */
     void beginTrial(uint64_t trial)
     {
@@ -223,7 +231,7 @@ class TraceSink
     uint64_t emit(TraceKind kind, uint8_t sub, uint64_t a = 0,
                   uint64_t b = 0, uint64_t c = 0)
     {
-        if (!enabled() || !tracer_->accepts(kind))
+        if (!accepts(kind))
             return 0;
         TraceEvent event;
         event.id = ((trial_ + 1) << 24) | ++seq_;
@@ -249,7 +257,7 @@ class TraceSink
     uint64_t emitControl(TraceKind kind, uint8_t sub, uint64_t trial,
                          uint64_t a = 0, uint64_t b = 0, uint64_t c = 0)
     {
-        if (!enabled() || !tracer_->accepts(kind))
+        if (!accepts(kind))
             return 0;
         TraceEvent event;
         event.id = (uint64_t{1} << 62) | (b << 16) | ++controlSeq_;
@@ -323,39 +331,44 @@ class TraceParentScope
 };
 
 /**
- * RAII phase timer: emits a Span event with the wall-clock duration
- * (µs) on destruction. The disabled path is a null check — the clock
- * is only read when the sink is live and Span events pass the filter.
+ * RAII phase instrument: the one marker for a timed Phase. It feeds
+ * whichever of three sinks is live:
+ *  - the profiler's phase stack, while the profiler is armed;
+ *  - @p sink: a Span event carrying the wall-clock duration (µs), when
+ *    the sink is live and Span events pass its filter;
+ *  - @p batch: the same duration, when the batch is enabled.
+ * The clock is read once on entry and once on exit, and only when the
+ * span or the histogram is live, so a fully disabled scope costs one
+ * relaxed load and a few predictable branches.
  */
-class TraceSpan
+class PhaseScope
 {
   public:
-    TraceSpan(TraceSink *sink, TracePhase phase)
-        : sink_(sink), phase_(phase)
+    explicit PhaseScope(Phase phase, TraceSink *sink = nullptr,
+                        HistogramBatch *batch = nullptr)
     {
-        if (sink_ != nullptr && sink_->enabled())
-            start_ = std::chrono::steady_clock::now();
-        else
-            sink_ = nullptr;
+        if (profiler::enabled() || sink != nullptr || batch != nullptr)
+            [[unlikely]] begin(phase, sink, batch);
     }
-    ~TraceSpan()
+    ~PhaseScope()
     {
-        if (sink_ == nullptr)
-            return;
-        const auto micros =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-        sink_->emit(TraceKind::Span, static_cast<uint8_t>(phase_),
-                    static_cast<uint64_t>(micros));
+        if (live_) [[unlikely]]
+            end();
     }
-    TraceSpan(const TraceSpan &) = delete;
-    TraceSpan &operator=(const TraceSpan &) = delete;
+    PhaseScope(const PhaseScope &) = delete;
+    PhaseScope &operator=(const PhaseScope &) = delete;
 
   private:
-    TraceSink *sink_;
-    TracePhase phase_;
-    std::chrono::steady_clock::time_point start_;
+    // Out of line, so the disabled path is the inline gate alone.
+    void begin(Phase phase, TraceSink *sink, HistogramBatch *batch);
+    void end();
+
+    bool live_ = false;  ///< begin() ran: end() has work to do.
+    Phase phase_ = Phase::Trial;
+    TraceSink *sink_ = nullptr;        ///< Live, Span-accepting, or null.
+    HistogramBatch *batch_ = nullptr;  ///< Enabled batch or null.
+    int32_t previous_ = -1;  ///< Profiler node to restore; -1 = none.
+    std::chrono::steady_clock::time_point start_{};
 };
 
 /** RAII shard lease; null tracer yields a null shard. */

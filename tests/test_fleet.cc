@@ -463,12 +463,27 @@ TEST(FleetInstruments, TracerSeesOneTrialSpanPerTrialAndFaultNodeIds)
     std::set<std::pair<uint64_t, uint32_t>> arrival_nodes;
     for (const TraceEvent &e : tracer.collect()) {
         if (e.kind == TraceKind::Span &&
-            e.sub == static_cast<uint8_t>(TracePhase::Trial))
+            e.sub == static_cast<uint8_t>(Phase::Trial))
             span_trials.insert(e.trial);
         if (e.kind == TraceKind::FaultArrival)
             arrival_nodes.insert({e.trial, e.node});
     }
     EXPECT_EQ(span_trials, (std::multiset<uint64_t>{0, 1, 2}));
+
+    // The Trial scope lives in the shared trial loop, so the classic
+    // engine sees exactly one per trial too.
+    const LifetimeSimulator classic(config);
+    Tracer classic_tracer;
+    run.tracer = &classic_tracer;
+    run.traceUnit = classic_tracer.registerUnit("classic");
+    classic.runTrials(kTrials, factory, kSeed, run);
+    std::multiset<uint64_t> classic_span_trials;
+    for (const TraceEvent &e : classic_tracer.collect()) {
+        if (e.kind == TraceKind::Span &&
+            e.sub == static_cast<uint8_t>(Phase::Trial))
+            classic_span_trials.insert(e.trial);
+    }
+    EXPECT_EQ(classic_span_trials, (std::multiset<uint64_t>{0, 1, 2}));
 
     // Arrivals carry exactly the nodes whose own stream draws faults.
     std::set<std::pair<uint64_t, uint32_t>> faulty_nodes;

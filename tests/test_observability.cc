@@ -44,6 +44,7 @@
 #include "telemetry/openmetrics.h"
 #include "telemetry/profiler.h"
 #include "telemetry/stats_plane.h"
+#include "tracing/tracer.h"
 
 namespace relaxfault {
 namespace {
@@ -405,8 +406,8 @@ TEST(Profiler, FoldedStacksNameMarkedPhases)
     // time (ITIMER_PROF) drives the timer, so the loop must compute.
     volatile uint64_t sink = 0;
     {
-        const ProfilePhase trial(ProfilePhaseId::Trial);
-        const ProfilePhase sim(ProfilePhaseId::NodeSim);
+        const PhaseScope trial(Phase::Trial);
+        const PhaseScope sim(Phase::NodeSim);
         for (int spin = 0;
              spin < 2000 && profiler::totalSamples() < 5; ++spin) {
             for (uint64_t i = 0; i < 200000; ++i)
@@ -439,8 +440,8 @@ TEST(Profiler, DisabledMarkersAreInert)
     profiler::reset();
     ASSERT_FALSE(profiler::enabled());
     {
-        const ProfilePhase trial(ProfilePhaseId::Trial);
-        const ProfilePhase repair(ProfilePhaseId::Repair);
+        const PhaseScope trial(Phase::Trial);
+        const PhaseScope repair(Phase::RepairAttempt);
     }
     EXPECT_EQ(profiler::totalSamples(), 0u);
 }

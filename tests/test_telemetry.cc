@@ -25,6 +25,7 @@
 #include "telemetry/json_writer.h"
 #include "telemetry/metrics.h"
 #include "telemetry/run_record.h"
+#include "tracing/tracer.h"
 
 namespace relaxfault {
 namespace {
@@ -216,17 +217,18 @@ TEST(HistogramBatch, NullSinkIsDisabledAndFree)
     EXPECT_FALSE(batch.enabled());
     for (int i = 0; i < 10000; ++i)
         batch.record(i);  // Must not touch the (absent) staging buffer.
-    { ScopedTimer timer(&batch); }  // Disabled batch disables the timer.
+    // A disabled batch disables the scope's clock.
+    { const PhaseScope scope(Phase::Trial, nullptr, &batch); }
 }
 
-TEST(ScopedTimer, RecordsThroughHistogramBatch)
+TEST(PhaseScope, RecordsThroughHistogramBatch)
 {
     MetricRegistry registry;
     Log2Histogram &hist = registry.histogram("test.timer_batch");
     {
         HistogramBatch batch(&hist);
-        { ScopedTimer timer(&batch); }
-        { ScopedTimer timer(&batch); }
+        { const PhaseScope scope(Phase::Trial, nullptr, &batch); }
+        { const PhaseScope scope(Phase::PerfRun, nullptr, &batch); }
     }
     EXPECT_EQ(hist.snapshot().count, 2u);
 }
@@ -259,12 +261,16 @@ TEST(MetricRegistry, SnapshotIsSortedAndComparable)
     EXPECT_FALSE(snap == registry.snapshot());
 }
 
-TEST(ScopedTimer, NullSinkRecordsNothing)
+TEST(PhaseScope, NullSinkRecordsNothing)
 {
-    { ScopedTimer timer(nullptr); }  // Must not crash.
     MetricRegistry registry;
     Log2Histogram &hist = registry.histogram("test.timer");
-    { ScopedTimer timer(&hist); }
+    {
+        HistogramBatch batch(&hist);
+        // Null sink and null batch: must not crash or record.
+        { const PhaseScope scope(Phase::Trial, nullptr, nullptr); }
+        { const PhaseScope scope(Phase::Trial, nullptr, &batch); }
+    }
     EXPECT_EQ(hist.snapshot().count, 1u);
 }
 

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -28,6 +29,8 @@
 #include "sim/lifetime.h"
 #include "telemetry/json_reader.h"
 #include "telemetry/json_writer.h"
+#include "telemetry/metrics.h"
+#include "telemetry/profiler.h"
 #include "tracing/trace_event.h"
 #include "tracing/trace_export.h"
 #include "tracing/tracer.h"
@@ -659,9 +662,10 @@ TEST(TracingOverhead, DisabledEmitIsUnderOneNanosecond)
 
 TEST(TracingOverhead, SpanReadsNoClockWhenDisabled)
 {
-    // A TraceSpan over a null sink must not emit anywhere, and a
-    // filtered sink records nothing.
-    { const TraceSpan span(nullptr, TracePhase::Trial); }
+    // A PhaseScope over a null sink must not emit anywhere. Over a sink
+    // whose filter drops Span events it arms no span (and reads no
+    // clock), while other kinds emitted inside it still record.
+    { const PhaseScope scope(Phase::Trial, nullptr); }
 
     TracerConfig config;
     config.filter = traceKindBit(TraceKind::Verdict);  // Spans filtered.
@@ -671,10 +675,101 @@ TEST(TracingOverhead, SpanReadsNoClockWhenDisabled)
         const TraceShardLease lease(&tracer);
         TraceSink sink(&tracer, lease.shard(), unit);
         sink.beginTrial(0);
-        const TraceSpan span(&sink, TracePhase::Trial);
+        EXPECT_FALSE(sink.accepts(TraceKind::Span));
+        const PhaseScope scope(Phase::Trial, &sink);
         EXPECT_EQ(sink.emit(TraceKind::Span, 0), 0u);
+        EXPECT_NE(sink.emit(TraceKind::Verdict, kVerdictDue, 0, 1), 0u);
     }
-    EXPECT_EQ(tracer.recorded(), 0u);
+    const std::vector<TraceEvent> events = tracer.collect();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].kind, TraceKind::Verdict);
+    EXPECT_EQ(events[0].b, 1u);
+}
+
+// ---------------------------------------------------------------------
+// The one phase table and the one phase instrument.
+
+TEST(PhaseTable, SpanPhasesKeepSubkindsAndNames)
+{
+    // Exported traces store these subkinds and names: they never move.
+    const std::pair<Phase, const char *> spans[] = {
+        {Phase::Trial, "trial"},
+        {Phase::ScrubPass, "scrub_pass"},
+        {Phase::InferPass, "infer_pass"},
+        {Phase::RepairAttempt, "repair_attempt"},
+    };
+    for (uint8_t sub = 0; sub < 4; ++sub) {
+        const auto &[phase, name] = spans[sub];
+        EXPECT_EQ(static_cast<uint8_t>(phase), sub);
+        EXPECT_STREQ(phaseName(phase), name);
+        EXPECT_EQ(traceEventName(TraceKind::Span, sub), name);
+    }
+}
+
+TEST(PhaseTable, EveryPhaseHasAUniqueSnakeCaseName)
+{
+    // snake_case: [a-z]+(_[a-z]+)*
+    const auto snake = [](const std::string &name) {
+        return !name.empty() && name.front() != '_' &&
+               name.back() != '_' && name.find("__") == std::string::npos &&
+               name.find_first_not_of("abcdefghijklmnopqrstuvwxyz_") ==
+                   std::string::npos;
+    };
+    std::set<std::string> names;
+    for (unsigned p = 0; p < kPhaseCount; ++p) {
+        const std::string name = phaseName(static_cast<Phase>(p));
+        EXPECT_TRUE(snake(name)) << name;
+        EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
+    }
+}
+
+TEST(PhaseTable, OutOfRangeSubkindPrintsQuestionMark)
+{
+    EXPECT_STREQ(phaseName(static_cast<Phase>(kPhaseCount)), "?");
+    EXPECT_STREQ(phaseName(static_cast<Phase>(255)), "?");
+}
+
+TEST(PhaseScope, OneScopeFeedsProfilerSpanAndHistogram)
+{
+    MetricRegistry registry;
+    Log2Histogram &hist = registry.histogram("test.phase_us");
+    Tracer tracer;
+    const uint16_t unit = tracer.registerUnit("phase");
+    profiler::reset();
+    profiler::start(/*hz=*/997);
+    volatile uint64_t burn = 0;
+    {
+        const TraceShardLease lease(&tracer);
+        TraceSink sink(&tracer, lease.shard(), unit);
+        sink.beginTrial(0);
+        HistogramBatch batch(&hist);
+        const PhaseScope trial(Phase::Trial, &sink, &batch);
+        // Profiler-only child: burn CPU until SIGPROF samples land.
+        const PhaseScope repair(Phase::RepairAttempt);
+        for (int spin = 0;
+             spin < 2000 && profiler::totalSamples() < 5; ++spin) {
+            for (uint64_t i = 0; i < 200000; ++i)
+                burn = burn + i * i;
+        }
+    }
+    profiler::stop();
+
+    const std::vector<TraceEvent> events = tracer.collect();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].kind, TraceKind::Span);
+    EXPECT_EQ(events[0].sub, static_cast<uint8_t>(Phase::Trial));
+    const Log2HistogramSnapshot snapshot = hist.snapshot();
+    EXPECT_EQ(snapshot.count, 1u);
+    // Both sinks got the one clock reading.
+    EXPECT_EQ(snapshot.sum, events[0].a);
+
+    ASSERT_GT(profiler::totalSamples(), 0u)
+        << "no SIGPROF delivered while burning CPU";
+    const std::string folded = profiler::folded();
+    EXPECT_NE(folded.find("relaxfault;trial;repair_attempt "),
+              std::string::npos)
+        << folded;
+    profiler::reset();
 }
 
 TEST(TracingOverhead, SafeFileTokenSanitizes)

@@ -34,6 +34,7 @@
 #include "common/table.h"
 #include "faults/fault.h"
 #include "telemetry/metrics.h"
+#include "telemetry/profiler.h"
 #include "telemetry/run_record.h"
 #include "tracing/trace_event.h"
 #include "tracing/trace_export.h"
@@ -335,7 +336,7 @@ printPhases(const MergedTrace &merged)
     table.setHeader({"phase", "count", "mean-us", "p50-us<=", "p90-us<=",
                      "p99-us<="});
     for (const auto &[sub, snapshot] : phases) {
-        table.addRow({tracePhaseName(static_cast<TracePhase>(sub)),
+        table.addRow({phaseName(static_cast<Phase>(sub)),
                       TextTable::num(snapshot.count),
                       TextTable::num(snapshot.mean(), 1),
                       TextTable::num(snapshot.quantileUpperBound(0.5)),
@@ -354,7 +355,8 @@ main(int argc, char **argv)
 {
     const CliOptions options(argc, argv,
                              {"summary", "trial", "unit", "degraded",
-                              "last", "phases", "version"});
+                              "last", "phases", "version"},
+                             {"summary", "degraded", "phases"});
     if (options.has("version")) {
         std::cout << toolVersionLine("trace_query") << "\n";
         return 0;

@@ -45,7 +45,6 @@
 #include "common/fs.h"
 #include "common/process.h"
 #include "common/table.h"
-#include "fleet/worker_pool.h"
 #include "lifetime_bench.h"
 
 using namespace relaxfault;
@@ -232,15 +231,15 @@ runScenarioChild(const Scenario &scenario, const Combo &combo,
     fingerprint.config = "nodes=" + std::to_string(nodes) +
                          ",scenario=" + scenario.name;
 
-    WorkerOptions worker_options;
-    worker_options.workers = combo.workers;
-    worker_options.checkpointPath = dir + "/ckpt";
-    worker_options.shards = shards;
-    worker_options.maxRounds = 10;
-    worker_options.watchdogMs = scenario.watchdogMs;
-    worker_options.pollMs = 5;
-    worker_options.quarantineAfter = scenario.quarantineAfter;
-    WorkerCampaignRunner pool(fingerprint, worker_options);
+    CampaignOptions options;
+    options.workers = combo.workers;
+    options.checkpointPath = dir + "/ckpt";
+    options.shards = shards;
+    options.maxRounds = 10;
+    options.watchdogMs = scenario.watchdogMs;
+    options.pollMs = 5;
+    options.quarantineAfter = scenario.quarantineAfter;
+    CampaignRunner pool(fingerprint, options);
 
     TrialRunOptions run;
     run.parallel.threads = combo.threads;
@@ -262,7 +261,7 @@ runScenarioChild(const Scenario &scenario, const Combo &combo,
         warn("chaos_soak[" + scenario.name + "]: " +
              std::to_string(pool.shardsQuarantined()) +
              " shard(s) quarantined — results are PARTIAL (see " +
-             WorkerCampaignRunner::supervisorLogPath(
+             CampaignRunner::supervisorLogPath(
                  pool.checkpointBasePath()) + ")");
         return kQuarantineExitStatus;
     }

@@ -11,9 +11,10 @@
  *
  *   fleet_scale --nodes=1000000 --trials=8 --workers=4 --json
  *
- * `--checkpoint`/`--resume`/`--shards` and `--workers=N` (N worker
- * processes over a shared-memory shard ring) work exactly as on the fig
- * benches: every combination gives bit-identical results. The JSON
+ * `--checkpoint`/`--resume`/`--shards`, `--workers=N` (N worker
+ * processes over a shared-memory shard ring), `--audit` and `--trace`
+ * work exactly as on the fig benches: every combination gives
+ * bit-identical results. The JSON
  * artifact reports trials/sec, elapsed time, and parent + per-worker
  * peak RSS.
  */
@@ -51,11 +52,9 @@ main(int argc, char **argv)
     if (result.interrupted)
         return bench.finish();
     const LifetimeSummary &summary = result.summary;
-    const WorkerCampaignRunner *pool = bench.pool();
-    const int64_t worker_rss =
-        pool != nullptr ? pool->workerPeakRssBytes() : 0;
-    const int64_t worker_sum_rss =
-        pool != nullptr ? pool->workerSumRssBytes() : 0;
+    // Both stay 0 in-process: only worker shards stamp their RSS.
+    const int64_t worker_rss = bench.runner().workerPeakRssBytes();
+    const int64_t worker_sum_rss = bench.runner().workerSumRssBytes();
     const uint64_t elapsed_ms = clock.elapsedMs(start);
     const double trials_per_sec =
         elapsed_ms > 0 ? 1000.0 * trials / static_cast<double>(elapsed_ms)

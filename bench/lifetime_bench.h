@@ -4,34 +4,36 @@
  * and `fleet_scale`.
  *
  * `LifetimeBench` parses their flag set, owns the JSON report, the
- * causal trace, the campaign fingerprint, the shard runner and the live
- * observability plumbing, and runs the exit sequence. No other bench
- * registers these flags, so the strict `CliOptions` parser rejects them
- * there as unknown options.
+ * causal trace, the campaign fingerprint, the one `CampaignRunner` and
+ * the profiler/exporter plumbing, and runs the exit sequence. No other
+ * bench registers these flags, so the strict `CliOptions` parser
+ * rejects them there as unknown options.
  *
- * Flags of every lifetime bench:
+ * Flags of every lifetime bench, on either engine:
  *  - `--trials`, `--seed`, `--nodes`, `--threads=N` (0 = auto),
  *    `--progress`, `--json[=PATH]`;
  *  - `--checkpoint=PATH`, `--resume`, `--shards=N` run each unit shard
- *    by shard against a checkpoint (`CampaignRunner`, on either engine);
- *    results are bit-identical to an unsharded run;
- *  - `--workers=N` (N > 0) distributes each unit's shards over N forked
- *    worker processes through a shared-memory ring
- *    (`WorkerCampaignRunner`), also bit-identical; worker `k` commits to
- *    `<checkpoint>.worker<k>`. `--watchdog-ms` and `--quarantine-after`
- *    configure its supervisor;
+ *    by shard against a checkpoint; results are bit-identical to an
+ *    unsharded run;
+ *  - `--workers=N` (N > 0) runs each unit's shards on N forked worker
+ *    processes instead of in-process, also bit-identical; worker `k`
+ *    commits to `<checkpoint>.worker<k>`. `--watchdog-ms` and
+ *    `--quarantine-after` configure their supervisor;
+ *  - `--audit`, `--audit-every=N` check the repair invariants;
+ *  - `--trace[=PATH]`, `--trace-filter=KINDS` record the causal trace,
+ *    with or without workers: every shard also publishes
+ *    `<PATH>.<unit>.shard<k>.json`;
  *  - `--metrics-out=PATH[:PERIOD_MS]` publishes the metric registry as
  *    an OpenMetrics file, once at exit or every PERIOD_MS (it enables
  *    the registry with or without `--json`);
- *  - `--profile[=PATH]` arms the SIGPROF sampling profiler; at exit the
- *    folded stacks go to PATH (or stderr), the self-time table to
- *    stderr;
+ *  - `--profile[=PATH]` arms the SIGPROF sampling profiler (in-process
+ *    only); at exit the folded stacks go to PATH (or stderr), the
+ *    self-time table to stderr;
  *  - `--stats-plane=PATH` creates the shared-memory stats plane that
  *    `tools/fleet_top` attaches to: one slot per worker, or one slot
  *    in-process.
- * The classic engine (Figs. 9-14) adds `--audit`, `--audit-every`,
- * `--trace`, `--trace-filter` and `--mapping`; Figs. 12-14 add
- * `--degrade`. Both engines run through the same runners.
+ * The classic engine (Figs. 9-14) adds `--mapping`; Figs. 12-14 add
+ * `--degrade`.
  *
  * `--nodes`, `--degrade` and `--mapping` change results and enter the
  * campaign fingerprint. Auditing, tracing and the three
@@ -62,10 +64,8 @@
 #include "common/fs.h"
 #include "common/table.h"
 #include "fleet/fleet_sim.h"
-#include "fleet/worker_pool.h"
 #include "telemetry/openmetrics.h"
 #include "telemetry/profiler.h"
-#include "telemetry/stats_plane.h"
 #include "tracing/trace_export.h"
 #include "tracing/tracer.h"
 
@@ -201,14 +201,13 @@ class LifetimeBench
                                             "retire | due | failstop)");
             config_.degradation = *policy;
         }
-        if (!fleet) {
+        if (!fleet)
             config_.mapping = mappingFlag(options_);
-            run_.audit.enabled = options_.has("audit");
-            run_.audit.everyFaults = static_cast<unsigned>(
-                options_.getPositiveInt("audit-every", 1));
-            trace_ = traceFlag(options_, spec.name);
-            run_.tracer = trace_.get();
-        }
+        run_.audit.enabled = options_.has("audit");
+        run_.audit.everyFaults = static_cast<unsigned>(
+            options_.getPositiveInt("audit-every", 1));
+        trace_ = traceFlag(options_, spec.name);
+        run_.tracer = trace_.get();
         run_.parallel.threads = static_cast<unsigned>(
             options_.getNonNegativeInt("threads", 0));
         run_.progress = options_.has("progress");
@@ -223,13 +222,18 @@ class LifetimeBench
         campaign.resume = options_.has("resume");
         campaign.shards =
             static_cast<unsigned>(options_.getPositiveInt("shards", 1));
+        campaign.workers = workers_;
         campaign.tracePath = trace_.path;
+        campaign.statsPath = options_.getString("stats-plane", "");
+        campaign.watchdogMs = static_cast<uint64_t>(
+            options_.getNonNegativeInt("watchdog-ms", 0));
+        campaign.quarantineAfter = static_cast<unsigned>(
+            options_.getNonNegativeInt("quarantine-after", 0));
         // A lone shard would starve all but one fleet worker; results
         // are shard-split invariant, so default to one per worker.
         if (fleet && workers_ > 1 && !options_.has("shards"))
             campaign.shards = workers_;
         parseMetricsOut();
-        statsPath_ = options_.getString("stats-plane", "");
         validate(campaign);
 
         // The degradation policy and address mapping change results, so
@@ -260,12 +264,7 @@ class LifetimeBench
         fingerprint_.shards = campaign.shards;
         fingerprint_.config = identity;
 
-        if (workers_ > 0)
-            pool_ = std::make_unique<WorkerCampaignRunner>(
-                fingerprint_, workerOptions(campaign));
-        else
-            runner_ = std::make_unique<CampaignRunner>(fingerprint_,
-                                                       campaign);
+        runner_ = std::make_unique<CampaignRunner>(fingerprint_, campaign);
         startObservability();
     }
 
@@ -280,17 +279,16 @@ class LifetimeBench
     BenchReport &report() { return report_; }
     const CampaignFingerprint &fingerprint() const { return fingerprint_; }
 
-    /** The worker pool; null when the run is in-process. */
-    const WorkerCampaignRunner *pool() const { return pool_.get(); }
+    /** The campaign runner: in-process, or over `workers()` workers. */
+    const CampaignRunner &runner() const { return *runner_; }
 
     /** Base simulation config: `--nodes`, `--degrade`, `--mapping`. */
     const LifetimeConfig &config() const { return config_; }
 
     /**
      * Run `trials()` lifetimes of @p unit on @p simulator (either
-     * engine), through the worker pool or the in-process campaign
-     * runner. The caller checks `interrupted` and, when set, returns
-     * `finish()`.
+     * engine) through the campaign runner. The caller checks
+     * `interrupted` and, when set, returns `finish()`.
      */
     CampaignResult
     runUnit(const std::string &unit, const LifetimeSimulator &simulator,
@@ -302,9 +300,6 @@ class LifetimeBench
         run.metrics = report_.metrics();
         if (run.tracer != nullptr)
             run.traceUnit = run.tracer->registerUnit(unit);
-        if (pool_ != nullptr)
-            return pool_->runUnit(unit, simulator, factory, trials_, seed_,
-                                  run);
         return runner_->runUnit(unit, simulator, factory, trials_, seed_,
                                 run);
     }
@@ -322,20 +317,21 @@ class LifetimeBench
             return 128 + SignalGuard::stopSignal();
         // Fold the workers' peak RSS into the report's gauge (max; the
         // report then maxes in the parent's own peak).
-        if (pool_ != nullptr && report_.metrics() != nullptr) {
+        if (report_.metrics() != nullptr) {
             Gauge &gauge = report_.metrics()->gauge(kPeakRssGauge);
-            gauge.set(std::max(gauge.value(), pool_->workerPeakRssBytes()));
+            gauge.set(
+                std::max(gauge.value(), runner_->workerPeakRssBytes()));
         }
         report_.write();
         trace_.write();
         finishObservability();
-        if (pool_ == nullptr || pool_->shardsQuarantined() == 0)
+        if (runner_->shardsQuarantined() == 0)
             return 0;
         warn(std::string(spec_.name) + ": " +
-             std::to_string(pool_->shardsQuarantined()) +
+             std::to_string(runner_->shardsQuarantined()) +
              " shard(s) quarantined — reported results are PARTIAL (see " +
-             WorkerCampaignRunner::supervisorLogPath(
-                 pool_->checkpointBasePath()) +
+             CampaignRunner::supervisorLogPath(
+                 runner_->checkpointBasePath()) +
              "); exiting " + std::to_string(kQuarantineExitStatus));
         return kQuarantineExitStatus;
     }
@@ -347,10 +343,10 @@ class LifetimeBench
         std::vector<std::string> known = {
             "trials", "seed", "nodes", "threads", "progress", "json",
             "checkpoint", "resume", "shards", "workers", "watchdog-ms",
-            "quarantine-after", "metrics-out", "profile", "stats-plane"};
+            "quarantine-after", "audit", "audit-every", "trace",
+            "trace-filter", "metrics-out", "profile", "stats-plane"};
         if (spec.engine == LifetimeEngine::Classic)
-            known.insert(known.end(), {"audit", "audit-every", "trace",
-                                       "trace-filter", "mapping"});
+            known.push_back("mapping");
         if (spec.degrade)
             known.push_back("degrade");
         return known;
@@ -389,43 +385,16 @@ class LifetimeBench
                 fatal(bench + ": --watchdog-ms/--quarantine-after "
                               "require --workers=N (they configure the "
                               "fleet supervisor)");
-        } else {
-            if (options_.has("trace"))
-                fatal(bench + ": --workers does not support --trace "
-                              "(trace buffers are per-process; run "
-                              "tracing in-process)");
-            if (options_.has("profile"))
-                fatal(bench + ": --profile does not support --workers "
-                              "(the CPU-time sampling timer is not "
-                              "inherited across fork; profile the "
-                              "in-process path)");
+        } else if (options_.has("profile")) {
+            fatal(bench + ": --profile does not support --workers "
+                          "(the CPU-time sampling timer is not "
+                          "inherited across fork; profile the "
+                          "in-process path)");
         }
         if (options_.has("metrics-out") && metricsPath_.empty())
             fatal(bench + ": --metrics-out requires =PATH[:PERIOD_MS]");
-        if (options_.has("stats-plane") && statsPath_.empty())
+        if (options_.has("stats-plane") && campaign.statsPath.empty())
             fatal(bench + ": --stats-plane requires =PATH");
-    }
-
-    WorkerOptions workerOptions(const CampaignOptions &campaign) const
-    {
-        WorkerOptions worker;
-        worker.workers = workers_;
-        worker.checkpointPath = campaign.checkpointPath;
-        worker.resume = campaign.resume;
-        worker.shards = campaign.shards;
-        worker.watchdogMs = static_cast<uint64_t>(
-            options_.getNonNegativeInt("watchdog-ms", 0));
-        worker.quarantineAfter = static_cast<unsigned>(
-            options_.getNonNegativeInt("quarantine-after", 0));
-        // The pool owns an N-slot plane; each worker publishes its slot.
-        worker.statsPath = statsPath_;
-        // A quarantine policy needs enough rounds to observe the
-        // crashes it counts: one round per allowed attempt, plus one to
-        // finish the healthy shards after the verdict.
-        if (worker.quarantineAfter != 0)
-            worker.maxRounds =
-                std::max(worker.maxRounds, worker.quarantineAfter + 1);
-        return worker;
     }
 
     void startObservability()
@@ -440,15 +409,6 @@ class LifetimeBench
             profiler::start();
             profiling_ = true;
         }
-        if (!statsPath_.empty() && workers_ == 0) {
-            // In-process run: one slot, announced immediately so an
-            // observer attaching mid-run sees a live row.
-            plane_ = std::make_unique<StatsPlane>(
-                StatsPlane::create(statsPath_, 1, spec_.name));
-            publisher_ = plane_->publisher(0);
-            publisher_.announce(StatsPhase::Running);
-            run_.stats = &publisher_;
-        }
     }
 
     /** Stop sampling/exporting and write final artifacts (idempotent). */
@@ -457,8 +417,6 @@ class LifetimeBench
         if (observabilityFinished_)
             return;
         observabilityFinished_ = true;
-        if (publisher_.enabled())
-            publisher_.setPhase(StatsPhase::Done);
         if (profiling_) {
             profiler::stop();
             const std::string folded = profiler::folded();
@@ -490,16 +448,12 @@ class LifetimeBench
     BenchTrace trace_;
     BenchReport report_;
     CampaignFingerprint fingerprint_;
-    std::unique_ptr<WorkerCampaignRunner> pool_;
     std::unique_ptr<CampaignRunner> runner_;
 
     std::string metricsPath_;
     uint64_t metricsPeriodMs_ = 0;
-    std::string statsPath_;
     std::string profilePath_;
     std::unique_ptr<OpenMetricsExporter> exporter_;
-    std::unique_ptr<StatsPlane> plane_;
-    StatsPublisher publisher_;
     bool profiling_ = false;
     bool observabilityFinished_ = false;
 };

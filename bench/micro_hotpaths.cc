@@ -17,6 +17,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -506,7 +507,10 @@ BENCHMARK(BM_PhaseScopeDisabled);
 
 /**
  * Console reporter that also keeps each per-iteration run so main can
- * emit a `relaxfault.bench.v1` record after the run.
+ * emit a `relaxfault.bench.v1` record after the run: one row per
+ * benchmark, in run order. Under `--benchmark_repetitions=N` the row is
+ * the repetition with the median ns/op (the lower median for even N),
+ * so one noisy repetition cannot move the gated figure.
  */
 class CollectingReporter : public benchmark::ConsoleReporter
 {
@@ -529,15 +533,32 @@ class CollectingReporter : public benchmark::ConsoleReporter
             if (run.iterations > 0)
                 row.nsPerOp = run.real_accumulated_time * 1e9 /
                               static_cast<double>(run.iterations);
-            rows_.push_back(std::move(row));
+            auto it = std::find_if(
+                repetitions_.begin(), repetitions_.end(),
+                [&](const auto &group) { return group[0].name == row.name; });
+            if (it == repetitions_.end())
+                repetitions_.push_back({std::move(row)});
+            else
+                it->push_back(std::move(row));
         }
         benchmark::ConsoleReporter::ReportRuns(reports);
     }
 
-    const std::vector<Row> &rows() const { return rows_; }
+    std::vector<Row> rows() const
+    {
+        std::vector<Row> rows;
+        for (std::vector<Row> group : repetitions_) {
+            std::sort(group.begin(), group.end(),
+                      [](const Row &a, const Row &b) {
+                          return a.nsPerOp < b.nsPerOp;
+                      });
+            rows.push_back(group[(group.size() - 1) / 2]);
+        }
+        return rows;
+    }
 
   private:
-    std::vector<Row> rows_;
+    std::vector<std::vector<Row>> repetitions_;  ///< Per benchmark.
 };
 
 } // namespace

@@ -157,6 +157,7 @@ FleetSimulator::runTrial(uint64_t trial, const MechanismFactory &factory,
             repair.retirement->reset();
         if (trace != nullptr)
             trace->setNode(n);
+        const PhaseScope scope(Phase::NodeSim);
         simulateNode(pooled, repair.mechanism.get(),
                      repair.retirement.get(), metrics, rng, telemetry,
                      audit, trace);

@@ -112,14 +112,18 @@ Tracer::dropped() const
 void
 Tracer::absorb(const Tracer &other)
 {
-    // Collect under the other tracer's lock, then remap unit ids by
-    // label into this tracer's registry.
-    std::vector<TraceEvent> events = other.collect();
-    const std::vector<std::string> labels = other.unitLabels();
-    std::vector<uint16_t> remap(labels.size(), 0);
-    for (size_t i = 0; i < labels.size(); ++i)
-        remap[i] = registerUnit(labels[i]);
-    const uint64_t otherDropped = other.dropped();
+    // Collect under the other tracer's lock, then remap.
+    absorb(other.unitLabels(), other.collect(), other.dropped());
+}
+
+void
+Tracer::absorb(const std::vector<std::string> &units,
+               std::vector<TraceEvent> events, uint64_t dropped)
+{
+    // Remap unit ids by label into this tracer's registry.
+    std::vector<uint16_t> remap(units.size(), 0);
+    for (size_t i = 0; i < units.size(); ++i)
+        remap[i] = registerUnit(units[i]);
 
     const std::lock_guard<std::mutex> lock(mutex_);
     for (TraceEvent &event : events) {
@@ -127,7 +131,7 @@ Tracer::absorb(const Tracer &other)
             event.unit = remap[event.unit];
         absorbed_.push_back(event);
     }
-    absorbedDropped_ += otherDropped;
+    absorbedDropped_ += dropped;
 }
 
 std::vector<TraceEvent>

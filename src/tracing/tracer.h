@@ -166,6 +166,13 @@ class Tracer
     void absorb(const Tracer &other);
 
     /**
+     * Merge loose events whose unit ids index @p units (a trace read
+     * back from a file, e.g. a worker's shard trace), like the above.
+     */
+    void absorb(const std::vector<std::string> &units,
+                std::vector<TraceEvent> events, uint64_t dropped);
+
+    /**
      * All retained events, sorted by (unit, trial, id, payload) — a
      * deterministic order independent of shard leasing. Must not be
      * called while a worker is recording into a leased shard.

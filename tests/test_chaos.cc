@@ -26,6 +26,7 @@
 #include <vector>
 #include <unistd.h>
 
+#include "campaign/campaign.h"
 #include "campaign/checkpoint.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
@@ -33,7 +34,6 @@
 #include "common/shm_ring.h"
 #include "common/signal_guard.h"
 #include "fleet/fleet_sim.h"
-#include "fleet/worker_pool.h"
 #include "repair/relaxfault_repair.h"
 #include "telemetry/metrics.h"
 
@@ -650,7 +650,7 @@ TEST_F(ChaosTest, HungWorkerIsKilledAndItsShardRecoveredBitIdentically)
     // watchdog must SIGKILL it within ~watchdogMs on the parent's own
     // clock and round 2 must re-run the reclaimed shard (round 2 pops
     // skip the stall, so recovery is deterministic, never timing-tuned).
-    WorkerOptions options;
+    CampaignOptions options;
     options.workers = 2;
     options.shards = 4;
     options.maxRounds = 3;
@@ -660,7 +660,7 @@ TEST_F(ChaosTest, HungWorkerIsKilledAndItsShardRecoveredBitIdentically)
         if (round == 1 && shard == 1)
             ::sleep(600);  // Far past the deadline; SIGKILL ends it.
     };
-    WorkerCampaignRunner pool(fleetFingerprint(kSeed, kTrials, 4),
+    CampaignRunner pool(fleetFingerprint(kSeed, kTrials, 4),
                               options);
     MetricRegistry metrics;
     const CampaignResult result = pool.runUnit(
@@ -691,7 +691,7 @@ TEST_F(ChaosTest, PoisonShardIsQuarantinedAndTheMergeStaysPartial)
     // poison shard. With quarantineAfter=2 the supervisor gives up on
     // it after two distinct crashed attempts instead of failing the
     // whole campaign.
-    WorkerOptions options;
+    CampaignOptions options;
     options.workers = 2;
     options.checkpointPath = base;
     options.shards = kShards;
@@ -701,7 +701,7 @@ TEST_F(ChaosTest, PoisonShardIsQuarantinedAndTheMergeStaysPartial)
         if (shard == 2)
             std::raise(SIGKILL);
     };
-    WorkerCampaignRunner pool(fleetFingerprint(kSeed, kTrials, kShards),
+    CampaignRunner pool(fleetFingerprint(kSeed, kTrials, kShards),
                               options);
     MetricRegistry metrics;
     const CampaignResult result = pool.runUnit(
@@ -736,7 +736,7 @@ TEST_F(ChaosTest, PoisonShardIsQuarantinedAndTheMergeStaysPartial)
     // Forensics: the quarantine verdict is on disk in the supervisor
     // log, never silently dropped.
     const std::string supervisor =
-        WorkerCampaignRunner::supervisorLogPath(base);
+        CampaignRunner::supervisorLogPath(base);
     ASSERT_TRUE(fileExists(supervisor));
     std::string forensic;
     ASSERT_TRUE(readFile(supervisor, forensic));
@@ -745,11 +745,43 @@ TEST_F(ChaosTest, PoisonShardIsQuarantinedAndTheMergeStaysPartial)
               std::string::npos)
         << forensic;
 
-    for (unsigned slot = 0; slot < WorkerCampaignRunner::kMaxWorkers;
+    for (unsigned slot = 0; slot < CampaignRunner::kMaxWorkers;
          ++slot)
         std::remove(
-            WorkerCampaignRunner::workerLogPath(base, slot).c_str());
+            CampaignRunner::workerLogPath(base, slot).c_str());
     std::remove(supervisor.c_str());
+}
+
+TEST_F(ChaosTest, QuarantineRaisesTheDefaultRoundBudgetItself)
+{
+    SignalGuard::reset();
+    const LifetimeConfig config = chaosFleetConfig();
+    const FleetSimulator simulator(config);
+    constexpr unsigned kTrials = 6;
+    constexpr unsigned kShards = 3;
+    constexpr uint64_t kSeed = 44;
+
+    // One worker pops in shard order: rounds 1 and 2 each die on shard 1
+    // and leave shard 2 unrun, so finishing it after the verdict takes a
+    // third round. The default maxRounds (2) would make that fatal
+    // unless the runner derives maxRounds >= quarantineAfter + 1 itself.
+    CampaignOptions options;
+    options.workers = 1;
+    options.shards = kShards;
+    options.quarantineAfter = 2;
+    options.onWorkerPop = [](unsigned, unsigned, uint64_t shard) {
+        if (shard == 1)
+            std::raise(SIGKILL);
+    };
+    CampaignRunner pool(fleetFingerprint(kSeed, kTrials, kShards),
+                        options);
+    const CampaignResult result = pool.runUnit(
+        "fleet", simulator, chaosFactory(config), kTrials, kSeed,
+        chaosRun());
+    ASSERT_FALSE(result.interrupted);
+    EXPECT_EQ(result.quarantinedShards, (std::vector<unsigned>{1u}));
+    EXPECT_EQ(result.shardsRun, kShards - 1);
+    EXPECT_EQ(pool.shardsQuarantined(), 1u);
 }
 
 } // namespace

@@ -27,17 +27,18 @@
 #include <csignal>
 #include <cstdio>
 #include <set>
+#include <sstream>
 #include <string>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "campaign/campaign.h"
 #include "common/fs.h"
 #include "common/parallel.h"
 #include "common/process.h"
 #include "common/signal_guard.h"
 #include "fleet/fleet_sim.h"
-#include "fleet/worker_pool.h"
 #include "repair/relaxfault_repair.h"
 #include "telemetry/metrics.h"
 #include "tracing/tracer.h"
@@ -199,10 +200,10 @@ tempBase(const std::string &name)
 void
 removeWorkerLogs(const std::string &base)
 {
-    for (unsigned slot = 0; slot < WorkerCampaignRunner::kMaxWorkers;
+    for (unsigned slot = 0; slot < CampaignRunner::kMaxWorkers;
          ++slot)
         std::remove(
-            WorkerCampaignRunner::workerLogPath(base, slot).c_str());
+            CampaignRunner::workerLogPath(base, slot).c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -499,24 +500,75 @@ TEST(FleetInstruments, TracerSeesOneTrialSpanPerTrialAndFaultNodeIds)
     EXPECT_EQ(arrival_nodes, faulty_nodes);
 }
 
-TEST(FleetWorkersDeathTest, TracedWorkerRunIsFatalOnBothEngines)
+/**
+ * A trace's events minus the kinds that carry wall-clock time (Span
+ * durations, Heartbeat shard timings), one line each with the exact
+ * payload and the unit's label.
+ */
+std::vector<std::string>
+deterministicEvents(const Tracer &tracer)
+{
+    const std::vector<std::string> units = tracer.unitLabels();
+    std::vector<std::string> lines;
+    for (const TraceEvent &e : tracer.collect()) {
+        if (e.kind == TraceKind::Span || e.kind == TraceKind::Heartbeat)
+            continue;
+        std::ostringstream line;
+        line << units.at(e.unit) << " id=" << e.id << " parent=" << e.parent
+             << " trial=" << e.trial << " node=" << e.node
+             << " kind=" << static_cast<int>(e.kind)
+             << " sub=" << static_cast<int>(e.sub) << " t=" << std::hexfloat
+             << e.timeHours << std::dec << " a=" << e.a << " b=" << e.b
+             << " c=" << e.c;
+        lines.push_back(line.str());
+    }
+    return lines;
+}
+
+TEST(FleetWorkers, TracedWorkerRunMatchesInProcessTraceOnBothEngines)
 {
     SignalGuard::reset();
     const LifetimeConfig config = fleetConfig(256, 10.0);
     const LifetimeSimulator classic(config);
     const FleetSimulator fleet(config);
-    Tracer tracer;
-    TrialRunOptions run = fleetRun(1);
-    run.tracer = &tracer;
+    const auto factory = relaxFactory(config);
+    constexpr unsigned kTrials = 4;
+    constexpr unsigned kShards = 3;
+    constexpr uint64_t kSeed = 3;
+    const std::string trace_base = tempBase("trace") + ".trace";
+
     for (const LifetimeSimulator *simulator :
          {&classic, static_cast<const LifetimeSimulator *>(&fleet)}) {
-        WorkerOptions options;
-        options.workers = 1;
-        WorkerCampaignRunner pool(fleetFingerprint(3, 2, 1), options);
-        EXPECT_EXIT(pool.runUnit("traced", *simulator,
-                                 relaxFactory(config), 2, 3, run),
-                    ::testing::ExitedWithCode(1),
-                    "worker mode does not support tracing");
+        std::vector<std::string> events[2];
+        for (const unsigned workers : {0u, 2u}) {
+            CampaignOptions options;
+            options.workers = workers;
+            options.shards = kShards;
+            // The classic engine's workers publish named shard files;
+            // the fleet engine's ship theirs through transient ones.
+            if (simulator == &classic)
+                options.tracePath = trace_base;
+            CampaignRunner runner(fleetFingerprint(kSeed, kTrials, kShards),
+                                  options);
+            Tracer tracer;
+            TrialRunOptions run = fleetRun(1);
+            run.tracer = &tracer;
+            run.traceUnit = tracer.registerUnit("traced");
+            const CampaignResult result = runner.runUnit(
+                "traced", *simulator, factory, kTrials, kSeed, run);
+            ASSERT_FALSE(result.interrupted);
+            EXPECT_EQ(result.shardsRun, kShards);
+            EXPECT_EQ(tracer.dropped(), 0u);
+            events[workers == 0 ? 0 : 1] = deterministicEvents(tracer);
+        }
+        ASSERT_FALSE(events[0].empty());
+        EXPECT_EQ(events[0], events[1]);
+    }
+    for (unsigned shard = 0; shard < kShards; ++shard) {
+        const std::string path =
+            trace_base + ".traced.shard" + std::to_string(shard) + ".json";
+        EXPECT_TRUE(fileExists(path)) << path;
+        std::remove(path.c_str());
     }
 }
 
@@ -538,10 +590,10 @@ TEST(FleetWorkers, FleetEngineMatchesInProcessAtOneAndTwoWorkers)
         fleetRun(1, &straight_metrics));
 
     for (const unsigned workers : {1u, 2u}) {
-        WorkerOptions options;
+        CampaignOptions options;
         options.workers = workers;
         options.shards = 4;
-        WorkerCampaignRunner pool(fleetFingerprint(kSeed, kTrials, 4),
+        CampaignRunner pool(fleetFingerprint(kSeed, kTrials, 4),
                                   options);
         MetricRegistry metrics;
         const CampaignResult result = pool.runUnit(
@@ -573,10 +625,10 @@ TEST(FleetWorkers, ClassicEngineMatchesStraightRun)
     const LifetimeSummary straight =
         simulator.runTrials(kTrials, factory, kSeed, straight_run);
 
-    WorkerOptions options;
+    CampaignOptions options;
     options.workers = 2;
     options.shards = 5;
-    WorkerCampaignRunner pool(fleetFingerprint(kSeed, kTrials, 5),
+    CampaignRunner pool(fleetFingerprint(kSeed, kTrials, 5),
                               options);
     MetricRegistry metrics;
     TrialRunOptions run;
@@ -597,10 +649,10 @@ TEST(FleetWorkers, TemporaryCheckpointDirIsRemovedOnDestruction)
     const FleetSimulator simulator(config);
     std::string dir;
     {
-        WorkerOptions options;  // Empty checkpointPath: private scratch.
+        CampaignOptions options;  // Empty checkpointPath: private scratch.
         options.workers = 2;
         options.shards = 2;
-        WorkerCampaignRunner pool(fleetFingerprint(1, 4, 2), options);
+        CampaignRunner pool(fleetFingerprint(1, 4, 2), options);
         const std::string &base = pool.checkpointBasePath();
         EXPECT_EQ(base.rfind("/tmp/relaxfault_fleet.", 0), 0u) << base;
         dir = base.substr(0, base.rfind('/'));
@@ -608,7 +660,7 @@ TEST(FleetWorkers, TemporaryCheckpointDirIsRemovedOnDestruction)
             "fleet", simulator, relaxFactory(config), 4, 1, fleetRun(1));
         ASSERT_FALSE(result.interrupted);
         EXPECT_TRUE(fileExists(
-            WorkerCampaignRunner::workerLogPath(base, 0)));
+            CampaignRunner::workerLogPath(base, 0)));
     }
     // fileExists is regular-file-only; probe the directory directly.
     EXPECT_NE(::access(dir.c_str(), F_OK), 0) << dir;
@@ -635,13 +687,13 @@ runKilledPoolChild(const std::string &base, unsigned shards)
     SignalGuard::reset();
     const LifetimeConfig config = fleetConfig(512, 10.0);
     const FleetSimulator simulator(config);
-    WorkerOptions options;
+    CampaignOptions options;
     options.workers = 2;
     options.checkpointPath = base;
     options.shards = shards;
     options.maxRounds = 1;
     options.killBeforeCommit = 1;
-    WorkerCampaignRunner pool(
+    CampaignRunner pool(
         fleetFingerprint(kKillSeed, kKillTrials, shards), options);
     // Telemetry on: committed shard records must carry their counters
     // so the resumed run can merge them (resume inherits the original
@@ -682,12 +734,12 @@ TEST_P(FleetWorkerKillResume, ResumeAfterSigkillMatchesStraightRun)
     const LifetimeConfig config = fleetConfig(512, 10.0);
     const FleetSimulator simulator(config);
     const auto factory = relaxFactory(config);
-    WorkerOptions options;
+    CampaignOptions options;
     options.workers = 2;
     options.checkpointPath = base;
     options.resume = true;
     options.shards = shards;
-    WorkerCampaignRunner pool(
+    CampaignRunner pool(
         fleetFingerprint(kKillSeed, kKillTrials, shards), options);
     MetricRegistry metrics;
     const CampaignResult resumed = pool.runUnit(
@@ -719,13 +771,13 @@ TEST(FleetWorkersDeathTest, ExhaustedRoundsWithLostShardIsFatal)
     const FleetSimulator simulator(config);
     // A single worker that always dies before committing: round 1 loses
     // the lease deterministically, and maxRounds=1 forbids recovery.
-    WorkerOptions options;
+    CampaignOptions options;
     options.workers = 1;
     options.checkpointPath = base;
     options.shards = 3;
     options.maxRounds = 1;
     options.killBeforeCommit = 1;
-    WorkerCampaignRunner pool(fleetFingerprint(8, 6, 3), options);
+    CampaignRunner pool(fleetFingerprint(8, 6, 3), options);
     EXPECT_EXIT(pool.runUnit("fleet", simulator, relaxFactory(config), 6,
                              8, fleetRun(1)),
                 ::testing::ExitedWithCode(1), "still missing");
@@ -741,11 +793,11 @@ TEST(FleetWorkersDeathTest, ForeignWorkerLogIsNeverMerged)
     const FleetSimulator simulator(config);
     const auto factory = relaxFactory(config);
     {
-        WorkerOptions options;
+        CampaignOptions options;
         options.workers = 1;
         options.checkpointPath = base;
         options.shards = 2;
-        WorkerCampaignRunner pool(fleetFingerprint(1, 4, 2), options);
+        CampaignRunner pool(fleetFingerprint(1, 4, 2), options);
         const CampaignResult result = pool.runUnit(
             "fleet", simulator, factory, 4, 1, fleetRun(1));
         ASSERT_FALSE(result.interrupted);
@@ -753,12 +805,12 @@ TEST(FleetWorkersDeathTest, ForeignWorkerLogIsNeverMerged)
     // Same path, different campaign (seed): the resume scan must refuse
     // the existing worker logs, not silently merge a different
     // experiment's shards.
-    WorkerOptions options;
+    CampaignOptions options;
     options.workers = 1;
     options.checkpointPath = base;
     options.resume = true;
     options.shards = 2;
-    WorkerCampaignRunner pool(fleetFingerprint(2, 4, 2), options);
+    CampaignRunner pool(fleetFingerprint(2, 4, 2), options);
     EXPECT_EXIT(pool.runUnit("fleet", simulator, factory, 4, 2,
                              fleetRun(1)),
                 ::testing::ExitedWithCode(1), "different campaign");

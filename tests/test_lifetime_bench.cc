@@ -92,7 +92,7 @@ TEST(LifetimeBenchFingerprint, InProcessFleetScaleTakesShards)
     CampaignFingerprint fp;
     withArgv({"--shards=3"}, [&](int argc, char **argv) {
         const LifetimeBench harness(argc, argv, bench::kFleetScaleBench);
-        EXPECT_EQ(harness.pool(), nullptr);
+        EXPECT_EQ(harness.runner().workers(), 0u);
         fp = harness.fingerprint();
     });
     EXPECT_EQ(fp.shards, 3u);

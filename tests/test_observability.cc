@@ -30,12 +30,12 @@
 #include <unistd.h>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "common/clock.h"
 #include "common/fs.h"
 #include "common/log.h"
 #include "common/heartbeat.h"
 #include "common/process.h"
-#include "fleet/worker_pool.h"
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
 #include "telemetry/bench_compare.h"
@@ -551,7 +551,7 @@ TEST(WorkerPoolStats, PlanePersistsAndReconcilesWithTheRun)
     fingerprint.shards = 2;
     fingerprint.config = "nodes=128";
 
-    WorkerOptions options;
+    CampaignOptions options;
     options.workers = 2;
     options.shards = 2;
     options.statsPath = tempPath("pool_plane");
@@ -562,7 +562,7 @@ TEST(WorkerPoolStats, PlanePersistsAndReconcilesWithTheRun)
     run.metrics = &registry;
     LifetimeSummary pooled;
     {
-        WorkerCampaignRunner pool(fingerprint, options);
+        CampaignRunner pool(fingerprint, options);
         const CampaignResult result =
             pool.runUnit("unit", simulator, relaxFactory(config),
                          kTrials, fingerprint.seed, run);

@@ -175,31 +175,6 @@ soakUnits()
 }
 
 /**
- * Bit-exact serialization of a unit's summary: every moment of every
- * RunningStat at full double precision. String equality of two digests
- * is the soak's "bit-identical" check.
- */
-std::string
-digestSummary(const std::string &unit, const LifetimeSummary &s)
-{
-    const RunningStat *stats[] = {
-        &s.faultyNodes, &s.multiDeviceFaultDimms, &s.dues, &s.sdcs,
-        &s.replacements, &s.repairedFaults, &s.permanentFaults,
-        &s.fullyRepairedNodes, &s.budgetExhausted,
-        &s.degradedToRetirement, &s.degradedDues, &s.failStops};
-    std::string out = unit + "\n";
-    for (const RunningStat *stat : stats) {
-        char line[200];
-        std::snprintf(line, sizeof(line),
-                      "%zu %.17g %.17g %.17g %.17g %.17g\n", stat->count(),
-                      stat->sum(), stat->mean(), stat->variance(),
-                      stat->min(), stat->max());
-        out += line;
-    }
-    return out;
-}
-
-/**
  * Child body: arm the scenario's failpoints, run the campaign through a
  * worker pool, and publish the digest. Runs after fork; exits through
  * `_exit` in spawnProcess. Stdout/stderr are redirected to `<dir>/log`
@@ -252,7 +227,7 @@ runScenarioChild(const Scenario &scenario, const Combo &combo,
             pool.runUnit(label, simulator, factory, trials, seed, run);
         if (result.interrupted)
             return pool.exitStatus();
-        digest += digestSummary(label, result.summary);
+        digest += label + " " + result.summary.digest() + "\n";
     }
     failpoint::disarmAll();
 
@@ -416,12 +391,14 @@ main(int argc, char **argv)
     baseline_run.parallel.threads = 1;
     std::string baseline;
     for (const auto &[label, spec] : soakUnits())
-        baseline += digestSummary(
-            label, simulator.runTrials(trials,
-                                       makeFactory(
-                                           spec,
-                                           config.faultModel.geometry),
-                                       seed, baseline_run));
+        baseline += label + " " +
+                    simulator
+                        .runTrials(trials,
+                                   makeFactory(spec,
+                                               config.faultModel.geometry),
+                                   seed, baseline_run)
+                        .digest() +
+                    "\n";
 
     std::vector<Scenario> scenarios = makeScenarios(seed);
     if (!only.empty()) {

@@ -12,8 +12,8 @@
  *   fleet_scale --nodes=1000000 --trials=8 --workers=4 --json
  *
  * `--checkpoint`/`--resume`/`--shards`, `--workers=N` (N worker
- * processes over a shared-memory shard ring), `--audit` and `--trace`
- * work exactly as on the fig benches: every combination gives
+ * processes claiming shards through the stats plane), `--audit` and
+ * `--trace` work exactly as on the fig benches: every combination gives
  * bit-identical results. The JSON
  * artifact reports trials/sec, elapsed time, and parent + per-worker
  * peak RSS.

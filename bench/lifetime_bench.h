@@ -29,9 +29,10 @@
  *  - `--profile[=PATH]` arms the SIGPROF sampling profiler (in-process
  *    only); at exit the folded stacks go to PATH (or stderr), the
  *    self-time table to stderr;
- *  - `--stats-plane=PATH` creates the shared-memory stats plane that
- *    `tools/fleet_top` attaches to: one slot per worker, or one slot
- *    in-process.
+ *  - `--stats-plane=PATH` backs the shared-memory stats plane with a
+ *    file that `tools/fleet_top` attaches to: one slot per worker, or
+ *    one slot in-process (worker mode maps it anonymously without the
+ *    flag).
  * The classic engine (Figs. 9-14) adds `--mapping`; Figs. 12-14 add
  * `--degrade`.
  *
@@ -458,6 +459,30 @@ class LifetimeBench
     bool observabilityFinished_ = false;
 };
 
+/** One mechanism row of the Figs. 12-14 repair matrix. */
+struct RepairMatrixRow
+{
+    std::string label;
+    MechanismSpec spec;
+};
+
+/**
+ * The matrix rows in table order: no-repair, PPR, and 1-/4-way
+ * FreeFault and RelaxFault. Each runs as the unit `panel/label`.
+ */
+inline std::vector<RepairMatrixRow>
+repairMatrixRows()
+{
+    return {
+        {"no-repair", MechanismSpec::none()},
+        {"PPR", MechanismSpec::ppr()},
+        {"FreeFault-1way", MechanismSpec::freeFault(1)},
+        {"RelaxFault-1way", MechanismSpec::relaxFault(1)},
+        {"FreeFault-4way", MechanismSpec::freeFault(4)},
+        {"RelaxFault-4way", MechanismSpec::relaxFault(4)},
+    };
+}
+
 /** Metric extractor from a trial summary. */
 using MetricFn = std::function<const RunningStat &(const LifetimeSummary &)>;
 
@@ -480,24 +505,10 @@ runRepairMatrix(LifetimeBench &bench, const LifetimeConfig &config,
         makeAddressMap(config.mapping, geometry);
     const LifetimeSimulator simulator(config);
 
-    struct Row
-    {
-        std::string label;
-        MechanismSpec spec;
-    };
-    const std::vector<Row> rows = {
-        {"no-repair", MechanismSpec::none()},
-        {"PPR", MechanismSpec::ppr()},
-        {"FreeFault-1way", MechanismSpec::freeFault(1)},
-        {"RelaxFault-1way", MechanismSpec::relaxFault(1)},
-        {"FreeFault-4way", MechanismSpec::freeFault(4)},
-        {"RelaxFault-4way", MechanismSpec::relaxFault(4)},
-    };
-
     TextTable table;
     table.setHeader({"mechanism", metric_name, "95%CI", "vs-no-repair"});
     double baseline = 0.0;
-    for (const auto &row : rows) {
+    for (const RepairMatrixRow &row : repairMatrixRows()) {
         const bool none = row.spec.kind == MechanismSpec::Kind::None;
         const CampaignResult result = bench.runUnit(
             panel + "/" + row.label, simulator,

@@ -403,8 +403,8 @@ void
 BM_FailpointDisabledEval(benchmark::State &state)
 {
     // The disabled-failpoint hot path every instrumented syscall (and
-    // ShmRing::tryPop) pays when nothing is armed: one relaxed atomic
-    // load plus a predictable branch. Must stay at the same cost as
+    // every worker shard claim) pays when nothing is armed: one relaxed
+    // atomic load plus a predictable branch. Must stay at the same cost as
     // the disabled telemetry/tracer branches — the registry's
     // zero-cost-when-disabled contract.
     uint64_t work = 0;

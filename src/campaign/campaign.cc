@@ -1,5 +1,7 @@
 #include "campaign/campaign.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -8,6 +10,8 @@
 #include <exception>
 #include <filesystem>
 #include <system_error>
+#include <utility>
+#include <vector>
 
 #include "common/fs.h"
 #include "common/log.h"
@@ -33,6 +37,31 @@ normalized(CampaignOptions options)
                                   options.quarantineAfter + 1});
     options.pollMs = std::max<uint64_t>(1, options.pollMs);
     return options;
+}
+
+/**
+ * Private checkpoint dirs of live runners, each with the pid that made
+ * it. `fatal()` leaves through `std::exit`, which skips the runners'
+ * destructors, so an exit handler removes the dirs instead — only in
+ * the process that made them, because a worker's own `fatal()` runs the
+ * same handler while its parent still needs the dir. Never freed, so no
+ * static destructor runs before the handler.
+ */
+std::vector<std::pair<pid_t, std::string>> &
+privateDirs()
+{
+    static auto *dirs = new std::vector<std::pair<pid_t, std::string>>;
+    return *dirs;
+}
+
+void
+removeOwnPrivateDirs()
+{
+    std::error_code ignored;
+    for (const auto &[owner, dir] : privateDirs()) {
+        if (owner == ::getpid())
+            std::filesystem::remove_all(dir, ignored);
+    }
 }
 
 } // namespace
@@ -76,6 +105,10 @@ CampaignRunner::CampaignRunner(CampaignFingerprint fingerprint,
             if (::mkdtemp(tmpl) == nullptr)
                 fatal("fleet: cannot create temporary checkpoint dir");
             tempDir_ = tmpl;
+            static const int exit_handler =
+                std::atexit(removeOwnPrivateDirs);
+            (void)exit_handler;
+            privateDirs().emplace_back(::getpid(), tempDir_);
             basePath_ = tempDir_ + "/ckpt";
         } else {
             basePath_ = options_.checkpointPath;
@@ -100,10 +133,11 @@ CampaignRunner::CampaignRunner(CampaignFingerprint fingerprint,
     }
 
     // Created before any fork, so every worker inherits the MAP_SHARED
-    // pages and publishes straight into its slot. In-process, slot 0
-    // is announced at once so an observer attaching mid-run sees a
-    // live row.
-    if (!options_.statsPath.empty()) {
+    // pages, claims shards from the plane and publishes straight into
+    // its slot: worker mode always needs it, anonymous unless a path
+    // is given. In-process, slot 0 is announced at once so an observer
+    // attaching mid-run sees a live row.
+    if (options_.workers > 0 || !options_.statsPath.empty()) {
         statsPlane_ = std::make_unique<StatsPlane>(StatsPlane::create(
             options_.statsPath, std::max(1u, options_.workers),
             fingerprint_.campaign));
@@ -123,6 +157,7 @@ CampaignRunner::~CampaignRunner()
         // interrupted unit never merged.
         std::error_code ignored;
         std::filesystem::remove_all(tempDir_, ignored);
+        std::erase(privateDirs(), std::pair(::getpid(), tempDir_));
     }
 }
 

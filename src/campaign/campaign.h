@@ -14,14 +14,15 @@
  * through or was killed and resumed arbitrarily many times.
  *
  * One runner, two executors. `CampaignOptions::workers == 0` runs the
- * shards one after another in this process. `workers > 0` enqueues the
- * uncommitted shard ids in a shared-memory ring, forks that many
- * workers and supervises them: each pops shards, runs them and commits
- * to its OWN log `<checkpoint>.worker<k>`; the parent then scans the
- * worker logs and folds the records in global shard order. Both modes
- * run a shard through the same attempt function and fold its record
- * through the same fold, so telemetry, traces and the stats plane look
- * alike whichever executor ran the shard.
+ * shards one after another in this process. `workers > 0` lists the
+ * uncommitted shard ids, forks that many workers and supervises them
+ * through the stats plane, the one memory region they share: each
+ * claims list indices from the plane's cursor, runs those shards and
+ * commits to its OWN log `<checkpoint>.worker<k>`; the parent then
+ * scans the worker logs and folds the records in global shard order.
+ * Both modes run a shard through the same attempt function and fold its
+ * record through the same fold, so telemetry, traces and the stats
+ * plane look alike whichever executor ran the shard.
  *
  * Crash model:
  *  - SIGKILL / power cut: the checkpoint holds every shard committed
@@ -34,7 +35,7 @@
  *    backoff up to `maxAttempts`, each failure logged as a
  *    `shard_failed` forensic line; exhausting the retries is fatal.
  *  - Worker failure (exception, crash, watchdog kill): the worker's
- *    in-flight shard lease is lost and the next round re-enqueues it,
+ *    in-flight shard lease is lost and the next round lists it again,
  *    up to `maxRounds`; a shard that crashes `quarantineAfter` attempts
  *    is quarantined instead of failing the campaign.
  */
@@ -56,9 +57,6 @@
 #include "telemetry/stats_plane.h"
 
 namespace relaxfault {
-
-class SharedHeartbeats;
-class ShmRing;
 
 /**
  * Gauge every worker stamps into its shard records (and `BenchReport`
@@ -83,8 +81,9 @@ struct CampaignOptions
      * Checkpoint file. In-process, the campaign's log; empty runs
      * without persistence. With workers, the base path: worker `k`
      * commits to `<base>.worker<k>`, and empty uses a private temporary
-     * directory (removed on destruction) — crash-safe within the run,
-     * but not resumable across runs.
+     * directory (removed on destruction, or at exit by the process
+     * that made it) — crash-safe within the run, but not resumable
+     * across runs.
      */
     std::string checkpointPath;
 
@@ -111,12 +110,14 @@ struct CampaignOptions
     std::string tracePath;
 
     /**
-     * Live-stats plane path (`--stats-plane`): non-empty creates a
-     * `StatsPlane` there before the first fork, one slot per worker
-     * (one slot in-process). Shards publish shard/phase/rate/heartbeat
+     * Live-stats plane path (`--stats-plane`): non-empty backs the
+     * `StatsPlane` with a file there, one slot per worker (one slot
+     * in-process), that observers (`tools/fleet_top`) attach to
+     * read-only at any time. Shards publish shard/phase/rate/heartbeat
      * into their slot; the supervisor stamps verdicts (Stalled,
-     * Crashed) and quarantine counts; observers (`tools/fleet_top`)
-     * attach read-only at any time. Empty disables.
+     * Crashed) and quarantine counts. With workers the plane always
+     * exists (empty maps it anonymously), because it carries the shard
+     * claims and leases; in-process, empty disables it.
      */
     std::string statsPath;
 
@@ -149,11 +150,12 @@ struct CampaignOptions
 
     /**
      * Heartbeat watchdog deadline in milliseconds: a worker whose
-     * shared-memory beat counter has not advanced for this long is
+     * stats-plane heartbeat tick has not advanced for this long is
      * SIGKILLed and its in-flight shard lease reclaimed by the next
-     * round. Workers beat when they take and when they commit a shard,
-     * so the deadline must exceed the worst-case wall time of ONE
-     * shard. 0 disables (dead workers are still reaped promptly).
+     * round. Workers beat when they take a shard, at every finished
+     * trial and when they commit, so the deadline must exceed the
+     * worst-case wall time of ONE trial. 0 disables (dead workers are
+     * still reaped promptly).
      */
     uint64_t watchdogMs = 0;
 
@@ -363,10 +365,12 @@ class CampaignRunner
     /** The worker supervisor (supervisor.cc). */
     CampaignResult runPool(const UnitRun &run);
 
-    /** Worker child main loop: pop, run, commit; 0 on clean exit. */
-    int workerMain(const UnitRun &run, ShmRing &ring,
-                   SharedHeartbeats &beats, unsigned slot,
-                   unsigned round) const;
+    /**
+     * Worker child main loop: claim an index of @p pending, run that
+     * shard, commit; 0 on clean exit.
+     */
+    int workerMain(const UnitRun &run, const std::vector<unsigned> &pending,
+                   unsigned slot, unsigned round) const;
 
     CampaignFingerprint fingerprint_;
     CampaignOptions options_;
@@ -375,7 +379,8 @@ class CampaignRunner
     std::string basePath_;   ///< Worker log base.
     std::string tempDir_;    ///< Non-empty: remove on destruction.
     std::string traceBase_;  ///< Shard trace file base; empty = none.
-    std::unique_ptr<StatsPlane> statsPlane_;  ///< Null when disabled.
+    /** Null only in-process without a stats path. */
+    std::unique_ptr<StatsPlane> statsPlane_;
     StatsPublisher publisher_;  ///< In-process slot 0.
     unsigned commits_ = 0;   ///< In-process durable commits (hook).
     int64_t workerPeakRss_ = 0;

@@ -1,11 +1,13 @@
-// The worker executor of CampaignRunner: a shard ring, forked workers,
-// their heartbeats and watchdog, quarantine, rounds and the merge.
+// The worker executor of CampaignRunner: shard claims, forked workers,
+// their watchdog, quarantine, rounds and the merge. The stats plane is
+// the only memory the parent shares with its workers.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -15,16 +17,15 @@
 #include "common/heartbeat.h"
 #include "common/log.h"
 #include "common/process.h"
-#include "common/shm_ring.h"
 #include "telemetry/metrics.h"
 #include "tracing/tracer.h"
 
 namespace relaxfault {
 
 int
-CampaignRunner::workerMain(const UnitRun &run, ShmRing &ring,
-                           SharedHeartbeats &beats, unsigned slot,
-                           unsigned round) const
+CampaignRunner::workerMain(const UnitRun &run,
+                           const std::vector<unsigned> &pending,
+                           unsigned slot, unsigned round) const
 {
     // The forked child inherited the parent's forwarding registry;
     // drop it so a worker never forwards signals to its siblings (the
@@ -35,22 +36,21 @@ CampaignRunner::workerMain(const UnitRun &run, ShmRing &ring,
     CheckpointLog log(path, fingerprint_, /*resume=*/fileExists(path));
     log.setRetryPolicy(options_.checkpointRetry);
 
-    // The worker's live-stats slot (inherited MAP_SHARED pages).
-    // Observation only: everything below publishes into the plane and
-    // reads nothing back from it.
-    StatsPublisher stats;
-    if (statsPlane_ != nullptr) {
-        stats = statsPlane_->publisher(slot);
-        stats.announce(StatsPhase::Idle);
-    }
+    // The worker's slot of the inherited MAP_SHARED plane: its lease,
+    // phase and heartbeat are what the supervisor watches.
+    StatsPublisher stats = statsPlane_->publisher(slot);
+    stats.announce(StatsPhase::Idle);
 
-    unsigned popped = 0;
-    uint64_t shard = 0;
-    while (!SignalGuard::stopRequested() && ring.tryPop(shard)) {
-        ++popped;
+    unsigned claimed = 0;
+    uint64_t index = 0;
+    // `pending` is this process's own copy of the round's list; the
+    // plane only hands out indices into it.
+    while (!SignalGuard::stopRequested() &&
+           statsPlane_->claim(pending.size(), index)) {
+        ++claimed;
+        const unsigned shard = pending[index];
         // Publish the lease BEFORE any injectable step, so the parent
         // can attribute whatever happens next to this shard.
-        beats.startShard(slot, shard);
         stats.beginShard(shard);
         // `fleet.pop` site: a delay here holds the lease without
         // progress (a hang the watchdog must catch); an abort dies
@@ -59,22 +59,19 @@ CampaignRunner::workerMain(const UnitRun &run, ShmRing &ring,
         if (options_.onWorkerPop)
             options_.onWorkerPop(slot, round, shard);
         if (slot == 0 && options_.killBeforeCommit != 0 &&
-            popped >= options_.killBeforeCommit) {
+            claimed >= options_.killBeforeCommit) {
             // Crash-recovery worst case: die holding the shard lease,
-            // before any work or commit. The shard id is gone from the
-            // ring; only a later round (or resume) can recover it.
+            // before any work or commit. No later claim in this round
+            // returns the shard; only a later round (or resume) can.
             std::raise(SIGKILL);
         }
         // An exception ends this worker (spawnProcess exits 125); the
         // lease is lost and the next round re-runs the shard.
         ShardRecord record =
-            runShardAttempt(run, static_cast<unsigned>(shard),
-                            /*attempt=*/1,
-                            stats.enabled() ? &stats : nullptr);
+            runShardAttempt(run, shard, /*attempt=*/1, &stats);
         record.metrics.setGauge(kPeakRssGauge, peakRssBytes());
         stats.setPhase(StatsPhase::Committing);
         log.commit(record);
-        beats.finishShard(slot);
         stats.endShard();
     }
     stats.setPhase(StatsPhase::Done);
@@ -137,43 +134,42 @@ CampaignRunner::runPool(const UnitRun &run)
             fatal("fleet: unit '" + run.unit + "' still missing " +
                   std::to_string(missing()) + " shard(s) after " +
                   std::to_string(options_.maxRounds) +
-                  " worker round(s); inspect " + basePath_ +
-                  ".worker* and resume");
+                  " worker round(s); " +
+                  (tempDir_.empty()
+                       ? "inspect " + basePath_ + ".worker* and resume"
+                       : std::string("pass a checkpoint path to keep the "
+                                     "worker logs and resume")));
         }
 
+        // Built before the fork, so every worker has its own copy; a
+        // claim only needs the plane's cursor, rewound while no worker
+        // is alive.
         std::vector<unsigned> pending;
         for (unsigned shard = 0; shard < shards; ++shard) {
             if (committed.count(shard) == 0 &&
                 quarantined.count(shard) == 0)
                 pending.push_back(shard);
         }
-
-        // Fresh ring per round: capacity >= pending, so every push
-        // succeeds and workers drain it to empty.
-        ShmRing ring = ShmRing::create(pending.size());
-        for (const unsigned shard : pending) {
-            if (!ring.tryPush(shard))
-                panic("fleet: shard ring refused a descriptor below "
-                      "capacity");
-        }
+        StatsPlane &plane = *statsPlane_;
+        plane.resetClaims();
 
         const unsigned live = static_cast<unsigned>(
             std::min<size_t>(options_.workers, pending.size()));
-        SharedHeartbeats beats = SharedHeartbeats::create(live);
-
         std::vector<pid_t> pids(live, -1);  // -1 once reaped.
+        // The lease a slot held when the watchdog stamped it Stalled:
+        // the stamp overwrites the phase the crash attribution reads.
+        std::vector<std::optional<StatsLease>> stalled(live);
         HeartbeatMonitor monitor(clock(), live, options_.watchdogMs);
         for (unsigned slot = 0; slot < live; ++slot) {
-            beats.reset(slot);
-            pids[slot] = spawnProcess([this, &run, &ring, &beats, slot,
+            pids[slot] = spawnProcess([this, &run, &pending, slot,
                                        round]() {
-                return workerMain(run, ring, beats, slot, round);
+                return workerMain(run, pending, slot, round);
             });
             monitor.arm(slot);
             SignalGuard::adoptChild(pids[slot]);
         }
 
-        // Supervision loop: non-blocking reaps plus a beat-counter
+        // Supervision loop: non-blocking reaps plus a heartbeat-tick
         // watchdog, so a hung (not dead) worker can never stall the
         // campaign forever.
         unsigned failures = 0;
@@ -190,11 +186,12 @@ CampaignRunner::runPool(const UnitRun &run)
                     if (status->ok())
                         continue;
                     ++failures;
+                    const StatsLease lease =
+                        stalled[slot].value_or(plane.lease(slot));
                     // Supervision verdict for observers: the worker is
                     // gone, so its slot would otherwise freeze showing
                     // a stale Running phase.
-                    if (statsPlane_ != nullptr)
-                        statsPlane_->markPhase(slot, StatsPhase::Crashed);
+                    plane.markPhase(slot, StatsPhase::Crashed);
                     const std::string cause =
                         status->signaled
                             ? "killed by signal " +
@@ -202,11 +199,11 @@ CampaignRunner::runPool(const UnitRun &run)
                             : "exited with status " +
                                   std::to_string(status->exitCode);
                     std::string note;
-                    if (beats.working(slot)) {
+                    if (lease.held()) {
                         // Died holding a lease: charge the in-flight
                         // shard — the forensic input of quarantine.
                         const auto shard =
-                            static_cast<unsigned>(beats.shard(slot));
+                            static_cast<unsigned>(lease.shard);
                         ++crashCounts[shard];
                         note = " while running shard " +
                                std::to_string(shard) + " (attempt " +
@@ -216,10 +213,12 @@ CampaignRunner::runPool(const UnitRun &run)
                          cause + note);
                     continue;
                 }
-                if (!monitor.stale(slot, beats.beats(slot)))
+                const StatsLease lease = plane.lease(slot);
+                if (!monitor.stale(slot, lease.heartbeatTick))
                     continue;
-                // Stalled: no beat within the deadline. SIGKILL and let
-                // the normal reap path attribute the in-flight shard.
+                // Stalled: no finished trial within the deadline.
+                // SIGKILL and let the normal reap path attribute the
+                // in-flight shard.
                 warn("fleet: worker " + std::to_string(slot) +
                      " (pid " + std::to_string(pid) + ") missed the " +
                      std::to_string(options_.watchdogMs) +
@@ -227,8 +226,8 @@ CampaignRunner::runPool(const UnitRun &run)
                 ++workersStalled_;
                 if (metrics != nullptr)
                     metrics->counter("fleet.workers_stalled").add(1);
-                if (statsPlane_ != nullptr)
-                    statsPlane_->markPhase(slot, StatsPhase::Stalled);
+                stalled[slot] = lease;
+                plane.markPhase(slot, StatsPhase::Stalled);
                 killProcess(pid, SIGKILL);
                 // Restart the staleness window so the kill is not
                 // re-issued every poll until the reap lands.
@@ -255,8 +254,7 @@ CampaignRunner::runPool(const UnitRun &run)
                 ++shardsQuarantined_;
                 if (metrics != nullptr)
                     metrics->counter("fleet.shards_quarantined").add(1);
-                if (statsPlane_ != nullptr)
-                    statsPlane_->noteQuarantine();
+                statsPlane_->noteQuarantine();
                 const std::string forensic = supervisorLogPath(basePath_);
                 CheckpointLog supervisor(forensic, fingerprint_,
                                          /*resume=*/fileExists(forensic));
@@ -294,8 +292,7 @@ CampaignRunner::runPool(const UnitRun &run)
     // Quarantined shards have no record — they are reported, never
     // silently dropped.
     const PhaseScope merge_scope(Phase::Merge);
-    if (statsPlane_ != nullptr)
-        statsPlane_->markPhase(0, StatsPhase::Merging);
+    statsPlane_->markPhase(0, StatsPhase::Merging);
     for (unsigned shard = 0; shard < shards; ++shard) {
         if (quarantined.count(shard) != 0)
             result.quarantinedShards.push_back(shard);
@@ -303,8 +300,7 @@ CampaignRunner::runPool(const UnitRun &run)
             fold(run, std::move(committed.at(shard)),
                  resumed.count(shard) != 0, result);
     }
-    if (statsPlane_ != nullptr)
-        statsPlane_->markPhase(0, StatsPhase::Done);
+    statsPlane_->markPhase(0, StatsPhase::Done);
     if (!result.quarantinedShards.empty())
         warn("fleet: unit '" + run.unit + "' merged WITHOUT " +
              std::to_string(result.quarantinedShards.size()) +

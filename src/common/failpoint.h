@@ -107,7 +107,7 @@ enum class FailpointSite : unsigned
     FsRename,     ///< `fs.rename` — the atomic publish rename.
     FsClose,      ///< `fs.close` — the close after fsync.
     CkptPublish,  ///< `ckpt.publish` — once per checkpoint publish.
-    ShmPop,       ///< `shm.pop` — every ShmRing::tryPop (delay races).
+    ShmPop,       ///< `shm.pop` — every worker shard claim (delay races).
     FleetPop,     ///< `fleet.pop` — after a worker takes a shard lease.
     kCount,
 };

@@ -1,27 +1,20 @@
 /**
  * @file
- * Shared-memory worker heartbeats for the fleet watchdog.
+ * The fleet watchdog's staleness tracker.
  *
- * Each worker slot owns one cache-line-aligned record in an anonymous
- * `MAP_SHARED` mapping created before the fork (same lifecycle as
- * `ShmRing`). Workers publish *progress counters*, not timestamps: a
- * worker bumps its beat counter when it takes a shard and when it
- * commits one, and the parent watches the counter from the outside. A
+ * Workers publish *progress counters*, not timestamps: each worker slot
+ * of the stats plane carries a monotone heartbeat tick that advances
+ * when the worker takes a shard, at every finished trial and when it
+ * commits the shard. The parent watches the counter from the outside. A
  * stalled worker is one whose counter has not moved for longer than the
- * watchdog deadline *measured on the parent's own clock* — no clock is
+ * watchdog deadline *measured on the parent's own clock*: no clock is
  * ever shared across the process boundary, so a FakeClock parent and a
  * real-time worker compose without skew.
- *
- * The record also carries the worker's in-flight shard (`working` +
- * `shard`), which is how the supervisor attributes a crash or a
- * watchdog kill to the shard that caused it — the forensic input of the
- * quarantine policy.
  */
 
 #ifndef RELAXFAULT_COMMON_HEARTBEAT_H
 #define RELAXFAULT_COMMON_HEARTBEAT_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -30,65 +23,6 @@
 
 namespace relaxfault {
 
-/** Fork-shared per-worker progress records. */
-class SharedHeartbeats
-{
-  public:
-    /**
-     * Allocate @p slots records in anonymous shared memory (fatal on
-     * mmap failure). Create before forking the workers that will beat.
-     */
-    static SharedHeartbeats create(size_t slots);
-
-    ~SharedHeartbeats();
-
-    SharedHeartbeats(SharedHeartbeats &&other) noexcept;
-    SharedHeartbeats &operator=(SharedHeartbeats &&other) noexcept;
-    SharedHeartbeats(const SharedHeartbeats &) = delete;
-    SharedHeartbeats &operator=(const SharedHeartbeats &) = delete;
-
-    /** Worker: mark @p shard in flight on @p slot (bumps the beat). */
-    void startShard(size_t slot, uint64_t shard);
-
-    /** Worker: mark @p slot idle again after a commit (bumps the beat). */
-    void finishShard(size_t slot);
-
-    /** Worker: record liveness without changing the in-flight state. */
-    void beat(size_t slot);
-
-    /** Parent: monotone beat counter of @p slot. */
-    uint64_t beats(size_t slot) const;
-
-    /** Parent: true while @p slot has a shard in flight. */
-    bool working(size_t slot) const;
-
-    /** Parent: the in-flight (or last started) shard of @p slot. */
-    uint64_t shard(size_t slot) const;
-
-    /** Parent: clear @p slot before (re)spawning a worker on it. */
-    void reset(size_t slot);
-
-    size_t slots() const { return slots_; }
-
-  private:
-    struct alignas(64) Slot
-    {
-        std::atomic<uint64_t> beats{0};
-        std::atomic<uint64_t> shard{0};
-        std::atomic<uint32_t> working{0};
-    };
-
-    static_assert(std::atomic<uint64_t>::is_always_lock_free,
-                  "shared heartbeats require lock-free 64-bit atomics");
-
-    SharedHeartbeats(void *map, size_t bytes, size_t slots);
-
-    void *map_ = nullptr;
-    size_t bytes_ = 0;
-    size_t slots_ = 0;
-    Slot *records_ = nullptr;
-};
-
 /**
  * Parent-side staleness tracker over the workers' beat counters.
  *
@@ -96,10 +30,11 @@ class SharedHeartbeats
  * observed value — never by ordering — so a counter that wraps past
  * `UINT64_MAX` still registers as progress (any change is a beat; the
  * only blind spot is a counter that wraps exactly back to its previous
- * value between two polls, which at one bump per shard cannot happen
- * within a deadline). A worker that never beats at all (zero-tick: its
- * counter stays at the reset value) is stale once the deadline elapses
- * from `arm()` — staleness needs no first beat to start the window.
+ * value between two polls, which cannot happen within a deadline). A
+ * worker that never beats at all (zero-tick) is stale once the
+ * deadline elapses from `arm()`, or from the first poll when its slot's
+ * counter carries over from an earlier worker — staleness needs no
+ * first beat to start the window.
  *
  * Deadlines are measured on the clock handed to the constructor — the
  * parent's own clock, per the no-shared-clock rule above — so tests
@@ -147,9 +82,6 @@ class HeartbeatMonitor
             return false;
         return clock_->elapsedMs(tracked.windowStart) >= deadlineMs_;
     }
-
-    size_t slots() const { return slots_.size(); }
-    uint64_t deadlineMs() const { return deadlineMs_; }
 
   private:
     struct Tracked

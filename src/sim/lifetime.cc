@@ -1,7 +1,9 @@
 #include "sim/lifetime.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <vector>
 
 #include "audit/invariants.h"
@@ -98,6 +100,32 @@ LifetimeSummary::merge(const LifetimeSummary &other)
     degradedToRetirement.merge(other.degradedToRetirement);
     degradedDues.merge(other.degradedDues);
     failStops.merge(other.failStops);
+}
+
+std::string
+LifetimeSummary::digest() const
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    const auto mix = [&hash](uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    for (const RunningStat *stat :
+         {&faultyNodes, &multiDeviceFaultDimms, &dues, &sdcs,
+          &replacements, &repairedFaults, &permanentFaults,
+          &fullyRepairedNodes, &budgetExhausted, &degradedToRetirement,
+          &degradedDues, &failStops}) {
+        mix(stat->count());
+        for (const double value : {stat->mean(), stat->variance(),
+                                   stat->sum(), stat->min(), stat->max()})
+            mix(std::bit_cast<uint64_t>(value));
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return hex;
 }
 
 TrialTelemetry::TrialTelemetry(MetricRegistry *registry,

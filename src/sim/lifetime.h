@@ -154,6 +154,14 @@ struct LifetimeSummary
 
     /** Fold another summary in (Chan's merge, metric by metric). */
     void merge(const LifetimeSummary &other);
+
+    /**
+     * FNV-1a over the bit patterns of every statistic (count, mean,
+     * variance, sum, min, max of each metric), as 16 hex digits. Equal
+     * digests mean bit-identical summaries; the result pins
+     * (`tests/result_pins.txt`) and `chaos_soak` compare these.
+     */
+    std::string digest() const;
 };
 
 /** Invariant-audit cadence during lifetime trials. */

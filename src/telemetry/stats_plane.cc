@@ -133,22 +133,28 @@ StatsPlane::create(const std::string &path, size_t slots,
               " slots exceeds the cap of " + std::to_string(kMaxSlots));
     const size_t bytes = kSlotsOffset + slots * sizeof(Slot);
 
-    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        fatal("stats plane: cannot create " + path + ": " +
-              std::strerror(errno));
-    if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        fatal("stats plane: cannot size " + path + ": " +
-              std::strerror(err));
+    int fd = -1;
+    if (!path.empty()) {
+        fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+        if (fd < 0)
+            fatal("stats plane: cannot create " + path + ": " +
+                  std::strerror(errno));
+        if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
+            const int err = errno;
+            ::close(fd);
+            fatal("stats plane: cannot size " + path + ": " +
+                  std::strerror(err));
+        }
     }
-    void *map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
+    void *map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     fd < 0 ? MAP_SHARED | MAP_ANONYMOUS : MAP_SHARED,
                      fd, 0);
-    ::close(fd);
+    if (fd >= 0)
+        ::close(fd);
     if (map == MAP_FAILED)
-        fatal("stats plane: mmap of " + path + " failed: " +
-              std::strerror(errno));
+        fatal("stats plane: mmap of " +
+              (path.empty() ? std::string("anonymous memory") : path) +
+              " failed: " + std::strerror(errno));
 
     StatsPlane plane(map, bytes, /*writable=*/true);
     Header *header = new (plane.header()) Header;
@@ -168,6 +174,7 @@ StatsPlane::create(const std::string &path, size_t slots,
     header->startEpochMs.store(runTimestampMs(),
                                std::memory_order_relaxed);
     header->quarantinedShards.store(0, std::memory_order_relaxed);
+    header->claimCursor.store(0, std::memory_order_relaxed);
     header->magic.store(kMagic, std::memory_order_release);
     return plane;
 }
@@ -362,6 +369,36 @@ StatsPlane::markPhase(size_t index, StatsPhase phase)
     s->updateEpochMs.store(runTimestampMs(), std::memory_order_relaxed);
 }
 
+StatsLease
+StatsPlane::lease(size_t index) const
+{
+    StatsLease out;
+    if (index >= slots())
+        return out;
+    const Slot *s = slot(index);
+    out.heartbeatTick = s->heartbeatTick.load(std::memory_order_acquire);
+    out.phase = static_cast<StatsPhase>(
+        s->phase.load(std::memory_order_acquire));
+    out.shard = s->shard.load(std::memory_order_relaxed);
+    return out;
+}
+
+void
+StatsPlane::resetClaims()
+{
+    header()->claimCursor.store(0, std::memory_order_release);
+}
+
+bool
+StatsPlane::claim(uint64_t count, uint64_t &index)
+{
+    // `shm.pop` delay site: stretches the window between two claims, to
+    // exercise lease-timeout races in the worker supervisor.
+    failpoint::eval(FailpointSite::ShmPop);
+    index = header()->claimCursor.fetch_add(1, std::memory_order_acq_rel);
+    return index < count;
+}
+
 void
 StatsPublisher::announce(StatsPhase phase)
 {
@@ -388,8 +425,9 @@ StatsPublisher::beginShard(uint64_t shard)
     slot_->heartbeatTick.fetch_add(1, std::memory_order_relaxed);
     SeqWrite frame(slot_->seq);
     slot_->shard.store(shard, std::memory_order_relaxed);
+    // Release: a supervisor that sees Running (`lease`) sees this shard.
     slot_->phase.store(static_cast<uint64_t>(StatsPhase::Running),
-                       std::memory_order_relaxed);
+                       std::memory_order_release);
     slot_->updateEpochMs.store(runTimestampMs(),
                                std::memory_order_relaxed);
 }

@@ -3,7 +3,8 @@
  * Live campaign stats: a fixed-layout shared-memory region any process
  * can observe while workers run.
  *
- * The plane is a file-backed `MAP_SHARED` mapping: a versioned header
+ * The plane is a `MAP_SHARED` mapping, file-backed for observers or
+ * anonymous when only forked workers need it: a versioned header
  * followed by one cache-line-padded slot per worker. Writers (the
  * campaign workers, or the in-process trial engine) update their slot
  * in place; observers (`tools/fleet_top`, tests, a curious shell) map
@@ -17,11 +18,18 @@
  * snapshot is impossible and a stalled *reader* costs the writer
  * nothing.
  *
- * Observation-only, by construction: publishing consumes no RNG and
- * writes only to the plane, so enabling it cannot change a single
- * simulation verdict (bit-identity is test- and CI-enforced). The
- * disabled path is a null `StatsPublisher *` and one predictable branch
- * per trial, pinned in the sub-ns class by `micro_hotpaths`.
+ * In worker mode the plane is also the only memory the campaign shares
+ * across `fork`: the header holds the shard-claim cursor, and the
+ * worker supervisor reads each slot's phase, shard and heartbeat tick
+ * (with plain acquire loads, never the seqlock) to run its watchdog
+ * and to charge a crash to the shard its worker held.
+ *
+ * The plane never affects results: publishing consumes no RNG, and
+ * which worker claims which shard changes nothing, because the merge
+ * folds shards in global order (bit-identity is test- and
+ * CI-enforced). The disabled path is a null `StatsPublisher *` and one
+ * predictable branch per trial, pinned in the sub-ns class by
+ * `micro_hotpaths`.
  */
 
 #ifndef RELAXFAULT_TELEMETRY_STATS_PLANE_H
@@ -68,25 +76,49 @@ struct StatsSlotSample
 class StatsPublisher;
 
 /**
- * The mapped region. `create` builds (or truncates) the backing file
- * and is the writer side; `attach` maps an existing plane read-only and
- * is the observer side. The mapping is inherited across fork, so a
- * campaign parent creates the plane once and every worker publishes
- * into its own slot through the shared pages.
+ * The supervisor's view of one slot: three single atomic loads, taken
+ * without the seqlock (see `StatsPlane::lease`).
+ */
+struct StatsLease
+{
+    StatsPhase phase = StatsPhase::Idle;
+    uint64_t shard = 0;          ///< Meaningful only while `held()`.
+    uint64_t heartbeatTick = 0;  ///< Monotone liveness counter.
+
+    /** True while the slot's worker holds a shard (Running/Committing). */
+    bool held() const
+    {
+        return phase == StatsPhase::Running ||
+               phase == StatsPhase::Committing;
+    }
+};
+
+/**
+ * The mapped region. `create` builds (or truncates) the backing file,
+ * or maps anonymous memory, and is the writer side; `attach` maps an
+ * existing plane read-only and is the observer side. The mapping is
+ * inherited across fork, so a campaign parent creates the plane once
+ * and every worker claims shards and publishes into its own slot
+ * through the shared pages.
  */
 class StatsPlane
 {
   public:
     static constexpr uint64_t kMagic = 0x31534154'53465258ull; // "XRFSTATS1"
-    /** 2: slot 0 starts at a Slot-aligned offset, not right after the header. */
-    static constexpr uint32_t kVersion = 2;
+    /**
+     * 2: slot 0 starts at a Slot-aligned offset, not right after the
+     * header. 3: the header carries the shard-claim cursor.
+     */
+    static constexpr uint32_t kVersion = 3;
     static constexpr size_t kMaxSlots = 256;
     static constexpr size_t kCampaignBytes = 64;
 
     /**
      * Create a plane with @p slots worker slots backed by @p path
-     * (created or truncated; fatal on I/O failure). @p campaign is a
-     * short label observers display (truncated to fit the header).
+     * (created or truncated; fatal on I/O failure). An empty @p path
+     * maps anonymous shared memory instead: forked children still share
+     * it, but no observer can attach. @p campaign is a short label
+     * observers display (truncated to fit the header).
      */
     static StatsPlane create(const std::string &path, size_t slots,
                              const std::string &campaign);
@@ -141,6 +173,28 @@ class StatsPlane
     /** Parent: stamp a supervision verdict into a worker's slot. */
     void markPhase(size_t slot, StatsPhase phase);
 
+    /**
+     * Supervisor: slot @p slot's phase, shard and heartbeat tick, read
+     * with plain acquire loads. Never goes through `readSlot`: a worker
+     * SIGKILLed in the middle of a publish leaves the sequence word odd
+     * for good. The worker stores the shard before the phase, so a
+     * Running or Committing phase comes with its own shard.
+     */
+    StatsLease lease(size_t slot) const;
+
+    /** Parent, while no worker is alive: rewind the shard-claim cursor. */
+    void resetClaims();
+
+    /**
+     * Worker: claim the next index of a @p count-long pending list into
+     * @p index; false once the cursor is past its end. One `fetch_add`
+     * hands concurrent claimers in any process distinct indices, and
+     * the bounds check keeps a cursor that anyone with write access to
+     * a file-backed plane scribbled on from indexing past the list.
+     * Evaluates the `shm.pop` failpoint once per call.
+     */
+    bool claim(uint64_t count, uint64_t &index);
+
   private:
     friend class StatsPublisher;
 
@@ -154,6 +208,7 @@ class StatsPlane
         std::atomic<uint64_t> ownerPid;
         std::atomic<uint64_t> startEpochMs;
         std::atomic<uint64_t> quarantinedShards;
+        std::atomic<uint64_t> claimCursor;  ///< Next pending-list index.
         char campaign[kCampaignBytes];
     };
 

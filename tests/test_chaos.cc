@@ -31,11 +31,11 @@
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
-#include "common/shm_ring.h"
 #include "common/signal_guard.h"
 #include "fleet/fleet_sim.h"
 #include "repair/relaxfault_repair.h"
 #include "telemetry/metrics.h"
+#include "telemetry/stats_plane.h"
 
 namespace relaxfault {
 namespace {
@@ -530,7 +530,7 @@ TEST_F(ChaosDeathTest, PublishExhaustionIsFatalWithASiteDiagnostic)
 }
 
 // ---------------------------------------------------------------------
-// shm ring: injected pop delays run on the failpoint clock.
+// Shard claims: injected `shm.pop` delays run on the failpoint clock.
 
 TEST_F(ChaosTest, ShmPopDelaySleepsOnTheInjectedClock)
 {
@@ -543,15 +543,13 @@ TEST_F(ChaosTest, ShmPopDelaySleepsOnTheInjectedClock)
     spec.n = 2;
     arm(FailpointSite::ShmPop, spec);
 
-    ShmRing ring = ShmRing::create(4);
-    ASSERT_TRUE(ring.tryPush(11));
-    ASSERT_TRUE(ring.tryPush(22));
-    uint64_t value = 0;
-    ASSERT_TRUE(ring.tryPop(value));
-    EXPECT_EQ(value, 11u);
-    ASSERT_TRUE(ring.tryPop(value));  // 2nd pop: the delay fires here.
-    EXPECT_EQ(value, 22u);
-    EXPECT_FALSE(ring.tryPop(value));  // 3rd eval, no fire.
+    StatsPlane plane = StatsPlane::create("", 1, "claim_delay");
+    uint64_t index = 0;
+    ASSERT_TRUE(plane.claim(2, index));
+    EXPECT_EQ(index, 0u);
+    ASSERT_TRUE(plane.claim(2, index));  // 2nd claim: the delay fires here.
+    EXPECT_EQ(index, 1u);
+    EXPECT_FALSE(plane.claim(2, index));  // 3rd eval, no fire.
 
     const std::vector<std::chrono::milliseconds> expected = {
         std::chrono::milliseconds(7)};
@@ -750,6 +748,42 @@ TEST_F(ChaosTest, PoisonShardIsQuarantinedAndTheMergeStaysPartial)
         std::remove(
             CampaignRunner::workerLogPath(base, slot).c_str());
     std::remove(supervisor.c_str());
+}
+
+TEST_F(ChaosTest, HangingShardIsQuarantinedAfterWatchdogKills)
+{
+    SignalGuard::reset();
+    const LifetimeConfig config = chaosFleetConfig();
+    const FleetSimulator simulator(config);
+    constexpr unsigned kTrials = 6;
+    constexpr unsigned kShards = 3;
+    constexpr uint64_t kSeed = 45;
+
+    // Shard 1 hangs in every round: whichever worker claims it sleeps
+    // far past the deadline and is SIGKILLed by the watchdog. The stamp
+    // of Stalled overwrites the slot's phase, so the kill is charged to
+    // shard 1 only if the supervisor kept the lease it read before
+    // stamping — after two kills the shard must be quarantined.
+    CampaignOptions options;
+    options.workers = 2;
+    options.shards = kShards;
+    options.quarantineAfter = 2;
+    options.watchdogMs = 250;
+    options.pollMs = 5;
+    options.onWorkerPop = [](unsigned, unsigned, uint64_t shard) {
+        if (shard == 1)
+            ::sleep(600);  // Far past the deadline; SIGKILL ends it.
+    };
+    CampaignRunner pool(fleetFingerprint(kSeed, kTrials, kShards),
+                        options);
+    const CampaignResult result = pool.runUnit(
+        "fleet", simulator, chaosFactory(config), kTrials, kSeed,
+        chaosRun());
+    ASSERT_FALSE(result.interrupted);
+    EXPECT_EQ(result.quarantinedShards, (std::vector<unsigned>{1u}));
+    EXPECT_EQ(result.shardsRun, kShards - 1);
+    EXPECT_EQ(pool.shardsQuarantined(), 1u);
+    EXPECT_GE(pool.workersStalled(), 2u);
 }
 
 TEST_F(ChaosTest, QuarantineRaisesTheDefaultRoundBudgetItself)

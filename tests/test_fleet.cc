@@ -14,8 +14,8 @@
  *    match too, resumed or not.
  *  - The shared trial loop's instruments (auditor, tracer) reach the
  *    fleet engine without changing its results.
- *  - The multi-process worker pool (forked workers over the shared
- *    shard ring) matches the in-process run at any worker count, on
+ *  - The multi-process worker pool (forked workers claiming shards
+ *    through the stats plane) matches the in-process run at any worker count, on
  *    both the fleet and the classic engine, including after a worker
  *    is genuinely SIGKILLed holding a shard lease and the run is
  *    resumed from the surviving worker checkpoints.
@@ -26,6 +26,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -782,6 +783,41 @@ TEST(FleetWorkersDeathTest, ExhaustedRoundsWithLostShardIsFatal)
                              8, fleetRun(1)),
                 ::testing::ExitedWithCode(1), "still missing");
     removeWorkerLogs(base);
+}
+
+TEST(FleetWorkersDeathTest, ExhaustedRoundsRemoveThePrivateCheckpointDir)
+{
+    SignalGuard::reset();
+    const std::string note = tempBase("private_dir_note");
+    std::remove(note.c_str());
+    const LifetimeConfig config = fleetConfig(256, 10.0);
+    const FleetSimulator simulator(config);
+    // No checkpoint path: the runner works in a private temp dir. The
+    // only worker dies holding its first lease and maxRounds=1 makes
+    // that fatal; fatal() skips the runner's destructor, so the exit
+    // handler must remove the dir. The death-test child records the
+    // dir it made before running.
+    EXPECT_EXIT(
+        {
+            CampaignOptions options;
+            options.workers = 1;
+            options.shards = 2;
+            options.maxRounds = 1;
+            options.killBeforeCommit = 1;
+            CampaignRunner pool(fleetFingerprint(9, 4, 2), options);
+            const std::string &base = pool.checkpointBasePath();
+            if (!atomicWriteFile(note, base.substr(0, base.rfind('/'))))
+                std::_Exit(3);
+            pool.runUnit("fleet", simulator, relaxFactory(config), 4, 9,
+                         fleetRun(1));
+        },
+        ::testing::ExitedWithCode(1),
+        "still missing.*pass a checkpoint path to keep the worker logs");
+    std::string dir;
+    ASSERT_TRUE(readFile(note, dir));
+    EXPECT_EQ(dir.rfind("/tmp/relaxfault_fleet.", 0), 0u) << dir;
+    EXPECT_NE(::access(dir.c_str(), F_OK), 0) << dir << " leaked";
+    std::remove(note.c_str());
 }
 
 TEST(FleetWorkersDeathTest, ForeignWorkerLogIsNeverMerged)

@@ -12,6 +12,9 @@
  *    (exact double equality — the ISSUE's acceptance bar).
  *  - Seqlock snapshots are never torn, including under a concurrent
  *    writer and across a real fork.
+ *  - The plane's claim cursor hands every shard of a pending list to
+ *    exactly one claimer across forked workers and threads, and a
+ *    cursor past the list ends every claim loop.
  *  - `HeartbeatMonitor` staleness is wraparound-safe, catches zero-tick
  *    workers, and measures only the parent's own clock.
  *  - `sim.peak_rss_bytes` folds max-within-process / max-across-shards
@@ -22,9 +25,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cctype>
 #include <csignal>
+#include <cstdint>
+#include <new>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -251,6 +259,126 @@ TEST(StatsPlane, ForkedChildPublishesThroughSharedPages)
     EXPECT_EQ(sample.shard, 7u);
     EXPECT_EQ(sample.trialsCompleted, 9u);
     std::remove(path.c_str());
+}
+
+TEST(StatsPlane, AttachRefusesAVersion2Plane)
+{
+    const std::string path = tempPath("plane_v2");
+    {
+        const StatsPlane plane = StatsPlane::create(path, 1, "v2_test");
+    }
+    // Rewrite the version word, which follows the 8-byte magic, to the
+    // layout before the header carried the claim cursor.
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    const uint32_t version = 2;
+    EXPECT_EQ(::pwrite(fd, &version, sizeof version, 8),
+              static_cast<ssize_t>(sizeof version));
+    ::close(fd);
+    std::string error;
+    EXPECT_EQ(StatsPlane::attach(path, &error), nullptr);
+    EXPECT_NE(error.find("unsupported stats plane version 2"),
+              std::string::npos)
+        << error;
+    std::remove(path.c_str());
+}
+
+TEST(StatsPlane, LeaseReadsPhaseShardAndTickOfASlot)
+{
+    StatsPlane plane = StatsPlane::create("", 2, "lease_test");
+    StatsPublisher pub = plane.publisher(1);
+    pub.announce(StatsPhase::Idle);
+    EXPECT_FALSE(plane.lease(1).held());
+
+    pub.beginShard(9);
+    StatsLease lease = plane.lease(1);
+    EXPECT_TRUE(lease.held());
+    EXPECT_EQ(lease.phase, StatsPhase::Running);
+    EXPECT_EQ(lease.shard, 9u);
+    const uint64_t tick = lease.heartbeatTick;
+    pub.trialStarted();
+    pub.trialFinished();
+    EXPECT_GT(plane.lease(1).heartbeatTick, tick);
+    pub.setPhase(StatsPhase::Committing);
+    EXPECT_TRUE(plane.lease(1).held());
+
+    // A supervisor stamp replaces the phase but keeps the shard.
+    plane.markPhase(1, StatsPhase::Stalled);
+    lease = plane.lease(1);
+    EXPECT_FALSE(lease.held());
+    EXPECT_EQ(lease.shard, 9u);
+    EXPECT_FALSE(plane.lease(0).held());
+}
+
+// ---------------------------------------------------------------------
+// Shard claims: the plane's cursor hands out every index exactly once.
+
+TEST(StatsPlaneClaims, ForkedWorkersAndThreadsClaimEveryShardOnce)
+{
+    constexpr uint64_t kShards = 1000;
+    constexpr int kWorkers = 4;
+    constexpr int kThreads = 4;
+    StatsPlane plane = StatsPlane::create("", 1, "claim_test");
+    // One claim counter per shard, in memory the forked claimers share.
+    const size_t bytes = kShards * sizeof(std::atomic<uint32_t>);
+    void *map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(map, MAP_FAILED);
+    auto *claims = new (map) std::atomic<uint32_t>[kShards]();
+
+    // 0 when the loop ended on an index past the list, as it must.
+    const auto claim_all = [&plane, claims]() {
+        uint64_t index = 0;
+        while (plane.claim(kShards, index))
+            claims[index].fetch_add(1, std::memory_order_relaxed);
+        return index >= kShards ? 0 : 1;
+    };
+    plane.resetClaims();
+    std::vector<pid_t> pids;
+    for (int i = 0; i < kWorkers; ++i)
+        pids.push_back(spawnProcess(claim_all));
+    {
+        std::vector<std::jthread> threads;
+        for (int i = 0; i < kThreads; ++i)
+            threads.emplace_back([&claim_all] { EXPECT_EQ(claim_all(), 0); });
+    }
+    for (const pid_t pid : pids) {
+        const ProcessStatus status = waitProcess(pid);
+        EXPECT_TRUE(status.ok()) << "claimer exit " << status.exitCode;
+    }
+    for (uint64_t shard = 0; shard < kShards; ++shard)
+        ASSERT_EQ(claims[shard].load(), 1u) << "shard " << shard;
+    ::munmap(map, bytes);
+}
+
+TEST(StatsPlaneClaims, OutOfRangeCursorEndsTheClaimLoop)
+{
+    // Anyone with write access to a file-backed plane can move the
+    // cursor; a value past the list must end the loop, never index
+    // past the worker's copy of it.
+    const std::string path = tempPath("plane_cursor");
+    StatsPlane plane = StatsPlane::create(path, 1, "claim_range");
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    uint64_t index = 0;
+    for (const uint64_t cursor :
+         {uint64_t{10}, uint64_t{11}, uint64_t{1} << 40, UINT64_MAX - 1}) {
+        // The cursor is the header's word after the quarantine count,
+        // at byte 48; the write lands in the shared mapping's pages.
+        ASSERT_EQ(::pwrite(fd, &cursor, sizeof cursor, 48),
+                  static_cast<ssize_t>(sizeof cursor));
+        EXPECT_FALSE(plane.claim(10, index));
+        EXPECT_EQ(index, cursor);
+    }
+    ::close(fd);
+    std::remove(path.c_str());
+    plane.resetClaims();
+    for (uint64_t expected = 0; expected < 10; ++expected) {
+        ASSERT_TRUE(plane.claim(10, index));
+        EXPECT_EQ(index, expected);
+    }
+    EXPECT_FALSE(plane.claim(10, index));
+    EXPECT_FALSE(plane.claim(10, index));
 }
 
 // ---------------------------------------------------------------------

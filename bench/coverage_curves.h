@@ -1,6 +1,8 @@
 /**
  * @file
- * Shared driver for the Fig. 10 / Fig. 11 coverage-vs-capacity curves.
+ * Shared driver for the Fig. 10 / Fig. 11 coverage-vs-capacity curves,
+ * and the mechanism lists of Figs. 8, 10 and 11 (also run by the
+ * result pins).
  */
 
 #ifndef RELAXFAULT_BENCH_COVERAGE_CURVES_H
@@ -16,6 +18,33 @@
 #include "repair/coverage.h"
 
 namespace relaxfault::bench {
+
+/** The seven mechanisms of the Fig. 10 / 11 curves, in column order. */
+inline std::vector<MechanismSpec>
+coverageCurveSpecs()
+{
+    return {
+        MechanismSpec::ppr(),
+        MechanismSpec::freeFault(1),
+        MechanismSpec::freeFault(4),
+        MechanismSpec::freeFault(16),
+        MechanismSpec::relaxFault(1),
+        MechanismSpec::relaxFault(4),
+        MechanismSpec::relaxFault(16),
+    };
+}
+
+/** Fig. 8's rows: 1-way FreeFault and RelaxFault, without/with hashing. */
+inline std::vector<MechanismSpec>
+hashSensitivitySpecs()
+{
+    return {
+        MechanismSpec::freeFault(1, false),
+        MechanismSpec::freeFault(1, true),
+        MechanismSpec::relaxFault(1, false),
+        MechanismSpec::relaxFault(1, true),
+    };
+}
 
 /**
  * Run the seven-mechanism coverage comparison at a FIT scale. A non-null
@@ -41,15 +70,7 @@ runCoverageCurves(double fit_scale, const CliOptions &options,
     const CoverageEvaluator evaluator(config);
     const DramGeometry geometry = config.faultModel.geometry;
 
-    const std::vector<MechanismSpec> specs = {
-        MechanismSpec::ppr(),
-        MechanismSpec::freeFault(1),
-        MechanismSpec::freeFault(4),
-        MechanismSpec::freeFault(16),
-        MechanismSpec::relaxFault(1),
-        MechanismSpec::relaxFault(4),
-        MechanismSpec::relaxFault(16),
-    };
+    const std::vector<MechanismSpec> specs = coverageCurveSpecs();
 
     const uint64_t KiB = 1024;
     const std::vector<uint64_t> capacities = {

@@ -10,11 +10,7 @@
 
 #include <iostream>
 
-#include "bench_json.h"
-#include "bench_util.h"
-#include "common/rng.h"
-#include "common/table.h"
-#include "repair/coverage.h"
+#include "coverage_curves.h"
 
 using namespace relaxfault;
 using namespace relaxfault::bench;
@@ -41,12 +37,7 @@ main(int argc, char **argv)
     const DramGeometry geometry = config.faultModel.geometry;
     const DramAddressMap address_map = makeAddressMap(mapping, geometry);
 
-    const MechanismSpec specs[] = {
-        MechanismSpec::freeFault(1, false),
-        MechanismSpec::freeFault(1, true),
-        MechanismSpec::relaxFault(1, false),
-        MechanismSpec::relaxFault(1, true),
-    };
+    const std::vector<MechanismSpec> specs = hashSensitivitySpecs();
     const double paper[] = {74.0, 84.2, 89.0, 90.3};
 
     std::cout << "Fig. 8: repair coverage (%) with <=1 LLC way per set, "

@@ -14,6 +14,7 @@
  */
 
 #include <iostream>
+#include <map>
 
 #include "lifetime_bench.h"
 
@@ -22,38 +23,37 @@ using namespace relaxfault::bench;
 
 namespace {
 
+/**
+ * Print @p panel's table and JSON rows. A point whose config an earlier
+ * point already ran (its `unit` names another point) reuses that
+ * unit's summary from @p summaries instead of running it again.
+ */
 bool
-runSweep(LifetimeBench &bench,
-         const std::vector<std::pair<double, double>> &points,
-         bool sweep_factor)
+runSweep(LifetimeBench &bench, const std::string &panel,
+         std::map<std::string, LifetimeSummary> &summaries)
 {
+    const bool sweep_factor = panel == "factor-sweep";
     TextTable table;
     table.setHeader({sweep_factor ? "acceleration" : "fraction(%)",
                      "faulty-nodes", "multi-dev-DIMMs", "DUEs", "SDCs",
                      "replacements"});
-    unsigned point_index = 0;
-    for (const auto &[factor, fraction] : points) {
-        LifetimeConfig config = bench.config();
-        if (factor <= 1.0) {
-            config.faultModel.accelerationEnabled = false;
-        } else {
-            config.faultModel.accelerationFactor = factor;
-            config.faultModel.acceleratedNodeFraction = fraction;
-            config.faultModel.acceleratedDimmFraction = fraction;
+    for (const Fig09Point &point : fig09Points()) {
+        if (point.panel != panel)
+            continue;
+        if (summaries.count(point.unit) == 0) {
+            const LifetimeSimulator simulator(point.apply(bench.config()));
+            // Unit key = panel/point-index of the config's first point:
+            // stable across runs because the sweep points are compiled in.
+            const CampaignResult unit_result =
+                bench.runUnit(point.unit, simulator, {});
+            if (unit_result.interrupted)
+                return false;
+            summaries.emplace(point.unit, unit_result.summary);
         }
-        const LifetimeSimulator simulator(config);
-        // Unit key = panel/point-index: stable across runs because the
-        // sweep points are compiled in.
-        const CampaignResult unit_result = bench.runUnit(
-            (sweep_factor ? "factor-sweep/" : "fraction-sweep/") +
-                std::to_string(point_index++),
-            simulator, {});
-        if (unit_result.interrupted)
-            return false;
-        const LifetimeSummary &summary = unit_result.summary;
+        const LifetimeSummary &summary = summaries.at(point.unit);
         table.addRow({sweep_factor
-                          ? TextTable::num(factor, 0) + "x"
-                          : TextTable::num(100.0 * fraction, 2),
+                          ? TextTable::num(point.factor, 0) + "x"
+                          : TextTable::num(100.0 * point.fraction, 2),
                       TextTable::num(summary.faultyNodes.mean(), 0),
                       TextTable::num(summary.multiDeviceFaultDimms.mean(),
                                      0),
@@ -61,9 +61,9 @@ runSweep(LifetimeBench &bench,
                       TextTable::num(summary.sdcs.mean(), 4),
                       TextTable::num(summary.replacements.mean(), 2)});
         bench.report().addRow()
-            .set("panel", sweep_factor ? "factor-sweep" : "fraction-sweep")
-            .set("acceleration_factor", factor)
-            .set("accelerated_fraction", fraction)
+            .set("panel", panel)
+            .set("acceleration_factor", point.factor)
+            .set("accelerated_fraction", point.fraction)
             .set("faulty_nodes", summary.faultyNodes.mean())
             .set("multi_device_fault_dimms",
                  summary.multiDeviceFaultDimms.mean())
@@ -81,30 +81,15 @@ int
 main(int argc, char **argv)
 {
     LifetimeBench bench(argc, argv, kFig09Bench);
+    std::map<std::string, LifetimeSummary> summaries;
     std::cout << "Fig. 9a/9b: acceleration-factor sweep at 0.1% of nodes "
                  "and DIMMs (" << bench.nodes() << " nodes, "
               << bench.trials() << " trials)\n\n";
-    bool completed = runSweep(bench,
-                              {{1.0, 0.001},
-                               {50.0, 0.001},
-                               {100.0, 0.001},
-                               {150.0, 0.001},
-                               {200.0, 0.001}},
-                              true);
-
-    if (completed) {
+    if (runSweep(bench, "factor-sweep", summaries)) {
         std::cout << "\nFig. 9c/9d: accelerated-fraction sweep at 100x ("
                   << bench.nodes() << " nodes, " << bench.trials()
                   << " trials)\n\n";
-        runSweep(bench,
-                 {{1.0, 0.0},
-                  {100.0, 0.0001},
-                  {100.0, 0.001},
-                  {100.0, 0.002},
-                  {100.0, 0.003},
-                  {100.0, 0.004},
-                  {100.0, 0.005}},
-                 false);
+        runSweep(bench, "fraction-sweep", summaries);
     }
     return bench.finish();
 }

@@ -483,6 +483,75 @@ repairMatrixRows()
     };
 }
 
+/** One point of a Fig. 9 sweep. */
+struct Fig09Point
+{
+    std::string panel;  ///< "factor-sweep" (9a/b) or "fraction-sweep" (9c/d).
+    unsigned index;     ///< Position within its panel.
+    double factor;      ///< FIT acceleration factor; <= 1 disables it.
+    double fraction;    ///< Accelerated fraction of nodes and DIMMs.
+    /**
+     * The campaign unit that runs this point's config: `panel/index` of
+     * the first point with the same config. Both panels start at the
+     * uniform model and both hold (100x, 0.1%), so two of the twelve
+     * points reuse a factor-sweep unit.
+     */
+    std::string unit;
+
+    /** @p config with this point's fault-model acceleration. */
+    LifetimeConfig apply(LifetimeConfig config) const
+    {
+        if (factor <= 1.0) {
+            config.faultModel.accelerationEnabled = false;
+        } else {
+            config.faultModel.accelerationFactor = factor;
+            config.faultModel.acceleratedNodeFraction = fraction;
+            config.faultModel.acceleratedDimmFraction = fraction;
+        }
+        return config;
+    }
+};
+
+/** Fig. 9's points in table order, each with the unit that runs it. */
+inline std::vector<Fig09Point>
+fig09Points()
+{
+    const struct
+    {
+        const char *panel;
+        std::vector<std::pair<double, double>> points;
+    } sweeps[] = {
+        {"factor-sweep",
+         {{1.0, 0.001}, {50.0, 0.001}, {100.0, 0.001}, {150.0, 0.001},
+          {200.0, 0.001}}},
+        {"fraction-sweep",
+         {{1.0, 0.0}, {100.0, 0.0001}, {100.0, 0.001}, {100.0, 0.002},
+          {100.0, 0.003}, {100.0, 0.004}, {100.0, 0.005}}},
+    };
+    std::vector<Fig09Point> points;
+    for (const auto &sweep : sweeps) {
+        unsigned index = 0;
+        for (const auto &[factor, fraction] : sweep.points) {
+            Fig09Point point{sweep.panel, index, factor, fraction,
+                             sweep.panel + ("/" + std::to_string(index))};
+            ++index;
+            // Without acceleration the fraction is moot.
+            const auto same_config = [&point](const Fig09Point &other) {
+                return point.factor <= 1.0
+                    ? other.factor <= 1.0
+                    : other.factor == point.factor &&
+                          other.fraction == point.fraction;
+            };
+            const auto first = std::find_if(points.begin(), points.end(),
+                                            same_config);
+            if (first != points.end())
+                point.unit = first->unit;
+            points.push_back(std::move(point));
+        }
+    }
+    return points;
+}
+
 /** Metric extractor from a trial summary. */
 using MetricFn = std::function<const RunningStat &(const LifetimeSummary &)>;
 

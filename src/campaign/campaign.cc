@@ -23,13 +23,18 @@
 namespace relaxfault {
 namespace {
 
+/** In-process attempts per shard before giving up (fatal). */
+constexpr unsigned kMaxShardAttempts = 3;
+
+/** In-process backoff before retry r is `kRetryBackoffMs << (r-1)`. */
+constexpr unsigned kRetryBackoffMs = 50;
+
 /** Clamp every count to its documented range. */
 CampaignOptions
 normalized(CampaignOptions options)
 {
     options.shards = std::max(1u, options.shards);
     options.workers = std::min(options.workers, CampaignRunner::kMaxWorkers);
-    options.maxAttempts = std::max(1u, options.maxAttempts);
     // A quarantine policy needs enough rounds to observe the crashes it
     // counts: one round per allowed attempt, plus one to finish the
     // healthy shards after the verdict.
@@ -94,7 +99,6 @@ CampaignRunner::CampaignRunner(CampaignFingerprint fingerprint,
       traceBase_(options_.tracePath)
 {
     log_.setClock(options_.clock);
-    log_.setRetryPolicy(options_.checkpointRetry);
 
     if (options_.workers > 0) {
         if (options_.checkpointPath.empty()) {
@@ -360,13 +364,13 @@ CampaignRunner::runInProcess(const UnitRun &run)
                                          "' shard " +
                                          std::to_string(shard);
                 log_.noteFailure(run.unit, shard, attempt, error.what());
-                if (attempt >= options_.maxAttempts)
+                if (attempt >= kMaxShardAttempts)
                     fatal(what + " failed " + std::to_string(attempt) +
                           " time(s): " + error.what());
                 warn(what + " attempt " + std::to_string(attempt) +
                      " failed (" + error.what() + "); retrying");
                 clock().sleepFor(std::chrono::milliseconds(
-                    uint64_t{options_.retryBackoffMs} << (attempt - 1)));
+                    uint64_t{kRetryBackoffMs} << (attempt - 1)));
             }
         }
         publisher_.setPhase(StatsPhase::Committing);

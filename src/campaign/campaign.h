@@ -31,9 +31,9 @@
  *    (and forwarded to live workers); the in-flight shard finishes and
  *    commits, then the runner stops with `interrupted()` set so the
  *    caller can exit 128+signal.
- *  - In-process shard failure (exception): retried with exponential
- *    backoff up to `maxAttempts`, each failure logged as a
- *    `shard_failed` forensic line; exhausting the retries is fatal.
+ *  - In-process shard failure (exception): retried up to 3 attempts
+ *    with exponential backoff (50 ms, then 100 ms), each failure logged
+ *    as a `shard_failed` forensic line; exhausting them is fatal.
  *  - Worker failure (exception, crash, watchdog kill): the worker's
  *    in-flight shard lease is lost and the next round lists it again,
  *    up to `maxRounds`; a shard that crashes `quarantineAfter` attempts
@@ -129,15 +129,6 @@ struct CampaignOptions
      * measured on beat *counters*.)
      */
     Clock *clock = nullptr;
-
-    /** In-process attempts per shard before giving up (fatal). */
-    unsigned maxAttempts = 3;
-
-    /** In-process backoff before retry r is `retryBackoffMs << (r-1)`. */
-    unsigned retryBackoffMs = 50;
-
-    /** Checkpoint publish retry policy (attempts + backoff base). */
-    CheckpointRetryPolicy checkpointRetry;
 
     /**
      * Worker generations per unit: a crashed worker loses its in-flight

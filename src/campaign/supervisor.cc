@@ -34,7 +34,6 @@ CampaignRunner::workerMain(const UnitRun &run,
 
     const std::string path = workerLogPath(basePath_, slot);
     CheckpointLog log(path, fingerprint_, /*resume=*/fileExists(path));
-    log.setRetryPolicy(options_.checkpointRetry);
 
     // The worker's slot of the inherited MAP_SHARED plane: its lease,
     // phase and heartbeat are what the supervisor watches.
@@ -156,9 +155,9 @@ CampaignRunner::runPool(const UnitRun &run)
         const unsigned live = static_cast<unsigned>(
             std::min<size_t>(options_.workers, pending.size()));
         std::vector<pid_t> pids(live, -1);  // -1 once reaped.
-        // The lease a slot held when the watchdog stamped it Stalled:
+        // The slot as the watchdog read it before stamping it Stalled:
         // the stamp overwrites the phase the crash attribution reads.
-        std::vector<std::optional<StatsLease>> stalled(live);
+        std::vector<std::optional<StatsSlotSample>> stalled(live);
         HeartbeatMonitor monitor(clock(), live, options_.watchdogMs);
         for (unsigned slot = 0; slot < live; ++slot) {
             pids[slot] = spawnProcess([this, &run, &pending, slot,
@@ -186,8 +185,8 @@ CampaignRunner::runPool(const UnitRun &run)
                     if (status->ok())
                         continue;
                     ++failures;
-                    const StatsLease lease =
-                        stalled[slot].value_or(plane.lease(slot));
+                    const StatsSlotSample lease =
+                        stalled[slot].value_or(plane.readSlot(slot));
                     // Supervision verdict for observers: the worker is
                     // gone, so its slot would otherwise freeze showing
                     // a stale Running phase.
@@ -213,7 +212,7 @@ CampaignRunner::runPool(const UnitRun &run)
                          cause + note);
                     continue;
                 }
-                const StatsLease lease = plane.lease(slot);
+                const StatsSlotSample lease = plane.readSlot(slot);
                 if (!monitor.stale(slot, lease.heartbeatTick))
                     continue;
                 // Stalled: no finished trial within the deadline.

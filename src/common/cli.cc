@@ -32,11 +32,6 @@ CliOptions::parse(int argc, char **argv,
     }
 }
 
-CliOptions::CliOptions(int argc, char **argv)
-{
-    parse(argc, argv, {});
-}
-
 CliOptions::CliOptions(int argc, char **argv,
                        const std::vector<std::string> &known,
                        const std::vector<std::string> &booleans)

@@ -27,14 +27,11 @@ namespace relaxfault {
 class CliOptions
 {
   public:
-    /** Permissive form: any `--name` is accepted (legacy callers). */
-    CliOptions(int argc, char **argv);
-
     /**
-     * Strict form: options not in @p known are fatal. Pass every flag
-     * the program understands; `--help` is implicitly known and lists
-     * them. Options in @p booleans never take the next token as their
-     * value, so `--summary TRACE.json` leaves TRACE.json positional.
+     * Options not in @p known are fatal. Pass every flag the program
+     * understands; `--help` is implicitly known and lists them. Options
+     * in @p booleans never take the next token as their value, so
+     * `--summary TRACE.json` leaves TRACE.json positional.
      */
     CliOptions(int argc, char **argv,
                const std::vector<std::string> &known,

@@ -232,35 +232,22 @@ void
 RelaxFaultController::applyDegradation(const FaultRecord &fault)
 {
     ++stats_.budgetExhausted;
-    switch (config_.degradation) {
-    case DegradationPolicy::RetirePages:
-        // Retirement unmaps the faulty frames but does not remap data:
-        // the fault stays in the tracked set unrepaired (the DRAM cells
-        // are still bad), it just stops being referenced.
-        if (retirement_ != nullptr && retirement_->tryRepair(fault)) {
-            ++stats_.degradedToRetirement;
-            if (trace_ != nullptr)
-                trace_->emit(TraceKind::Degradation, kDegradeRetire, 1);
-            return;
-        }
+    // A retired fault stays in the tracked set unrepaired: the DRAM
+    // cells are still bad, they just stop being referenced.
+    switch (degradeUncovered(config_.degradation, fault, retirement_.get(),
+                             failedStop_, trace_)) {
+    case DegradationOutcome::Retired:
+        ++stats_.degradedToRetirement;
+        break;
+    case DegradationOutcome::CountedDue:
         ++stats_.degradedDues;
-        if (trace_ != nullptr)
-            trace_->emit(TraceKind::Degradation, kDegradeDue, 0);
-        return;
-    case DegradationPolicy::CountDue:
-        ++stats_.degradedDues;
-        if (trace_ != nullptr)
-            trace_->emit(TraceKind::Degradation, kDegradeDue, 0);
-        return;
-    case DegradationPolicy::FailStop:
-        if (trace_ != nullptr)
-            trace_->emit(TraceKind::Degradation, kDegradeFailStop,
-                         failedStop_ ? 0 : 1);
-        if (!failedStop_) {
-            ++stats_.failStops;
-            failedStop_ = true;
-        }
-        return;
+        break;
+    case DegradationOutcome::FailStopped:
+        ++stats_.failStops;
+        failedStop_ = true;
+        break;
+    case DegradationOutcome::AlreadyStopped:
+        break;
     }
 }
 

@@ -27,6 +27,10 @@
 
 namespace relaxfault {
 
+struct FaultRecord;
+class PageRetirement;
+class TraceSink;
+
 /** What to do when repair cannot cover a fault (budget/audit failure). */
 enum class DegradationPolicy : uint8_t
 {
@@ -34,6 +38,28 @@ enum class DegradationPolicy : uint8_t
     CountDue,     ///< Count a DUE against the fault and continue.
     FailStop,     ///< Halt the node (fail-stop containment).
 };
+
+/** What one degradation step did with an uncovered fault. */
+enum class DegradationOutcome : uint8_t
+{
+    Retired,         ///< Page retirement absorbed the fault.
+    CountedDue,      ///< Left uncovered and counted as a DUE.
+    FailStopped,     ///< The node's first fail-stop: it halts now.
+    AlreadyStopped,  ///< Fail-stop again on a halted node: no new count.
+};
+
+/**
+ * Apply @p policy to @p fault after a failed repair attempt: try
+ * @p retirement under RetirePages (falling back to a DUE when it is
+ * null or full), count a DUE under CountDue, halt under FailStop
+ * (@p failed_stop says whether the node already halted). Emits the
+ * matching `Degradation` trace event into @p trace when non-null. The
+ * caller keeps its own counters and its own halted flag.
+ */
+DegradationOutcome degradeUncovered(DegradationPolicy policy,
+                                    const FaultRecord &fault,
+                                    PageRetirement *retirement,
+                                    bool failed_stop, TraceSink *trace);
 
 /** Flag spelling of a policy (`--degrade=` value). */
 const char *degradationPolicyName(DegradationPolicy policy);

@@ -245,33 +245,20 @@ LifetimeSimulator::simulateNode(const NodeSample &node,
     // counts, so the default reproduces the seed behavior exactly.
     auto degrade = [&](const FaultRecord &fault) -> uint8_t {
         metrics.budgetExhausted += 1.0;
-        switch (config_.degradation) {
-        case DegradationPolicy::RetirePages:
-            if (retirement != nullptr && retirement->tryRepair(fault)) {
-                metrics.degradedToRetirement += 1.0;
-                if (trace != nullptr)
-                    trace->emit(TraceKind::Degradation, kDegradeRetire,
-                                1);
-                return kByRetirement;
-            }
+        switch (degradeUncovered(config_.degradation, fault, retirement,
+                                 failed_stop, trace)) {
+        case DegradationOutcome::Retired:
+            metrics.degradedToRetirement += 1.0;
+            return kByRetirement;
+        case DegradationOutcome::CountedDue:
             metrics.degradedDues += 1.0;
-            if (trace != nullptr)
-                trace->emit(TraceKind::Degradation, kDegradeDue, 0);
-            return kUncovered;
-        case DegradationPolicy::CountDue:
-            metrics.degradedDues += 1.0;
-            if (trace != nullptr)
-                trace->emit(TraceKind::Degradation, kDegradeDue, 0);
-            return kUncovered;
-        case DegradationPolicy::FailStop:
-            if (trace != nullptr)
-                trace->emit(TraceKind::Degradation, kDegradeFailStop,
-                            failed_stop ? 0 : 1);
-            if (!failed_stop) {
-                failed_stop = true;
-                metrics.failStops += 1.0;
-            }
-            return kUncovered;
+            break;
+        case DegradationOutcome::FailStopped:
+            failed_stop = true;
+            metrics.failStops += 1.0;
+            break;
+        case DegradationOutcome::AlreadyStopped:
+            break;
         }
         return kUncovered;
     };
@@ -584,8 +571,7 @@ LifetimeSimulator::runTrialRange(uint64_t first_trial, unsigned count,
     // cross-trial state, so any thread may run any trial, and no
     // result depends on which range, shard, or thread executed it.
     std::vector<LifetimeMetrics> per_trial(count);
-    ProgressMeter meter(options.progressLabel, count, options.progress,
-                        options.clock);
+    ProgressMeter meter(options.progressLabel, count, options.progress);
     StatsPublisher *const stats = options.stats;
 
     // Hoisted counter handles; SDC expectations fold as integer

@@ -36,7 +36,6 @@
 
 namespace relaxfault {
 
-class Clock;
 class Counter;
 class Log2Histogram;
 class MetricRegistry;
@@ -224,13 +223,6 @@ struct TrialRunOptions
      * bit-identical with the plane on or off.
      */
     StatsPublisher *stats = nullptr;
-
-    /**
-     * Clock the progress meter reads (null = the real steady clock).
-     * Injectable so progress-rate arithmetic is testable with a
-     * `FakeClock`; never consulted unless `progress` is on.
-     */
-    Clock *clock = nullptr;
 };
 
 /**

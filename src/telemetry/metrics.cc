@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/simd.h"
 #include "telemetry/json_writer.h"
 
 namespace relaxfault {
@@ -93,16 +92,10 @@ Log2Histogram::recordBatch(const uint64_t *values, size_t count)
 {
     if (count == 0)
         return;
-    if (activeSimdLevel() == SimdLevel::Scalar) {
-        // Reference path: per-sample recording, two atomics each.
-        for (size_t i = 0; i < count; ++i)
-            record(values[i]);
-        return;
-    }
-    // Batched path: positional counting into a local dense array, then
-    // one fetch_add per occupied bucket (and one for the sum). The adds
-    // are the same exact integers in a different order, so the merged
-    // snapshot cannot differ from the reference path.
+    // Positional counting into a local dense array, then one fetch_add
+    // per occupied bucket (and one for the sum). The adds are the same
+    // exact integers per-sample `record()` would make, in a different
+    // order, so the merged snapshot cannot differ from it.
     uint64_t local[kBuckets] = {};
     uint64_t sum = 0;
     for (size_t i = 0; i < count; ++i) {

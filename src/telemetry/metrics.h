@@ -168,13 +168,12 @@ class Log2Histogram
     }
 
     /**
-     * Record @p count observations at once. At the scalar SIMD level
-     * this is exactly the per-sample record() loop; the vector levels
-     * classify the batch into a local dense bucket array first and
-     * publish with one fetch_add per *occupied bucket* plus one for the
-     * sum, instead of two per sample. Every path performs the same
-     * exact integer adds, so the merged snapshot is bit-identical to
-     * per-sample recording (pinned by the telemetry property tests).
+     * Record @p count observations at once: classify the batch into a
+     * local dense bucket array first and publish with one fetch_add
+     * per *occupied bucket* plus one for the sum, instead of two per
+     * sample. These are the same exact integer adds record() makes, so
+     * the merged snapshot is bit-identical to per-sample recording
+     * (pinned by the telemetry property tests).
      */
     void recordBatch(const uint64_t *values, size_t count);
 

@@ -5,16 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <bit>
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <new>
-#include <thread>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/log.h"
@@ -22,46 +17,6 @@
 #include "telemetry/run_record.h"
 
 namespace relaxfault {
-
-namespace {
-
-uint64_t
-steadyNowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** EWMA weight of each new rate observation. */
-constexpr double kRateAlpha = 0.3;
-
-/** Minimum spacing between rate publishes (keeps /proc reads rare). */
-constexpr uint64_t kRatePublishNs = 250'000'000;  // 250 ms.
-
-/** Seqlock read retries that only pause before readSlot yields. */
-constexpr unsigned kSlotReadSpins = 64;
-
-/**
- * How long readSlot waits on a sequence word that does not move before
- * it reports the slot unreadable. A live writer, even a preempted one,
- * moves it sooner; one that died mid-publish never does.
- */
-constexpr uint64_t kSlotStuckNs = 1'000'000'000;  // 1 s.
-
-/** Spin-wait hint to the core. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    _mm_pause();
-#else
-    std::this_thread::yield();
-#endif
-}
-
-} // namespace
 
 const char *
 statsPhaseName(StatsPhase phase)
@@ -232,7 +187,11 @@ StatsPlane::attach(const std::string &path, std::string *error)
 size_t
 StatsPlane::slots() const
 {
-    return header()->slotCount.load(std::memory_order_relaxed);
+    // Bounded by the mapping: a header word rewritten after the plane
+    // was mapped must never send a reader past its end.
+    return std::min<size_t>(
+        header()->slotCount.load(std::memory_order_relaxed),
+        (bytes_ - kSlotsOffset) / sizeof(Slot));
 }
 
 std::string
@@ -267,57 +226,19 @@ StatsPlane::noteQuarantine()
     header()->quarantinedShards.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool
-StatsPlane::readSlot(size_t index, StatsSlotSample &out) const
+StatsSlotSample
+StatsPlane::readSlot(size_t index) const
 {
     if (index >= slots())
-        return false;
+        panic("stats plane: readSlot slot out of range");
     const Slot *s = slot(index);
-    // One seqlock attempt at the descriptive block: false if the writer
-    // held or moved the sequence word meanwhile.
-    const auto try_read = [s, &out](uint64_t seq1) {
-        if ((seq1 & 1) != 0)
-            return false;
-        out.pid = s->pid.load(std::memory_order_relaxed);
-        out.phase = static_cast<StatsPhase>(
-            s->phase.load(std::memory_order_relaxed));
-        out.shard = s->shard.load(std::memory_order_relaxed);
-        out.trialsPerSec =
-            static_cast<double>(s->ewmaMilliTrialsPerSec.load(
-                std::memory_order_relaxed)) *
-            1e-3;
-        out.rssBytes = s->rssBytes.load(std::memory_order_relaxed);
-        out.armedFailpoints =
-            s->armedFailpoints.load(std::memory_order_relaxed);
-        out.updateEpochMs =
-            s->updateEpochMs.load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        return s->seq.load(std::memory_order_relaxed) == seq1;
-    };
-    // Retry with a pause, then by yielding so a writer preempted
-    // mid-publish can finish. Give up only once the sequence word has
-    // not moved for kSlotStuckNs: a live writer keeps moving it.
-    unsigned spins = 0;
-    uint64_t last_seq = 0;
-    uint64_t stuck_since_ns = 0;
-    for (uint64_t seq1 = s->seq.load(std::memory_order_acquire);
-         !try_read(seq1); seq1 = s->seq.load(std::memory_order_acquire)) {
-        if (spins < kSlotReadSpins) {
-            ++spins;
-            cpuRelax();
-            continue;
-        }
-        const uint64_t now_ns = steadyNowNs();
-        if (stuck_since_ns == 0 || seq1 != last_seq) {
-            last_seq = seq1;
-            stuck_since_ns = now_ns;
-        } else if (now_ns - stuck_since_ns > kSlotStuckNs) {
-            return false;
-        }
-        std::this_thread::yield();
-    }
-    // The monotone counters are single atomics — read outside the
-    // seqlock, they are exact at some instant during the call.
+    StatsSlotSample out;
+    out.pid = s->pid.load(std::memory_order_relaxed);
+    // Acquire pairs with the release store in beginShard: a Running
+    // phase comes with the shard stored before it.
+    out.phase = static_cast<StatsPhase>(
+        s->phase.load(std::memory_order_acquire));
+    out.shard = s->shard.load(std::memory_order_relaxed);
     // Completed first, with acquire (it pairs with the release add in
     // trialFinished): every trial it counts has its start visible, so
     // the sample never shows more completed than started.
@@ -325,7 +246,11 @@ StatsPlane::readSlot(size_t index, StatsSlotSample &out) const
         s->trialsCompleted.load(std::memory_order_acquire);
     out.trialsStarted = s->trialsStarted.load(std::memory_order_relaxed);
     out.heartbeatTick = s->heartbeatTick.load(std::memory_order_relaxed);
-    return true;
+    out.rssBytes = s->rssBytes.load(std::memory_order_relaxed);
+    out.armedFailpoints =
+        s->armedFailpoints.load(std::memory_order_relaxed);
+    out.updateEpochMs = s->updateEpochMs.load(std::memory_order_relaxed);
+    return out;
 }
 
 StatsPublisher
@@ -338,49 +263,20 @@ StatsPlane::publisher(size_t index)
     return StatsPublisher(slot(index));
 }
 
-namespace {
-
-/** Seqlock write frame: odd on entry, even (new value) on exit. */
-class SeqWrite
+void
+StatsPlane::storePhase(Slot &slot, StatsPhase phase)
 {
-  public:
-    explicit SeqWrite(std::atomic<uint64_t> &seq) : seq_(seq)
-    {
-        seq_.fetch_add(1, std::memory_order_acq_rel);
-    }
-
-    ~SeqWrite() { seq_.fetch_add(1, std::memory_order_release); }
-
-  private:
-    std::atomic<uint64_t> &seq_;
-};
-
-} // namespace
+    slot.phase.store(static_cast<uint64_t>(phase),
+                     std::memory_order_release);
+    slot.updateEpochMs.store(runTimestampMs(), std::memory_order_relaxed);
+}
 
 void
 StatsPlane::markPhase(size_t index, StatsPhase phase)
 {
     if (!writable_ || index >= slots())
         return;
-    Slot *s = slot(index);
-    SeqWrite frame(s->seq);
-    s->phase.store(static_cast<uint64_t>(phase),
-                   std::memory_order_relaxed);
-    s->updateEpochMs.store(runTimestampMs(), std::memory_order_relaxed);
-}
-
-StatsLease
-StatsPlane::lease(size_t index) const
-{
-    StatsLease out;
-    if (index >= slots())
-        return out;
-    const Slot *s = slot(index);
-    out.heartbeatTick = s->heartbeatTick.load(std::memory_order_acquire);
-    out.phase = static_cast<StatsPhase>(
-        s->phase.load(std::memory_order_acquire));
-    out.shard = s->shard.load(std::memory_order_relaxed);
-    return out;
+    storePhase(*slot(index), phase);
 }
 
 void
@@ -404,17 +300,12 @@ StatsPublisher::announce(StatsPhase phase)
 {
     if (slot_ == nullptr)
         return;
-    SeqWrite frame(slot_->seq);
     slot_->pid.store(static_cast<uint64_t>(::getpid()),
                      std::memory_order_relaxed);
-    slot_->phase.store(static_cast<uint64_t>(phase),
-                       std::memory_order_relaxed);
     slot_->armedFailpoints.store(failpoint::armedCount(),
                                  std::memory_order_relaxed);
-    slot_->rssBytes.store(static_cast<uint64_t>(peakRssBytes()),
-                          std::memory_order_relaxed);
-    slot_->updateEpochMs.store(runTimestampMs(),
-                               std::memory_order_relaxed);
+    stampRss();
+    StatsPlane::storePhase(*slot_, phase);
 }
 
 void
@@ -423,13 +314,10 @@ StatsPublisher::beginShard(uint64_t shard)
     if (slot_ == nullptr)
         return;
     slot_->heartbeatTick.fetch_add(1, std::memory_order_relaxed);
-    SeqWrite frame(slot_->seq);
     slot_->shard.store(shard, std::memory_order_relaxed);
-    // Release: a supervisor that sees Running (`lease`) sees this shard.
-    slot_->phase.store(static_cast<uint64_t>(StatsPhase::Running),
-                       std::memory_order_release);
-    slot_->updateEpochMs.store(runTimestampMs(),
-                               std::memory_order_relaxed);
+    stampRss();
+    // After the shard: a reader that sees Running sees this shard.
+    StatsPlane::storePhase(*slot_, StatsPhase::Running);
 }
 
 void
@@ -438,13 +326,8 @@ StatsPublisher::endShard()
     if (slot_ == nullptr)
         return;
     slot_->heartbeatTick.fetch_add(1, std::memory_order_relaxed);
-    SeqWrite frame(slot_->seq);
-    slot_->phase.store(static_cast<uint64_t>(StatsPhase::Idle),
-                       std::memory_order_relaxed);
-    slot_->rssBytes.store(static_cast<uint64_t>(peakRssBytes()),
-                          std::memory_order_relaxed);
-    slot_->updateEpochMs.store(runTimestampMs(),
-                               std::memory_order_relaxed);
+    stampRss();
+    StatsPlane::storePhase(*slot_, StatsPhase::Idle);
 }
 
 void
@@ -452,64 +335,20 @@ StatsPublisher::setPhase(StatsPhase phase)
 {
     if (slot_ == nullptr)
         return;
-    SeqWrite frame(slot_->seq);
-    slot_->phase.store(static_cast<uint64_t>(phase),
-                       std::memory_order_relaxed);
-    slot_->updateEpochMs.store(runTimestampMs(),
-                               std::memory_order_relaxed);
+    StatsPlane::storePhase(*slot_, phase);
 }
 
 void
-StatsPublisher::maybePublishRate()
+StatsPublisher::stampUpdate()
 {
-    // Try-lock: concurrent trial threads never wait here — losers just
-    // skip this publish; the counters already carry their increment.
-    uint64_t expected = 0;
-    if (!slot_->rateLock.compare_exchange_strong(
-            expected, 1, std::memory_order_acquire,
-            std::memory_order_relaxed))
-        return;
+    slot_->updateEpochMs.store(runTimestampMs(), std::memory_order_relaxed);
+}
 
-    const uint64_t now_ns = steadyNowNs();
-    const uint64_t last_ns =
-        slot_->scratchLastNs.load(std::memory_order_relaxed);
-    if (last_ns != 0 && now_ns - last_ns < kRatePublishNs) {
-        slot_->rateLock.store(0, std::memory_order_release);
-        return;
-    }
-    const uint64_t completed =
-        slot_->trialsCompleted.load(std::memory_order_relaxed);
-    const uint64_t last_completed =
-        slot_->scratchLastCompleted.load(std::memory_order_relaxed);
-
-    double ewma =
-        std::bit_cast<double>(slot_->scratchEwmaBits.load(
-            std::memory_order_relaxed));
-    if (last_ns != 0 && now_ns > last_ns) {
-        const double instant =
-            static_cast<double>(completed - last_completed) /
-            (static_cast<double>(now_ns - last_ns) * 1e-9);
-        ewma = ewma == 0.0
-            ? instant
-            : kRateAlpha * instant + (1.0 - kRateAlpha) * ewma;
-    }
-    slot_->scratchLastNs.store(now_ns, std::memory_order_relaxed);
-    slot_->scratchLastCompleted.store(completed,
-                                      std::memory_order_relaxed);
-    slot_->scratchEwmaBits.store(std::bit_cast<uint64_t>(ewma),
-                                 std::memory_order_relaxed);
-
-    {
-        SeqWrite frame(slot_->seq);
-        slot_->ewmaMilliTrialsPerSec.store(
-            static_cast<uint64_t>(ewma * 1e3),
-            std::memory_order_relaxed);
-        slot_->rssBytes.store(static_cast<uint64_t>(peakRssBytes()),
-                              std::memory_order_relaxed);
-        slot_->updateEpochMs.store(runTimestampMs(),
-                                   std::memory_order_relaxed);
-    }
-    slot_->rateLock.store(0, std::memory_order_release);
+void
+StatsPublisher::stampRss()
+{
+    slot_->rssBytes.store(static_cast<uint64_t>(peakRssBytes()),
+                          std::memory_order_relaxed);
 }
 
 } // namespace relaxfault

@@ -9,20 +9,20 @@
  * campaign workers, or the in-process trial engine) update their slot
  * in place; observers (`tools/fleet_top`, tests, a curious shell) map
  * the same file read-only and sample it at any rate. Nothing ever
- * blocks anything: monotone counters (trials started/completed,
- * heartbeat ticks) are plain relaxed atomics an observer can read
- * whole, and the multi-field descriptive block (phase, shard, rate,
- * RSS) is published under a per-slot seqlock — the writer bumps the
- * sequence word to odd, stores the fields, bumps it back to even; a
- * reader that sees an odd or changed sequence simply retries, so a torn
- * snapshot is impossible and a stalled *reader* costs the writer
- * nothing.
+ * blocks anything: every slot field is one atomic word, written with a
+ * plain store or add and read with a plain load (`readSlot`), so a
+ * reader can never find a slot unreadable — not even one whose writer
+ * was SIGKILLed halfway through an update. A sample is exact word by
+ * word, not across words; the two orderings that matter are release /
+ * acquire pairs: the shard is stored before the Running phase, and a
+ * trial's start is counted before its completion.
  *
  * In worker mode the plane is also the only memory the campaign shares
  * across `fork`: the header holds the shard-claim cursor, and the
  * worker supervisor reads each slot's phase, shard and heartbeat tick
- * (with plain acquire loads, never the seqlock) to run its watchdog
- * and to charge a crash to the shard its worker held.
+ * to run its watchdog and to charge a crash to the shard its worker
+ * held. The supervisor is the slot's second writer: it stamps
+ * verdicts (Stalled, Crashed, Merging) into the phase word.
  *
  * The plane never affects results: publishing consumes no RNG, and
  * which worker claims which shard changes nothing, because the merge
@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace relaxfault {
 
@@ -58,32 +57,18 @@ enum class StatsPhase : uint8_t
 /** Canonical lowercase name of @p phase ("running", "stalled", ...). */
 const char *statsPhaseName(StatsPhase phase);
 
-/** One observer-side sample of a slot (a consistent snapshot). */
+/** One sample of a slot: each field one word, loaded once. */
 struct StatsSlotSample
 {
     uint64_t pid = 0;
     StatsPhase phase = StatsPhase::Idle;
-    uint64_t shard = 0;
+    uint64_t shard = 0;          ///< Meaningful only while `held()`.
     uint64_t trialsStarted = 0;
     uint64_t trialsCompleted = 0;
-    double trialsPerSec = 0.0;   ///< EWMA over recent completions.
-    uint64_t rssBytes = 0;       ///< Writer's peak RSS at last update.
     uint64_t heartbeatTick = 0;  ///< Monotone liveness counter.
+    uint64_t rssBytes = 0;       ///< Writer's peak RSS at a shard edge.
     uint64_t armedFailpoints = 0;
-    uint64_t updateEpochMs = 0;  ///< Wall clock of last seqlock publish.
-};
-
-class StatsPublisher;
-
-/**
- * The supervisor's view of one slot: three single atomic loads, taken
- * without the seqlock (see `StatsPlane::lease`).
- */
-struct StatsLease
-{
-    StatsPhase phase = StatsPhase::Idle;
-    uint64_t shard = 0;          ///< Meaningful only while `held()`.
-    uint64_t heartbeatTick = 0;  ///< Monotone liveness counter.
+    uint64_t updateEpochMs = 0;  ///< Last finished trial or phase change.
 
     /** True while the slot's worker holds a shard (Running/Committing). */
     bool held() const
@@ -92,6 +77,8 @@ struct StatsLease
                phase == StatsPhase::Committing;
     }
 };
+
+class StatsPublisher;
 
 /**
  * The mapped region. `create` builds (or truncates) the backing file,
@@ -107,9 +94,10 @@ class StatsPlane
     static constexpr uint64_t kMagic = 0x31534154'53465258ull; // "XRFSTATS1"
     /**
      * 2: slot 0 starts at a Slot-aligned offset, not right after the
-     * header. 3: the header carries the shard-claim cursor.
+     * header. 3: the header carries the shard-claim cursor. 4: a slot
+     * is nine plain words, with no sequence word and no rate.
      */
-    static constexpr uint32_t kVersion = 3;
+    static constexpr uint32_t kVersion = 4;
     static constexpr size_t kMaxSlots = 256;
     static constexpr size_t kCampaignBytes = 64;
 
@@ -156,31 +144,24 @@ class StatsPlane
     void noteQuarantine();
 
     /**
-     * Observer: sample slot @p slot. Retries the seqlock, backing off
-     * from pause to yield, until a consistent snapshot is read. Returns
-     * false only if the sequence word stays unchanged for a second,
-     * which only a crashed-mid-publish writer can cause.
+     * Sample slot @p slot (panics if out of range): every word loaded
+     * once, so it cannot fail or wait. The phase is loaded with acquire
+     * before the shard, so a Running or Committing phase comes with its
+     * own shard; completed is loaded with acquire before started, so a
+     * sample never shows more trials completed than started. Observers
+     * and the supervisor read slots through this one call.
      */
-    bool readSlot(size_t slot, StatsSlotSample &out) const;
+    StatsSlotSample readSlot(size_t slot) const;
 
     /**
      * Writer handle for @p slot (valid while the plane lives; one
-     * logical writer process per slot, any number of threads — counters
-     * are atomic and the descriptive block is try-lock guarded).
+     * logical writer process per slot, any number of threads — every
+     * field is one atomic word).
      */
     StatsPublisher publisher(size_t slot);
 
     /** Parent: stamp a supervision verdict into a worker's slot. */
     void markPhase(size_t slot, StatsPhase phase);
-
-    /**
-     * Supervisor: slot @p slot's phase, shard and heartbeat tick, read
-     * with plain acquire loads. Never goes through `readSlot`: a worker
-     * SIGKILLed in the middle of a publish leaves the sequence word odd
-     * for good. The worker stores the shard before the phase, so a
-     * Running or Committing phase comes with its own shard.
-     */
-    StatsLease lease(size_t slot) const;
 
     /** Parent, while no worker is alive: rewind the shard-claim cursor. */
     void resetClaims();
@@ -214,25 +195,15 @@ class StatsPlane
 
     struct alignas(128) Slot
     {
-        std::atomic<uint64_t> seq;       ///< Seqlock word (even = stable).
         std::atomic<uint64_t> pid;
         std::atomic<uint64_t> phase;
         std::atomic<uint64_t> shard;
-        std::atomic<uint64_t> trialsStarted;     ///< Monotone, no lock.
-        std::atomic<uint64_t> trialsCompleted;   ///< Monotone, no lock.
-        std::atomic<uint64_t> ewmaMilliTrialsPerSec;
+        std::atomic<uint64_t> trialsStarted;     ///< Monotone.
+        std::atomic<uint64_t> trialsCompleted;   ///< Monotone.
+        std::atomic<uint64_t> heartbeatTick;     ///< Monotone.
         std::atomic<uint64_t> rssBytes;
-        std::atomic<uint64_t> heartbeatTick;     ///< Monotone, no lock.
         std::atomic<uint64_t> armedFailpoints;
         std::atomic<uint64_t> updateEpochMs;
-        // Writer-private scratch (never read by observers): the rate
-        // try-lock and the (time, count) anchor of the EWMA fold. Lives
-        // in the slot so the publisher handle stays a plain pointer and
-        // every copy of it shares one rate state.
-        std::atomic<uint64_t> rateLock;
-        std::atomic<uint64_t> scratchLastNs;
-        std::atomic<uint64_t> scratchLastCompleted;
-        std::atomic<uint64_t> scratchEwmaBits;   ///< double bit-cast.
     };
 
     static_assert(std::atomic<uint64_t>::is_always_lock_free,
@@ -241,6 +212,9 @@ class StatsPlane
     /** Byte offset of slot 0: the header rounded up to a slot boundary. */
     static constexpr size_t kSlotsOffset =
         (sizeof(Header) + alignof(Slot) - 1) / alignof(Slot) * alignof(Slot);
+
+    /** Store @p phase (release) and the update timestamp of @p slot. */
+    static void storePhase(Slot &slot, StatsPhase phase);
 
     StatsPlane(void *map, size_t bytes, bool writable);
 
@@ -254,26 +228,25 @@ class StatsPlane
 
 /**
  * Writer handle bound to one slot. Trial loops call `trialStarted` /
- * `trialFinished` (atomic adds plus an occasional try-locked
- * rate/RSS publish); the worker main loop frames shards with
- * `beginShard` / `endShard`. The null-pointer form of every caller is
- * the disabled path.
+ * `trialFinished` (atomic adds and a timestamp store); the worker main
+ * loop frames shards with `beginShard` / `endShard`. The null-pointer
+ * form of every caller is the disabled path.
  */
 class StatsPublisher
 {
   public:
     StatsPublisher() = default;
 
-    /** Stamp pid / armed-failpoint count; call once per process. */
+    /** Stamp pid, armed-failpoint count, RSS and @p phase; once per process. */
     void announce(StatsPhase phase);
 
-    /** Frame a shard: phase Running, shard id, heartbeat tick. */
+    /** Frame a shard: heartbeat tick, shard id, RSS, then phase Running. */
     void beginShard(uint64_t shard);
 
-    /** Shard committed: phase back to Idle, heartbeat tick. */
+    /** Shard committed: heartbeat tick, RSS, phase back to Idle. */
     void endShard();
 
-    /** Phase-only update under the seqlock (e.g. Committing, Done). */
+    /** Phase-only update (e.g. Committing, Done). */
     void setPhase(StatsPhase phase);
 
     /** Trial dispatched (one relaxed fetch_add). */
@@ -285,10 +258,9 @@ class StatsPublisher
     }
 
     /**
-     * Trial finished: counters always, and — when the try-lock is free
-     * — a seqlocked publish of the EWMA rate, peak RSS, and update
-     * timestamp. Threads that lose the try-lock skip the publish; the
-     * counters never lose an increment.
+     * Trial finished: completed count and heartbeat tick, then the
+     * update timestamp — so a slot's publish age is the time since its
+     * last finished trial or phase change.
      */
     void trialFinished()
     {
@@ -297,7 +269,7 @@ class StatsPublisher
         // Release: an observer that sees this count sees the start too.
         slot_->trialsCompleted.fetch_add(1, std::memory_order_release);
         slot_->heartbeatTick.fetch_add(1, std::memory_order_relaxed);
-        maybePublishRate();
+        stampUpdate();
     }
 
     bool enabled() const { return slot_ != nullptr; }
@@ -307,7 +279,11 @@ class StatsPublisher
 
     explicit StatsPublisher(StatsPlane::Slot *slot) : slot_(slot) {}
 
-    void maybePublishRate();
+    /** Store the wall clock into `updateEpochMs`. */
+    void stampUpdate();
+
+    /** Store the writer's peak RSS into `rssBytes`. */
+    void stampRss();
 
     StatsPlane::Slot *slot_ = nullptr;
 };

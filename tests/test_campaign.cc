@@ -509,8 +509,6 @@ TEST(Campaign, FailedShardIsRetriedAndForensicallyLogged)
     CampaignOptions options;
     options.checkpointPath = path;
     options.shards = kShards;
-    options.maxAttempts = 3;
-    options.retryBackoffMs = 50;
     options.clock = &clock;  // Virtual backoff: no real sleeps.
     options.onShardStart = [&failures_injected](const std::string &,
                                                 unsigned shard,

@@ -519,7 +519,8 @@ TEST(Cli, ParsesForms)
     // as a value, so bare flags go last (documented parser behaviour).
     const char *argv[] = {"prog", "--trials=50", "--seed", "7",
                           "positional", "--flag"};
-    CliOptions options(6, const_cast<char **>(argv));
+    CliOptions options(6, const_cast<char **>(argv),
+                       {"trials", "seed", "flag"});
     EXPECT_EQ(options.getInt("trials", 0), 50);
     EXPECT_EQ(options.getInt("seed", 0), 7);
     EXPECT_TRUE(options.has("flag"));

@@ -10,8 +10,9 @@
  *  - Observation-only: enabling the stats publisher and the profiler
  *    leaves every simulation result bit-identical, at 1 and 4 threads
  *    (exact double equality — the ISSUE's acceptance bar).
- *  - Seqlock snapshots are never torn, including under a concurrent
- *    writer and across a real fork.
+ *  - A slot sample is always readable and consistent where it must be
+ *    (valid phase, monotone and never ahead of started completions),
+ *    including under a concurrent writer and across a real fork.
  *  - The plane's claim cursor hands every shard of a pending list to
  *    exactly one claimer across forked workers and threads, and a
  *    cursor past the list ends every claim loop.
@@ -135,8 +136,7 @@ TEST(StatsPlane, PublishAndReadBack)
         pub.trialStarted();
         pub.trialFinished();
     }
-    StatsSlotSample sample;
-    ASSERT_TRUE(plane.readSlot(0, sample));
+    StatsSlotSample sample = plane.readSlot(0);
     EXPECT_EQ(sample.pid, static_cast<uint64_t>(::getpid()));
     EXPECT_EQ(sample.phase, StatsPhase::Running);
     EXPECT_EQ(sample.shard, 3u);
@@ -146,7 +146,7 @@ TEST(StatsPlane, PublishAndReadBack)
 
     pub.endShard();
     pub.setPhase(StatsPhase::Done);
-    ASSERT_TRUE(plane.readSlot(0, sample));
+    sample = plane.readSlot(0);
     EXPECT_EQ(sample.phase, StatsPhase::Done);
     // Counters survive the phase transitions (monotone, never reset).
     EXPECT_EQ(sample.trialsCompleted, 5u);
@@ -154,7 +154,7 @@ TEST(StatsPlane, PublishAndReadBack)
     plane.noteQuarantine();
     EXPECT_EQ(plane.quarantinedShards(), 1u);
     plane.markPhase(1, StatsPhase::Crashed);
-    ASSERT_TRUE(plane.readSlot(1, sample));
+    sample = plane.readSlot(1);
     EXPECT_EQ(sample.phase, StatsPhase::Crashed);
     std::remove(path.c_str());
 }
@@ -189,21 +189,20 @@ TEST(StatsPlane, ObserverAttachSeesWriterUpdates)
         StatsPlane::attach(path, &error);
     ASSERT_NE(observer, nullptr) << error;
     EXPECT_EQ(observer->campaign(), "attach_test");
-    StatsSlotSample sample;
-    ASSERT_TRUE(observer->readSlot(0, sample));
+    StatsSlotSample sample = observer->readSlot(0);
     EXPECT_EQ(sample.trialsCompleted, 1u);
     // Writes land through the shared file pages without re-attach.
     pub.trialStarted();
     pub.trialFinished();
-    ASSERT_TRUE(observer->readSlot(0, sample));
+    sample = observer->readSlot(0);
     EXPECT_EQ(sample.trialsCompleted, 2u);
     std::remove(path.c_str());
 }
 
-TEST(StatsPlane, SeqlockNeverTearsUnderConcurrentWriter)
+TEST(StatsPlane, ConcurrentReaderSeesConsistentSlotWords)
 {
     const std::string path = tempPath("plane_torn");
-    StatsPlane plane = StatsPlane::create(path, 1, "seqlock_test");
+    StatsPlane plane = StatsPlane::create(path, 1, "reader_test");
     StatsPublisher pub = plane.publisher(0);
     pub.announce(StatsPhase::Running);
 
@@ -220,12 +219,10 @@ TEST(StatsPlane, SeqlockNeverTearsUnderConcurrentWriter)
             pub.endShard();
         }
     });
-    StatsSlotSample sample;
     uint64_t last_completed = 0;
     for (int i = 0; i < 20000; ++i) {
-        ASSERT_TRUE(plane.readSlot(0, sample));
-        // Phase is always a value the writer actually stores — a torn
-        // read would surface garbage here.
+        const StatsSlotSample sample = plane.readSlot(0);
+        // Phase is always a value the writer actually stores.
         EXPECT_LE(static_cast<unsigned>(sample.phase),
                   static_cast<unsigned>(StatsPhase::Crashed));
         EXPECT_GE(sample.trialsCompleted, last_completed);
@@ -252,8 +249,7 @@ TEST(StatsPlane, ForkedChildPublishesThroughSharedPages)
     });
     const ProcessStatus status = waitProcess(pid);
     EXPECT_TRUE(status.ok());
-    StatsSlotSample sample;
-    ASSERT_TRUE(plane.readSlot(1, sample));
+    StatsSlotSample sample = plane.readSlot(1);
     EXPECT_EQ(sample.pid, static_cast<uint64_t>(pid));
     EXPECT_EQ(sample.phase, StatsPhase::Done);
     EXPECT_EQ(sample.shard, 7u);
@@ -268,18 +264,45 @@ TEST(StatsPlane, AttachRefusesAVersion2Plane)
         const StatsPlane plane = StatsPlane::create(path, 1, "v2_test");
     }
     // Rewrite the version word, which follows the 8-byte magic, to the
-    // layout before the header carried the claim cursor.
+    // layout before the header carried the claim cursor (2) and to the
+    // one whose slots carried a sequence word and a rate (3).
+    for (const uint32_t version : {2u, 3u}) {
+        const int fd = ::open(path.c_str(), O_WRONLY);
+        ASSERT_GE(fd, 0);
+        EXPECT_EQ(::pwrite(fd, &version, sizeof version, 8),
+                  static_cast<ssize_t>(sizeof version));
+        ::close(fd);
+        std::string error;
+        EXPECT_EQ(StatsPlane::attach(path, &error), nullptr);
+        EXPECT_NE(error.find("unsupported stats plane version " +
+                             std::to_string(version)),
+                  std::string::npos)
+            << error;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(StatsPlane, ScribbledSlotCountNeverReadsPastTheMapping)
+{
+    // Anyone with write access to a file-backed plane can rewrite the
+    // header's slot count after an observer attached; the observer
+    // must keep reading inside its own mapping.
+    const std::string path = tempPath("plane_slot_count");
+    StatsPlane plane = StatsPlane::create(path, 2, "slot_count");
+    std::string error;
+    const std::unique_ptr<StatsPlane> observer =
+        StatsPlane::attach(path, &error);
+    ASSERT_NE(observer, nullptr) << error;
     const int fd = ::open(path.c_str(), O_WRONLY);
     ASSERT_GE(fd, 0);
-    const uint32_t version = 2;
-    EXPECT_EQ(::pwrite(fd, &version, sizeof version, 8),
-              static_cast<ssize_t>(sizeof version));
+    // The slot count follows the magic and the version, at byte 12.
+    const uint32_t scribbled = 200;
+    ASSERT_EQ(::pwrite(fd, &scribbled, sizeof scribbled, 12),
+              static_cast<ssize_t>(sizeof scribbled));
     ::close(fd);
-    std::string error;
-    EXPECT_EQ(StatsPlane::attach(path, &error), nullptr);
-    EXPECT_NE(error.find("unsupported stats plane version 2"),
-              std::string::npos)
-        << error;
+    EXPECT_EQ(observer->slots(), 2u);
+    for (size_t slot = 0; slot < observer->slots(); ++slot)
+        EXPECT_EQ(observer->readSlot(slot).trialsCompleted, 0u);
     std::remove(path.c_str());
 }
 
@@ -288,26 +311,54 @@ TEST(StatsPlane, LeaseReadsPhaseShardAndTickOfASlot)
     StatsPlane plane = StatsPlane::create("", 2, "lease_test");
     StatsPublisher pub = plane.publisher(1);
     pub.announce(StatsPhase::Idle);
-    EXPECT_FALSE(plane.lease(1).held());
+    EXPECT_FALSE(plane.readSlot(1).held());
 
     pub.beginShard(9);
-    StatsLease lease = plane.lease(1);
+    StatsSlotSample lease = plane.readSlot(1);
     EXPECT_TRUE(lease.held());
     EXPECT_EQ(lease.phase, StatsPhase::Running);
     EXPECT_EQ(lease.shard, 9u);
     const uint64_t tick = lease.heartbeatTick;
     pub.trialStarted();
     pub.trialFinished();
-    EXPECT_GT(plane.lease(1).heartbeatTick, tick);
+    EXPECT_GT(plane.readSlot(1).heartbeatTick, tick);
     pub.setPhase(StatsPhase::Committing);
-    EXPECT_TRUE(plane.lease(1).held());
+    EXPECT_TRUE(plane.readSlot(1).held());
 
     // A supervisor stamp replaces the phase but keeps the shard.
     plane.markPhase(1, StatsPhase::Stalled);
-    lease = plane.lease(1);
+    lease = plane.readSlot(1);
     EXPECT_FALSE(lease.held());
     EXPECT_EQ(lease.shard, 9u);
-    EXPECT_FALSE(plane.lease(0).held());
+    EXPECT_FALSE(plane.readSlot(0).held());
+}
+
+TEST(StatsPlane, CrashVerdictIsReadableOnAKilledWritersSlot)
+{
+    // A writer SIGKILLed inside a shard leaves its slot mid-update; the
+    // supervisor's Crashed stamp must still read back as the verdict,
+    // next to the shard and counts the writer had published.
+    StatsPlane plane = StatsPlane::create("", 1, "killed_test");
+    const pid_t pid = spawnProcess([&plane] {
+        StatsPublisher pub = plane.publisher(0);
+        pub.announce(StatsPhase::Idle);
+        pub.beginShard(5);
+        pub.trialStarted();
+        pub.trialFinished();
+        pub.trialStarted();
+        std::raise(SIGKILL);
+        return 0;
+    });
+    const ProcessStatus status = waitProcess(pid);
+    EXPECT_TRUE(status.signaled);
+    EXPECT_TRUE(plane.readSlot(0).held());
+    plane.markPhase(0, StatsPhase::Crashed);
+    const StatsSlotSample sample = plane.readSlot(0);
+    EXPECT_EQ(sample.phase, StatsPhase::Crashed);
+    EXPECT_EQ(sample.shard, 5u);
+    EXPECT_EQ(sample.trialsStarted, 2u);
+    EXPECT_EQ(sample.trialsCompleted, 1u);
+    EXPECT_GT(sample.updateEpochMs, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -414,8 +465,7 @@ TEST(ObservationOnly, StatsAndProfilerPreserveBitIdentity)
         expectIdentical(baseline, observed);
     }
     profiler::stop();
-    StatsSlotSample sample;
-    ASSERT_TRUE(plane.readSlot(0, sample));
+    StatsSlotSample sample = plane.readSlot(0);
     // Both instrumented runs published: 2 engines x kTrials.
     EXPECT_EQ(sample.trialsCompleted, 2 * kTrials);
     EXPECT_EQ(sample.trialsStarted, 2 * kTrials);
@@ -714,8 +764,7 @@ TEST(WorkerPoolStats, PlanePersistsAndReconcilesWithTheRun)
     EXPECT_EQ(plane->quarantinedShards(), 0u);
     uint64_t started = 0, completed = 0;
     for (size_t slot = 0; slot < plane->slots(); ++slot) {
-        StatsSlotSample sample;
-        ASSERT_TRUE(plane->readSlot(slot, sample));
+        const StatsSlotSample sample = plane->readSlot(slot);
         started += sample.trialsStarted;
         completed += sample.trialsCompleted;
     }

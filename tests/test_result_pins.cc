@@ -9,6 +9,10 @@
  * in tier-1. `fleet_scale` is checked in-process and at two workers
  * against the same pin.
  *
+ * The Fig. 8, 10 and 11 coverage rows are pinned too, as a digest of
+ * each `CoverageResult` (its counts and capacity-histogram bins) at
+ * 1000 faulty nodes and the benches' default seed.
+ *
  * A change that moves a stream on purpose regenerates the pins in the
  * same change, and says why in CHANGES.md:
  *
@@ -17,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -25,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "coverage_curves.h"
 #include "lifetime_bench.h"
 
 namespace relaxfault {
@@ -66,8 +73,9 @@ checkPins(const Digests &actual)
         for (const auto &[key, digest] : actual)
             pins[key] = digest;
         std::ofstream out(RELAXFAULT_PINS_FILE, std::ios::trunc);
-        out << "# <bench> <unit> <LifetimeSummary::digest> at 512 nodes, "
-               "2 trials, default seed.\n"
+        out << "# <bench> <unit> <digest>: LifetimeSummary::digest at 512 "
+               "nodes, 2 trials; coverage digests at 1000 faulty nodes; "
+               "default seeds.\n"
                "# Regenerate: RELAXFAULT_UPDATE_PINS=1 "
                "./build/tests/test_result_pins\n";
         for (const auto &[key, digest] : pins)
@@ -137,35 +145,15 @@ TEST(ResultPins, Fig09SweepUnits)
 {
     const auto bench = tinyBench(bench::kFig09Bench);
     Digests digests;
-    // The sweep points of bench/fig09_fault_model_sensitivity.cc.
-    const struct
-    {
-        const char *panel;
-        std::vector<std::pair<double, double>> points;
-    } sweeps[] = {
-        {"factor-sweep/",
-         {{1.0, 0.001}, {50.0, 0.001}, {100.0, 0.001}, {150.0, 0.001},
-          {200.0, 0.001}}},
-        {"fraction-sweep/",
-         {{1.0, 0.0}, {100.0, 0.0001}, {100.0, 0.001}, {100.0, 0.002},
-          {100.0, 0.003}, {100.0, 0.004}, {100.0, 0.005}}},
-    };
-    for (const auto &sweep : sweeps) {
-        unsigned index = 0;
-        for (const auto &[factor, fraction] : sweep.points) {
-            LifetimeConfig config = bench->config();
-            if (factor <= 1.0) {
-                config.faultModel.accelerationEnabled = false;
-            } else {
-                config.faultModel.accelerationFactor = factor;
-                config.faultModel.acceleratedNodeFraction = fraction;
-                config.faultModel.acceleratedDimmFraction = fraction;
-            }
-            const LifetimeSimulator simulator(config);
-            runPinned(*bench, digests,
-                      sweep.panel + std::to_string(index++), simulator, {});
-        }
+    // Each distinct config once, under the unit fig09 runs it as: a
+    // point whose unit names an earlier point has no pin of its own.
+    for (const bench::Fig09Point &point : bench::fig09Points()) {
+        if (point.unit != point.panel + "/" + std::to_string(point.index))
+            continue;
+        const LifetimeSimulator simulator(point.apply(bench->config()));
+        runPinned(*bench, digests, point.unit, simulator, {});
     }
+    EXPECT_EQ(digests.size(), 10u);
     checkPins(digests);
 }
 
@@ -234,6 +222,69 @@ TEST(ResultPins, FleetScaleAtTwoWorkers)
 {
     SignalGuard::reset();
     checkFleetScale({"--workers=2"});
+}
+
+/** FNV-1a over @p result's counts and capacity-histogram bins. */
+std::string
+coverageDigest(const CoverageResult &result)
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    const auto mix = [&hash](uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    const Histogram &bins = result.capacityHistogram;
+    for (const uint64_t count :
+         {result.nodesSampled, result.faultyNodes, result.repairedNodes,
+          uint64_t{bins.binCount()}})
+        mix(count);
+    for (size_t bin = 0; bin < bins.binCount(); ++bin)
+        mix(std::bit_cast<uint64_t>(bins.binWeight(bin)));
+    mix(std::bit_cast<uint64_t>(bins.overflowWeight()));
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return hex;
+}
+
+/** @p specs' coverage runs at @p fit, each on the bench's seed. */
+void
+checkCoverage(const std::string &bench_name,
+              const std::vector<bench::MechanismSpec> &specs, double fit)
+{
+    CoverageConfig config;
+    config.faultModel.fitScale = fit;
+    config.faultyNodeTarget = 1000;
+    const CoverageEvaluator evaluator(config);
+    Digests digests;
+    for (const bench::MechanismSpec &spec : specs) {
+        Rng rng(20160618);  // The benches' default --seed.
+        digests[bench_name + " " + spec.label] = coverageDigest(
+            evaluator.run(bench::makeFactory(spec,
+                                             config.faultModel.geometry),
+                          rng));
+    }
+    checkPins(digests);
+}
+
+TEST(ResultPins, Fig08HashSensitivityRows)
+{
+    checkCoverage("fig08_hash_sensitivity", bench::hashSensitivitySpecs(),
+                  1.0);
+}
+
+TEST(ResultPins, Fig10CoverageCurves)
+{
+    checkCoverage("fig10_coverage_base_fit", bench::coverageCurveSpecs(),
+                  1.0);
+}
+
+TEST(ResultPins, Fig11CoverageCurves)
+{
+    checkCoverage("fig11_coverage_10x_fit", bench::coverageCurveSpecs(),
+                  10.0);
 }
 
 } // namespace

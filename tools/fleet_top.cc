@@ -6,25 +6,31 @@
  *   fleet_top STATS.plane                 # refreshing per-worker table
  *   fleet_top STATS.plane --once          # one frame, then exit
  *   fleet_top STATS.plane --once --json   # machine snapshot
- *                                         # (relaxfault.top.v2)
+ *                                         # (relaxfault.top.v3)
  *
- * The viewer is a pure observer: it maps the plane read-only and
- * samples the per-slot seqlock, so attaching (or hammering refreshes)
- * costs the campaign nothing. Highlighting mirrors the supervisor's
- * verdicts — a slot the parent marked `stalled` or `crashed` is flagged
- * — plus an observer-side staleness hint: a `running` slot whose last
- * publish is older than `--stale-ms` is suspect even before the
- * watchdog fires (the watchdog may be disabled, or its deadline long).
- * Quarantined shards are surfaced in the footer; the campaign's own
- * numbers are still the checkpoint log's job, not this viewer's.
+ * The viewer is a pure observer: it maps the plane read-only and loads
+ * each slot's words (`StatsPlane::readSlot`), so attaching (or
+ * hammering refreshes) costs the campaign nothing. Trials/s is the
+ * observer's own figure: the change in each slot's completed count
+ * between two samples `--interval-ms` apart — successive frames in
+ * watch mode, two samples for `--once`. Highlighting mirrors the
+ * supervisor's verdicts — a slot the parent marked `stalled` or
+ * `crashed` is flagged — plus an observer-side staleness hint: a
+ * `running` slot with no finished trial or phase change for
+ * `--stale-ms` is suspect even before the watchdog fires (the watchdog
+ * may be disabled, or its deadline long). Quarantined shards are
+ * surfaced in the footer; the campaign's own numbers are still the
+ * checkpoint log's job, not this viewer's.
  */
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.h"
@@ -47,14 +53,15 @@ struct PlaneFrame
     uint64_t startEpochMs = 0;
     uint64_t quarantinedShards = 0;
     uint64_t nowEpochMs = 0;
+    Clock::TimePoint sampledAt;
     std::vector<StatsSlotSample> slots;
-    /// readSlot failed: the slot's sequence word stayed odd for a
-    /// second, which only a writer that died mid-publish leaves behind.
-    std::vector<bool> stuck;
+    /// Completed trials per second since the previous frame, per slot.
+    std::vector<double> trialsPerSec;
 };
 
+/** Sample @p plane; rates are derived against @p previous if given. */
 PlaneFrame
-sample(const StatsPlane &plane)
+sample(const StatsPlane &plane, const PlaneFrame *previous)
 {
     PlaneFrame frame;
     frame.campaign = plane.campaign();
@@ -62,14 +69,28 @@ sample(const StatsPlane &plane)
     frame.startEpochMs = plane.startEpochMs();
     frame.quarantinedShards = plane.quarantinedShards();
     frame.nowEpochMs = runTimestampMs();
-    frame.slots.resize(plane.slots());
-    frame.stuck.resize(plane.slots(), false);
+    frame.sampledAt = Clock::steady().now();
     for (size_t slot = 0; slot < plane.slots(); ++slot)
-        frame.stuck[slot] = !plane.readSlot(slot, frame.slots[slot]);
+        frame.slots.push_back(plane.readSlot(slot));
+    frame.trialsPerSec.assign(frame.slots.size(), 0.0);
+    if (previous == nullptr)
+        return frame;
+    const double seconds =
+        std::chrono::duration<double>(frame.sampledAt - previous->sampledAt)
+            .count();
+    for (size_t i = 0;
+         i < frame.slots.size() && i < previous->slots.size(); ++i) {
+        const uint64_t now = frame.slots[i].trialsCompleted;
+        const uint64_t before = previous->slots[i].trialsCompleted;
+        // A count that went down belongs to a re-created plane.
+        if (seconds > 0.0 && now >= before)
+            frame.trialsPerSec[i] =
+                static_cast<double>(now - before) / seconds;
+    }
     return frame;
 }
 
-/** Milliseconds since the slot's last seqlock publish (0 if never). */
+/** Milliseconds since the slot's last update (0 if never). */
 uint64_t
 publishAgeMs(const PlaneFrame &frame, const StatsSlotSample &slot)
 {
@@ -105,9 +126,7 @@ renderTable(const PlaneFrame &frame, uint64_t stale_ms)
         const StatsSlotSample &slot = frame.slots[i];
         const uint64_t age = publishAgeMs(frame, slot);
         std::string note;
-        if (frame.stuck[i])
-            note = "<< STUCK (writer died mid-publish)";
-        else if (slot.phase == StatsPhase::Stalled)
+        if (slot.phase == StatsPhase::Stalled)
             note = "<< STALLED (watchdog verdict)";
         else if (slot.phase == StatsPhase::Crashed)
             note = "<< CRASHED";
@@ -116,15 +135,14 @@ renderTable(const PlaneFrame &frame, uint64_t stale_ms)
             note = "?? stale publish";
         total_started += slot.trialsStarted;
         total_done += slot.trialsCompleted;
-        if (!terminalPhase(slot.phase))
-            total_rate += slot.trialsPerSec;
+        total_rate += frame.trialsPerSec[i];
         table.addRow({TextTable::num(uint64_t{i}),
                       TextTable::num(slot.pid),
                       statsPhaseName(slot.phase),
                       TextTable::num(slot.shard),
                       TextTable::num(slot.trialsStarted),
                       TextTable::num(slot.trialsCompleted),
-                      TextTable::num(slot.trialsPerSec, 2),
+                      TextTable::num(frame.trialsPerSec[i], 2),
                       TextTable::num(static_cast<double>(slot.rssBytes) /
                                          (1024.0 * 1024.0),
                                      1),
@@ -148,7 +166,7 @@ writeJsonFrame(const PlaneFrame &frame, uint64_t stale_ms,
 {
     JsonWriter json(os);
     json.beginObject();
-    json.key("schema").value("relaxfault.top.v2");
+    json.key("schema").value("relaxfault.top.v3");
     writeProvenance(json);
     json.key("campaign").value(frame.campaign);
     json.key("owner_pid").value(frame.ownerPid);
@@ -165,13 +183,12 @@ writeJsonFrame(const PlaneFrame &frame, uint64_t stale_ms,
         json.key("shard").value(slot.shard);
         json.key("trials_started").value(slot.trialsStarted);
         json.key("trials_completed").value(slot.trialsCompleted);
-        json.key("trials_per_sec").value(slot.trialsPerSec);
+        json.key("trials_per_sec").value(frame.trialsPerSec[i]);
         json.key("rss_bytes").value(slot.rssBytes);
         json.key("heartbeat_tick").value(slot.heartbeatTick);
         json.key("armed_failpoints").value(slot.armedFailpoints);
         json.key("update_epoch_ms").value(slot.updateEpochMs);
         json.key("publish_age_ms").value(age);
-        json.key("stuck").value(bool{frame.stuck[i]});
         json.key("stale").value(slot.phase == StatsPhase::Running &&
                                 stale_ms != 0 && age >= stale_ms);
         json.endObject();
@@ -230,17 +247,18 @@ main(int argc, char **argv)
         clock.sleepFor(std::chrono::milliseconds(interval_ms));
     }
 
-    if (once) {
-        const PlaneFrame frame = sample(*plane);
-        if (options.has("json"))
-            writeJsonFrame(frame, stale_ms, std::cout);
-        else
-            std::cout << renderTable(frame, stale_ms);
-        return 0;
-    }
-
+    // Rates need two samples: the first frame is the baseline.
+    PlaneFrame previous = sample(*plane, nullptr);
     for (;;) {
-        const PlaneFrame frame = sample(*plane);
+        clock.sleepFor(std::chrono::milliseconds(interval_ms));
+        PlaneFrame frame = sample(*plane, &previous);
+        if (once) {
+            if (options.has("json"))
+                writeJsonFrame(frame, stale_ms, std::cout);
+            else
+                std::cout << renderTable(frame, stale_ms);
+            return 0;
+        }
         // Home + clear-to-end keeps a live terminal flicker-free;
         // harmless noise when redirected (use --once for capture).
         std::cout << "\x1b[H\x1b[J" << renderTable(frame, stale_ms)
@@ -252,6 +270,6 @@ main(int argc, char **argv)
             std::cout << "(campaign finished)\n";
             return 0;
         }
-        clock.sleepFor(std::chrono::milliseconds(interval_ms));
+        previous = std::move(frame);
     }
 }

@@ -4,7 +4,8 @@
  * the RelaxFault address map, the normal DRAM address map, the faulty-
  * bank-table + tag test (the per-miss filter), the chipkill codecs, and
  * the coalescer merge. These bound the logic the paper argues is cheap
- * enough to hide under a DRAM access.
+ * enough to hide under a DRAM access. The `BM_RegionSample` and
+ * `BM_SampleNode` rows time the simulator's fault-sampling layer.
  *
  * The chipkill/histogram benches run at the active SIMD dispatch level;
  * pin with `RELAXFAULT_SIMD=scalar|sse2|avx2` to A/B the kernels. The
@@ -32,6 +33,7 @@
 #include "core/relaxfault_controller.h"
 #include "dram/address_map.h"
 #include "ecc/chipkill.h"
+#include "faults/fault_model.h"
 #include "repair/freefault_repair.h"
 #include "repair/line_tracker.h"
 #include "repair/relaxfault_map.h"
@@ -212,6 +214,50 @@ BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_column,
 BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_multirow,
                   RelaxFaultRepair(kGeometry, kLlc, RepairBudget{1, 32768}),
                   "multirow")->Name("BM_RelaxFaultTryRepair/multirow");
+
+/**
+ * One region draw of a fault mode (DDR3 geometry, default calibration):
+ * the sampling layer's per-fault cost, which the multi-bank and column
+ * rows dominate.
+ */
+void
+BM_RegionSample(benchmark::State &state, FaultMode mode)
+{
+    const FaultGeometrySampler sampler(kGeometry, FaultGeometryParams{});
+    uint64_t seed = 2016;
+    benchmark::DoNotOptimize(seed);
+    Rng rng(seed);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sampler.sample(mode, rng));
+}
+BENCHMARK_CAPTURE(BM_RegionSample, bit, FaultMode::SingleBit);
+BENCHMARK_CAPTURE(BM_RegionSample, row, FaultMode::SingleRow);
+BENCHMARK_CAPTURE(BM_RegionSample, column, FaultMode::SingleColumn);
+BENCHMARK_CAPTURE(BM_RegionSample, bank, FaultMode::SingleBank);
+BENCHMARK_CAPTURE(BM_RegionSample, multibank, FaultMode::MultiBank);
+BENCHMARK_CAPTURE(BM_RegionSample, multirank, FaultMode::MultiRank);
+
+/**
+ * One node of the fig12 10x-FIT panel (~3 faults) into a pooled sample,
+ * as the classic trial loop draws its 16,384 nodes.
+ */
+void
+BM_SampleNode(benchmark::State &state)
+{
+    FaultModelConfig config;
+    config.fitScale = 10.0;
+    const NodeFaultSampler sampler(config);
+    uint64_t seed = 2016;
+    benchmark::DoNotOptimize(seed);
+    Rng rng(seed);
+    NodeSample node;
+    for (auto _ : state) {
+        sampler.sampleNodeInto(node, rng);
+        benchmark::DoNotOptimize(node.faults.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_SampleNode);
 
 void
 BM_LineTrackerTryAdd(benchmark::State &state)

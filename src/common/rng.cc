@@ -16,12 +16,6 @@ splitMix64(uint64_t &state)
     return z ^ (z >> 31);
 }
 
-constexpr uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -29,20 +23,6 @@ Rng::Rng(uint64_t seed)
     uint64_t sm = seed;
     for (auto &word : state_)
         word = splitMix64(sm);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 Rng
@@ -65,34 +45,11 @@ Rng::forkAt(uint64_t seed, uint64_t index)
     return Rng(derived);
 }
 
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t
-Rng::uniformInt(uint64_t bound)
-{
-    // Rejection-free multiply-shift (Lemire); bias is < 2^-64 * bound,
-    // negligible for every bound used in this project.
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(next()) * bound;
-    return static_cast<uint64_t>(product >> 64);
-}
-
 int64_t
 Rng::uniformRange(int64_t lo, int64_t hi)
 {
     return lo + static_cast<int64_t>(
         uniformInt(static_cast<uint64_t>(hi - lo + 1)));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 double

@@ -12,6 +12,7 @@
 #ifndef RELAXFAULT_COMMON_RNG_H
 #define RELAXFAULT_COMMON_RNG_H
 
+#include <bit>
 #include <cstdint>
 
 namespace relaxfault {
@@ -30,7 +31,18 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit output. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
 
     /** Fork an independent stream; used to give each node its own RNG. */
     Rng fork();
@@ -44,17 +56,26 @@ class Rng
      */
     static Rng forkAt(uint64_t seed, uint64_t index);
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+    /** Uniform double in [0, 1): 53 random mantissa bits. */
+    double uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
-    /** Uniform integer in [0, bound) (bound > 0). */
-    uint64_t uniformInt(uint64_t bound);
+    /** Uniform integer in [0, bound) (bound > 0): multiply-shift
+     * (Lemire), bias < 2^-64 * bound. */
+    uint64_t uniformInt(uint64_t bound)
+    {
+        const unsigned __int128 product =
+            static_cast<unsigned __int128>(next()) * bound;
+        return static_cast<uint64_t>(product >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     int64_t uniformRange(int64_t lo, int64_t hi);
 
     /** Bernoulli trial with success probability @p p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /** Exponential variate with rate @p lambda (> 0). */
     double exponential(double lambda);

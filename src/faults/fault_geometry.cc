@@ -1,9 +1,39 @@
 #include "faults/fault_geometry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 namespace relaxfault {
+
+namespace {
+
+/// Sparse draws of at most this many rows keep them sorted by insertion,
+/// which beats the bitmaps below for the few rows of a control glitch.
+constexpr unsigned kSortedInsertMax = 8;
+
+/// randomRows' per-thread scratch, all-zero between calls: a seen-bitmap
+/// over the span, a summary of its non-zero words, the dense path's pool.
+struct RowScratch
+{
+    std::vector<uint64_t> seen;
+    std::vector<uint64_t> nonzero;
+    std::vector<uint32_t> pool;
+};
+
+thread_local RowScratch rowScratch;
+
+/** A one-cluster region, built by move (no initializer_list copy). */
+FaultRegion
+singleCluster(RegionCluster &&cluster)
+{
+    std::vector<RegionCluster> clusters;
+    clusters.push_back(std::move(cluster));
+    return FaultRegion(std::move(clusters));
+}
+
+} // namespace
 
 FaultGeometrySampler::FaultGeometrySampler(const DramGeometry &geometry,
                                            const FaultGeometryParams &params)
@@ -26,32 +56,71 @@ FaultGeometrySampler::geometricCount(double mean, Rng &rng) const
 
 RowSet
 FaultGeometrySampler::randomRows(unsigned count, uint32_t base,
-                                 uint32_t span, Rng &rng) const
+                                 uint32_t span, Rng &rng)
 {
     count = std::min(count, span);
-    std::vector<uint32_t> rows;
+    RowSet set;
+    std::vector<uint32_t> &rows = set.rows;
     rows.reserve(count);
-    // Dense draws use a partial Fisher-Yates over the span; sparse draws
-    // use rejection against the already-chosen set.
-    if (count * 3 >= span) {
-        std::vector<uint32_t> pool(span);
-        for (uint32_t i = 0; i < span; ++i)
-            pool[i] = base + i;
+    const bool dense = count * 3 >= span;
+    if (!dense && count <= kSortedInsertMax) {
+        while (rows.size() < count) {
+            const auto row = base + static_cast<uint32_t>(
+                rng.uniformInt(span));
+            const auto it = std::lower_bound(rows.begin(), rows.end(), row);
+            if (it == rows.end() || *it != row)
+                rows.insert(it, row);
+        }
+        return set;
+    }
+
+    RowScratch &scratch = rowScratch;
+    const size_t words = (size_t{span} + 63) / 64;
+    const size_t summary_words = (words + 63) / 64;
+    scratch.seen.resize(std::max(scratch.seen.size(), words));
+    scratch.nonzero.resize(std::max(scratch.nonzero.size(), summary_words));
+    const auto mark = [&scratch](uint32_t offset) {
+        const uint32_t w = offset / 64;
+        uint64_t &word = scratch.seen[w];
+        const uint64_t bit = uint64_t{1} << (offset % 64);
+        const bool fresh = (word & bit) == 0;
+        word |= bit;
+        scratch.nonzero[w / 64] |= uint64_t{1} << (w % 64);
+        return fresh;
+    };
+    if (dense) {
+        std::vector<uint32_t> &pool = scratch.pool;
+        pool.resize(span);
+        std::iota(pool.begin(), pool.end(), 0u);
         for (unsigned i = 0; i < count; ++i) {
             const auto j = i + static_cast<uint32_t>(
                 rng.uniformInt(span - i));
             std::swap(pool[i], pool[j]);
-            rows.push_back(pool[i]);
+            mark(pool[i]);
         }
     } else {
-        while (rows.size() < count) {
-            const auto row = base + static_cast<uint32_t>(
-                rng.uniformInt(span));
-            if (std::find(rows.begin(), rows.end(), row) == rows.end())
-                rows.push_back(row);
-        }
+        for (unsigned chosen = 0; chosen < count;)
+            chosen += mark(static_cast<uint32_t>(rng.uniformInt(span)));
     }
-    return RowSet::of(std::move(rows));
+
+    // Read the rows out in order, leaving both bitmaps all-zero again.
+    rows.resize(count);
+    uint32_t *out = rows.data();
+    for (size_t s = 0; s < summary_words; ++s) {
+        for (uint64_t live = scratch.nonzero[s]; live != 0;
+             live &= live - 1) {
+            const size_t w = s * 64 + static_cast<size_t>(
+                std::countr_zero(live));
+            for (uint64_t bits = scratch.seen[w]; bits != 0;
+                 bits &= bits - 1) {
+                *out++ = base + static_cast<uint32_t>(
+                    w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+            }
+            scratch.seen[w] = 0;
+        }
+        scratch.nonzero[s] = 0;
+    }
+    return set;
 }
 
 RegionCluster
@@ -100,7 +169,7 @@ FaultGeometrySampler::sampleSingleBit(Rng &rng) const
     } else {
         cluster.bitMask = 1u << bit;
     }
-    return FaultRegion({cluster});
+    return singleCluster(std::move(cluster));
 }
 
 FaultRegion
@@ -112,7 +181,7 @@ FaultGeometrySampler::sampleSingleRow(Rng &rng) const
         rng.uniformInt(geometry_.rowsPerBank))});
     cluster.cols = ColSet::allCols();
     cluster.bitMask = 0xffffffffu;
-    return FaultRegion({cluster});
+    return singleCluster(std::move(cluster));
 }
 
 FaultRegion
@@ -131,7 +200,7 @@ FaultGeometrySampler::sampleSingleColumn(Rng &rng) const
     cluster.cols = ColSet::of({static_cast<uint16_t>(
         rng.uniformInt(geometry_.colBlocksPerRow))});
     cluster.bitMask = 1u << rng.uniformInt(32);
-    return FaultRegion({cluster});
+    return singleCluster(std::move(cluster));
 }
 
 FaultRegion
@@ -139,7 +208,7 @@ FaultGeometrySampler::sampleSingleBank(Rng &rng) const
 {
     const auto bank = static_cast<unsigned>(
         rng.uniformInt(geometry_.banksPerDevice));
-    return FaultRegion({bankExtent(bank, rng)});
+    return singleCluster(bankExtent(bank, rng));
 }
 
 FaultRegion
@@ -155,6 +224,7 @@ FaultGeometrySampler::sampleMultiBank(Rng &rng) const
     for (unsigned i = 0; i < banks.size(); ++i)
         banks[i] = i;
     std::vector<RegionCluster> clusters;
+    clusters.reserve(bank_count);
     for (unsigned i = 0; i < bank_count; ++i) {
         const auto j = i + static_cast<unsigned>(
             rng.uniformInt(banks.size() - i));
@@ -184,10 +254,11 @@ FaultGeometrySampler::sampleMultiRank(Rng &rng) const
         cluster.rows = RowSet::allRows();
         cluster.cols = ColSet::allCols();
         cluster.bitMask = 1u << rng.uniformInt(32);
-        return FaultRegion({cluster});
+        return singleCluster(std::move(cluster));
     }
     // Control glitch: a few rows in each bank.
     std::vector<RegionCluster> clusters;
+    clusters.reserve(geometry_.banksPerDevice);
     for (unsigned bank = 0; bank < geometry_.banksPerDevice; ++bank) {
         RegionCluster cluster;
         cluster.bankMask = 1u << bank;

@@ -73,13 +73,15 @@ class FaultGeometrySampler
 
     const FaultGeometryParams &params() const { return params_; }
 
+    /** @p count distinct rows, uniform within [base, base+span): a
+     * partial Fisher-Yates when dense (3 * count >= span), else rejection
+     * of rows already chosen; sorted without a sort (see DESIGN §17). */
+    static RowSet randomRows(unsigned count, uint32_t base, uint32_t span,
+                             Rng &rng);
+
   private:
     /** Geometric count with the given mean, >= 1. */
     unsigned geometricCount(double mean, Rng &rng) const;
-
-    /** @p count distinct rows, uniform within [base, base+span). */
-    RowSet randomRows(unsigned count, uint32_t base, uint32_t span,
-                      Rng &rng) const;
 
     RegionCluster bankExtent(unsigned bank, Rng &rng) const;
 

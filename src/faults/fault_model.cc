@@ -41,6 +41,15 @@ NodeSample::permanentCount() const
                       [](const FaultRecord &f) { return f.permanent(); }));
 }
 
+void
+NodeSample::sortByArrival()
+{
+    std::sort(faults.begin(), faults.end(),
+              [](const FaultRecord &a, const FaultRecord &b) {
+                  return a.timeHours < b.timeHours;
+              });
+}
+
 NodeFaultSampler::NodeFaultSampler(const FaultModelConfig &config)
     : config_(config),
       geometrySampler_(config.geometry, config.geometryParams)
@@ -60,6 +69,11 @@ NodeFaultSampler::NodeFaultSampler(const FaultModelConfig &config)
         fatal("fault model: all FIT rates are zero");
     for (auto &value : processCdf_)
         value /= perDeviceFitTotal_;
+
+    const double per_dimm_base = perDeviceFitTotal_ * config_.fitScale *
+        1e-9 * config_.missionHours * config_.geometry.devicesPerRank();
+    nominalDimmMean_ = per_dimm_base * dimmFactor(false, false);
+    acceleratedDimmMean_ = per_dimm_base * dimmFactor(true, true);
 }
 
 double
@@ -138,6 +152,7 @@ NodeFaultSampler::makeFault(unsigned dimm, FaultMode mode,
         // of the same channel (same device position).
         DevicePart partner = part;
         partner.dimm = dimm ^ 1;
+        fault.parts.reserve(2);
         fault.parts.push_back(std::move(part));
         fault.parts.push_back(std::move(partner));
     } else {
@@ -159,32 +174,26 @@ NodeSample
 NodeFaultSampler::sampleNode(Rng &rng) const
 {
     NodeSample sample;
+    sampleNodeInto(sample, rng);
+    return sample;
+}
+
+void
+NodeFaultSampler::sampleNodeInto(NodeSample &sample, Rng &rng) const
+{
+    sample.acceleratedNode = false;  // sampleAcceleration may not set it
     sampleAcceleration(sample, rng);
+    sample.faults.clear();
 
     const unsigned dimms = config_.geometry.dimmsPerNode();
-    const double per_device_mean = perDeviceFitTotal_ * config_.fitScale *
-        1e-9 * config_.missionHours;
-    const double per_dimm_base =
-        per_device_mean * config_.geometry.devicesPerRank();
-
     for (unsigned dimm = 0; dimm < dimms; ++dimm) {
-        const double mean = per_dimm_base *
-            dimmFactor(sample.acceleratedNode, sample.acceleratedDimm[dimm]);
+        const double mean =
+            dimmMean(sample.acceleratedNode, sample.acceleratedDimm[dimm]);
         const uint64_t count = rng.poisson(mean);
-        for (uint64_t i = 0; i < count; ++i) {
-            FaultMode mode;
-            Persistence persistence;
-            pickProcess(rng, mode, persistence);
-            sample.faults.push_back(makeFault(dimm, mode, persistence,
-                                              rng));
-        }
+        for (uint64_t i = 0; i < count; ++i)
+            sample.faults.push_back(sampleFaultAt(dimm, rng));
     }
-
-    std::sort(sample.faults.begin(), sample.faults.end(),
-              [](const FaultRecord &a, const FaultRecord &b) {
-                  return a.timeHours < b.timeHours;
-              });
-    return sample;
+    sample.sortByArrival();
 }
 
 NodeSample
@@ -229,10 +238,7 @@ NodeFaultSampler::sampleNodeExact(Rng &rng) const
         }
     }
 
-    std::sort(sample.faults.begin(), sample.faults.end(),
-              [](const FaultRecord &a, const FaultRecord &b) {
-                  return a.timeHours < b.timeHours;
-              });
+    sample.sortByArrival();
     return sample;
 }
 

@@ -86,6 +86,8 @@ struct NodeSample
 
     bool anyPermanent() const;
     unsigned permanentCount() const;
+    /** Order the faults by arrival time (every sampler's last step). */
+    void sortByArrival();
 };
 
 /** Samples the fault history of nodes under a FaultModelConfig. */
@@ -97,6 +99,9 @@ class NodeFaultSampler
     /** Fast-path sample (aggregate Poisson per DIMM; see file comment). */
     NodeSample sampleNode(Rng &rng) const;
 
+    /** sampleNode into a reused @p sample (every field overwritten). */
+    void sampleNodeInto(NodeSample &sample, Rng &rng) const;
+
     /** Exact per-device/process sample with Lognormal variation. */
     NodeSample sampleNodeExact(Rng &rng) const;
 
@@ -105,13 +110,13 @@ class NodeFaultSampler
 
     const FaultModelConfig &config() const { return config_; }
 
-    /**
-     * Rate factor of a DIMM given its and its node's acceleration,
-     * relative to `fitScale * nominal`. Public so the fleet engine's
-     * skip-ahead sampler can build its aggregate arrival means from the
-     * exact same per-DIMM rates this sampler uses.
-     */
-    double dimmFactor(bool node_accel, bool dimm_accel) const;
+    /** Expected mission faults of a DIMM given its and its node's
+     * acceleration; the fleet sampler's class means sum these. */
+    double dimmMean(bool node_accel, bool dimm_accel) const
+    {
+        return node_accel || dimm_accel ? acceleratedDimmMean_
+                                        : nominalDimmMean_;
+    }
 
     /**
      * Attribute one fault that has already been assigned to @p dimm:
@@ -127,6 +132,9 @@ class NodeFaultSampler
     double perDeviceFitTotal() const { return perDeviceFitTotal_; }
 
   private:
+    /** dimmMean's rate factor, relative to `fitScale * nominal`. */
+    double dimmFactor(bool node_accel, bool dimm_accel) const;
+
     /** Draw acceleration flags into @p sample. */
     void sampleAcceleration(NodeSample &sample, Rng &rng) const;
 
@@ -144,6 +152,8 @@ class NodeFaultSampler
     /// processes, transient first.
     std::vector<double> processCdf_;
     double perDeviceFitTotal_;  ///< Sum of all process rates (FIT).
+    double nominalDimmMean_;      ///< dimmMean of a nominal DIMM.
+    double acceleratedDimmMean_;  ///< dimmMean of an accelerated DIMM.
 };
 
 } // namespace relaxfault

@@ -12,9 +12,6 @@ namespace relaxfault {
 FleetNodeSampler::FleetNodeSampler(const FaultModelConfig &config)
     : inner_(config), dimms_(config.geometry.dimmsPerNode())
 {
-    perDimmBase_ = inner_.perDeviceFitTotal() * config.fitScale * 1e-9 *
-                   config.missionHours * config.geometry.devicesPerRank();
-
     if (dimms_ > 64) {
         fatal("fleet sampler: more than 64 DIMMs/node is unsupported "
               "(per-DIMM attribution table is stack-bounded)");
@@ -23,7 +20,8 @@ FleetNodeSampler::FleetNodeSampler(const FaultModelConfig &config)
     if (!config.accelerationEnabled) {
         // One certain class at the nominal rate; no class draw at all,
         // matching sampleAcceleration's draw-free disabled path.
-        classMean_.assign(1, perDimmBase_ * static_cast<double>(dimms_));
+        classMean_.assign(1, inner_.dimmMean(false, false) *
+                                 static_cast<double>(dimms_));
         return;
     }
 
@@ -52,8 +50,7 @@ FleetNodeSampler::FleetNodeSampler(const FaultModelConfig &config)
         for (unsigned d = 0; d < dimms_; ++d) {
             const bool dimm_accel = ((c >> (1 + d)) & 1) != 0;
             prob *= dimm_accel ? p_dimm : 1.0 - p_dimm;
-            mean += perDimmBase_ * inner_.dimmFactor(node_accel,
-                                                     dimm_accel);
+            mean += inner_.dimmMean(node_accel, dimm_accel);
         }
         cumulative += prob;
         accelCdf_[c] = cumulative;
@@ -111,9 +108,8 @@ FleetNodeSampler::sampleNodeInto(NodeSample &sample, Rng &rng) const
     double dimm_cdf[64];  // dimmsPerNode <= 64, checked at construction
     double weight_sum = 0.0;
     for (unsigned d = 0; d < dimms_; ++d) {
-        weight_sum += perDimmBase_ *
-            inner_.dimmFactor(sample.acceleratedNode,
-                              sample.acceleratedDimm[d]);
+        weight_sum += inner_.dimmMean(sample.acceleratedNode,
+                                      sample.acceleratedDimm[d]);
         dimm_cdf[d] = weight_sum;
     }
     sample.faults.reserve(total);
@@ -124,10 +120,7 @@ FleetNodeSampler::sampleNodeInto(NodeSample &sample, Rng &rng) const
             ++dimm;
         sample.faults.push_back(inner_.sampleFaultAt(dimm, rng));
     }
-    std::sort(sample.faults.begin(), sample.faults.end(),
-              [](const FaultRecord &a, const FaultRecord &b) {
-                  return a.timeHours < b.timeHours;
-              });
+    sample.sortByArrival();
     return static_cast<unsigned>(total);
 }
 

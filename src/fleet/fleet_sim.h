@@ -87,7 +87,6 @@ class FleetNodeSampler
   private:
     NodeFaultSampler inner_;
     unsigned dimms_;
-    double perDimmBase_;  ///< Expected faults per nominal-rate DIMM.
     /// Cumulative probability over acceleration classes c, where bit 0
     /// is the node flag and bit 1+d is DIMM d's flag. Empty when
     /// acceleration is disabled (class 0 is certain; no draw).

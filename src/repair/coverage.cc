@@ -61,10 +61,11 @@ CoverageEvaluator::run(const MechanismFactory &factory, Rng &rng) const
         static_cast<double>(config_.capacityBinBytes),
         config_.capacityMaxBytes / config_.capacityBinBytes);
 
+    NodeSample node;
     while (result.faultyNodes < config_.faultyNodeTarget &&
            result.nodesSampled < config_.maxNodeSamples) {
         ++result.nodesSampled;
-        const NodeSample node = sampler.sampleNode(rng);
+        sampler.sampleNodeInto(node, rng);
         if (!node.anyPermanent())
             continue;
         ++result.faultyNodes;

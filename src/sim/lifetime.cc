@@ -517,11 +517,11 @@ LifetimeSimulator::runSystemTrial(const MechanismFactory &factory,
     const TrialRepair repair = makeTrialRepair(factory);
 
     LifetimeMetrics metrics;
+    NodeSample node;
     for (unsigned n = 0; n < config_.nodesPerSystem; ++n) {
-        NodeSample node;
         {
             const PhaseScope scope(Phase::NodeSample);
-            node = sampler.sampleNode(rng);
+            sampler.sampleNodeInto(node, rng);
         }
         if (repair.retirement != nullptr)
             repair.retirement->reset();

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "common/stats.h"
 #include "faults/fault_model.h"
@@ -318,6 +320,120 @@ TEST_F(GeometrySamplerTest, MultiRankPinFaultIsMassiveSingleBit)
                 params_.multiRankMassiveProb, 0.04);
 }
 
+/**
+ * The original randomRows, kept as the oracle: a partial Fisher-Yates
+ * over a materialized pool (dense) or rejection with a linear search
+ * (sparse), then a sort through RowSet::of.
+ */
+RowSet
+referenceRandomRows(unsigned count, uint32_t base, uint32_t span, Rng &rng)
+{
+    count = std::min(count, span);
+    std::vector<uint32_t> rows;
+    rows.reserve(count);
+    if (count * 3 >= span) {
+        std::vector<uint32_t> pool(span);
+        for (uint32_t i = 0; i < span; ++i)
+            pool[i] = base + i;
+        for (unsigned i = 0; i < count; ++i) {
+            const auto j = i + static_cast<uint32_t>(
+                rng.uniformInt(span - i));
+            std::swap(pool[i], pool[j]);
+            rows.push_back(pool[i]);
+        }
+    } else {
+        while (rows.size() < count) {
+            const auto row = base + static_cast<uint32_t>(
+                rng.uniformInt(span));
+            if (std::find(rows.begin(), rows.end(), row) == rows.end())
+                rows.push_back(row);
+        }
+    }
+    return RowSet::of(std::move(rows));
+}
+
+TEST(RandomRows, MatchesReferenceRowsAndDraws)
+{
+    for (const uint32_t span : {512u, 65536u}) {
+        for (const uint32_t base : {0u, 4096u}) {
+            for (const unsigned count :
+                 {1u, 2u, 8u, 9u, 32u, 33u, 170u, 171u, span}) {
+                for (uint64_t seed = 1; seed <= 5; ++seed) {
+                    Rng rng(seed);
+                    Rng reference_rng(seed);
+                    const RowSet rows = FaultGeometrySampler::randomRows(
+                        count, base, span, rng);
+                    const RowSet expected =
+                        referenceRandomRows(count, base, span, reference_rng);
+                    ASSERT_EQ(rows, expected)
+                        << "count " << count << " base " << base << " span "
+                        << span << " seed " << seed;
+                    ASSERT_EQ(rng.next(), reference_rng.next())
+                        << "count " << count << " base " << base << " span "
+                        << span << " seed " << seed;
+                }
+            }
+        }
+    }
+}
+
+/** FNV-1a over the little-endian bytes of 64-bit words. */
+struct Fnv1a
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+
+    void add(uint64_t value)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (value >> (8 * i)) & 0xffu;
+            hash *= 0x100000001b3ull;
+        }
+    }
+};
+
+/** Digest of @p regions sampled regions of @p mode plus the next draw. */
+uint64_t
+regionDigest(FaultMode mode, unsigned regions, uint64_t seed)
+{
+    const FaultGeometrySampler sampler{DramGeometry{}, FaultGeometryParams{}};
+    Rng rng(seed);
+    Fnv1a fnv;
+    for (unsigned i = 0; i < regions; ++i) {
+        const FaultRegion region = sampler.sample(mode, rng);
+        fnv.add(region.clusters().size());
+        for (const RegionCluster &cluster : region.clusters()) {
+            fnv.add(cluster.bankMask);
+            fnv.add(cluster.rows.all);
+            fnv.add(cluster.rows.rows.size());
+            for (const uint32_t row : cluster.rows.rows)
+                fnv.add(row);
+            fnv.add(cluster.cols.all);
+            fnv.add(cluster.cols.cols.size());
+            for (const uint16_t col : cluster.cols.cols)
+                fnv.add(col);
+            fnv.add(cluster.bitMask);
+        }
+    }
+    fnv.add(rng.next());
+    return fnv.hash;
+}
+
+TEST(RegionSampler, DigestPinnedPerMode)
+{
+    // 2,000 regions per mode at seed 2016, DDR3 geometry and default
+    // calibration. Only a change that moves the region stream on purpose
+    // may change these.
+    const uint64_t pinned[kFaultModeCount] = {
+        0xdf61bff5ac6644ceull, 0x154c5179c8b03f1full, 0x3b5ea2c3e345674full,
+        0xae89ae63de54161eull, 0xddcd9737e9766f93ull, 0xe916c94483575f61ull,
+    };
+    for (unsigned m = 0; m < kFaultModeCount; ++m) {
+        const auto mode = static_cast<FaultMode>(m);
+        EXPECT_EQ(regionDigest(mode, 2000, 2016), pinned[m])
+            << faultModeName(mode);
+    }
+}
+
 TEST(FaultModelConfig, AdjustmentFactorMatchesEq1)
 {
     FaultModelConfig config;
@@ -413,6 +529,44 @@ TEST(FaultSampler, TimesSortedWithinMission)
             EXPECT_LE(fault.timeHours, config.missionHours);
             last = fault.timeHours;
         }
+    }
+}
+
+TEST(FaultSampler, SampleNodeIntoOverwritesDirtySample)
+{
+    FaultModelConfig config;
+    config.fitScale = 10.0;
+    config.accelerationEnabled = false;
+    const NodeFaultSampler sampler(config);
+
+    NodeSample dirty;
+    {
+        Rng rng(5);
+        dirty = sampler.sampleNode(rng);
+        while (dirty.faults.size() < 4)
+            dirty.faults.push_back(sampler.sampleFaultAt(0, rng));
+    }
+    for (uint64_t seed = 11; seed < 211; ++seed) {
+        dirty.acceleratedNode = true;
+        dirty.acceleratedDimm.assign(3, true);
+        Rng rng(seed);
+        Rng fresh_rng(seed);
+        sampler.sampleNodeInto(dirty, rng);
+        const NodeSample fresh = sampler.sampleNode(fresh_rng);
+        ASSERT_EQ(dirty.acceleratedNode, fresh.acceleratedNode);
+        ASSERT_EQ(dirty.acceleratedDimm, fresh.acceleratedDimm);
+        ASSERT_EQ(dirty.faults.size(), fresh.faults.size());
+        for (size_t i = 0; i < fresh.faults.size(); ++i) {
+            const FaultRecord &a = dirty.faults[i];
+            const FaultRecord &b = fresh.faults[i];
+            EXPECT_EQ(a.mode, b.mode);
+            EXPECT_EQ(a.persistence, b.persistence);
+            EXPECT_EQ(a.timeHours, b.timeHours);
+            EXPECT_EQ(a.hardPermanent, b.hardPermanent);
+            EXPECT_EQ(a.activationRatePerHour, b.activationRatePerHour);
+            EXPECT_EQ(a.parts, b.parts);
+        }
+        ASSERT_EQ(rng.next(), fresh_rng.next());
     }
 }
 

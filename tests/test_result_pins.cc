@@ -11,7 +11,9 @@
  *
  * The Fig. 8, 10 and 11 coverage rows are pinned too, as a digest of
  * each `CoverageResult` (its counts and capacity-histogram bins) at
- * 1000 faulty nodes and the benches' default seed.
+ * 1000 faulty nodes and the benches' default seed; Fig. 8 also at every
+ * non-default `--mapping` scheme, and `ablation_mapping`'s hash-only
+ * RelaxFault row, whose placement is not linear.
  *
  * A change that moves a stream on purpose regenerates the pins in the
  * same change, and says why in CHANGES.md:
@@ -249,22 +251,43 @@ coverageDigest(const CoverageResult &result)
     return hex;
 }
 
-/** @p specs' coverage runs at @p fit, each on the bench's seed. */
-void
-checkCoverage(const std::string &bench_name,
-              const std::vector<bench::MechanismSpec> &specs, double fit)
+/** The pinned coverage config at @p fit. */
+CoverageConfig
+coverageConfig(double fit)
 {
     CoverageConfig config;
     config.faultModel.fitScale = fit;
     config.faultyNodeTarget = 1000;
+    return config;
+}
+
+/** Digest of one coverage run on the benches' default --seed. */
+std::string
+coverageRunDigest(const CoverageEvaluator &evaluator,
+                  const CoverageEvaluator::MechanismFactory &factory)
+{
+    Rng rng(20160618);
+    return coverageDigest(evaluator.run(factory, rng));
+}
+
+/**
+ * @p specs' coverage runs at @p fit on the @p mapping address map, as
+ * units `<label>`, or `<mapping>/<label>` off the default map.
+ */
+void
+checkCoverage(const std::string &bench_name,
+              const std::vector<bench::MechanismSpec> &specs, double fit,
+              const std::string &mapping = "fig7a")
+{
+    const CoverageConfig config = coverageConfig(fit);
     const CoverageEvaluator evaluator(config);
+    const DramGeometry &geometry = config.faultModel.geometry;
+    const DramAddressMap address_map = makeAddressMap(mapping, geometry);
+    const std::string prefix = mapping == "fig7a" ? "" : mapping + "/";
     Digests digests;
     for (const bench::MechanismSpec &spec : specs) {
-        Rng rng(20160618);  // The benches' default --seed.
-        digests[bench_name + " " + spec.label] = coverageDigest(
-            evaluator.run(bench::makeFactory(spec,
-                                             config.faultModel.geometry),
-                          rng));
+        digests[bench_name + " " + prefix + spec.label] = coverageRunDigest(
+            evaluator, bench::makeFactory(spec, geometry, address_map));
     }
     checkPins(digests);
 }
@@ -273,6 +296,34 @@ TEST(ResultPins, Fig08HashSensitivityRows)
 {
     checkCoverage("fig08_hash_sensitivity", bench::hashSensitivitySpecs(),
                   1.0);
+}
+
+/** Fig. 8 at every other registered address map (`--mapping`). */
+TEST(ResultPins, Fig08HashSensitivityRowsOffDefaultMaps)
+{
+    for (const std::string &mapping : addressMapNames()) {
+        if (mapping != "fig7a") {
+            checkCoverage("fig08_hash_sensitivity",
+                          bench::hashSensitivitySpecs(), 1.0, mapping);
+        }
+    }
+}
+
+/** ablation_mapping's hash-only RelaxFault (no linear placement). */
+TEST(ResultPins, AblationHashOnlyRow)
+{
+    const CoverageConfig config = coverageConfig(1.0);
+    const CoverageEvaluator evaluator(config);
+    const DramGeometry geometry = config.faultModel.geometry;
+    const CacheGeometry llc = bench::paperLlc();
+    const RepairBudget budget{1, bench::kCoverageCapBytes / llc.lineBytes};
+    Digests digests;
+    digests["ablation_mapping RelaxFault-hashonly"] = coverageRunDigest(
+        evaluator, [&] {
+            return std::make_unique<RelaxFaultRepair>(
+                geometry, llc, budget, RelaxFaultMap::IndexMode::HashOnly);
+        });
+    checkPins(digests);
 }
 
 TEST(ResultPins, Fig10CoverageCurves)

@@ -33,9 +33,11 @@
 #include "core/relaxfault_controller.h"
 #include "dram/address_map.h"
 #include "ecc/chipkill.h"
+#include "faults/fault_geometry.h"
 #include "faults/fault_model.h"
 #include "repair/freefault_repair.h"
 #include "repair/line_tracker.h"
+#include "repair/ppr_repair.h"
 #include "repair/relaxfault_map.h"
 #include "repair/relaxfault_repair.h"
 #include "telemetry/metrics.h"
@@ -140,19 +142,41 @@ BM_FaultyBankFilter(benchmark::State &state)
 }
 BENCHMARK(BM_FaultyBankFilter);
 
-/** Repair-layer fault shapes: one cluster on DIMM 0, device 3, bank 2. */
+/**
+ * Repair-layer fault shapes on DIMM 0, device 3: one cluster in bank 2,
+ * except the multi-rank control glitch (DIMMs 0 and 1, every bank).
+ */
 FaultRecord
 repairFault(const std::string &mode)
 {
     RegionCluster cluster;
     cluster.bankMask = 1u << 2;
+    cluster.cols = ColSet::allCols();
+    Rng rng(2016);
+    FaultRecord fault;
+    fault.persistence = Persistence::Permanent;
     if (mode == "bit") {
         cluster.rows = RowSet::of({1000});
         cluster.cols = ColSet::of({17});
         cluster.bitMask = 1;
     } else if (mode == "row") {
         cluster.rows = RowSet::of({1000});
-        cluster.cols = ColSet::allCols();
+    } else if (mode == "bank") {
+        // A medium bank extent: 96 rows drawn over the whole bank.
+        cluster.rows = FaultGeometrySampler::randomRows(
+            96, 0, kGeometry.rowsPerBank, rng);
+    } else if (mode == "multirank") {
+        // 4 rows in each of the 8 banks, mirrored on the partner rank.
+        std::vector<RegionCluster> clusters;
+        for (unsigned bank = 0; bank < kGeometry.banksPerDevice; ++bank) {
+            cluster.bankMask = 1u << bank;
+            cluster.rows = FaultGeometrySampler::randomRows(
+                4, 0, kGeometry.rowsPerBank, rng);
+            clusters.push_back(cluster);
+        }
+        fault.parts.push_back({0, 3, FaultRegion(clusters)});
+        fault.parts.push_back({1, 3, FaultRegion(std::move(clusters))});
+        return fault;
     } else {
         // "column": 64 rows of one column block; "multirow": 32 whole
         // rows, 8,192 lines, as many as one LLC way holds.
@@ -161,19 +185,19 @@ repairFault(const std::string &mode)
         for (unsigned i = 0; i < rows; ++i)
             list.push_back(4096 + i);
         cluster.rows = RowSet::of(std::move(list));
-        cluster.cols = mode == "column" ? ColSet::of({17})
-                                        : ColSet::allCols();
+        if (mode == "column")
+            cluster.cols = ColSet::of({17});
     }
-    FaultRecord fault;
-    fault.persistence = Persistence::Permanent;
     fault.parts.push_back({0, 3, FaultRegion({cluster})});
     return fault;
 }
 
 /**
- * tryRepair of one fault on a fresh 1-way mechanism (the fig12
- * FreeFault-1way / RelaxFault-1way rows), reset included: the repair
- * layer's per-fault cost, tail shapes included.
+ * tryRepair of one fault on a fresh mechanism, reset included: the
+ * repair layer's per-fault cost, tail shapes included. The bit, row,
+ * column and multirow rows run the fig12 1-way rows; bank and
+ * multirank the 4-way ones, whose single-bank rejects cost the most
+ * to find by enumeration.
  */
 template <typename Mechanism>
 void
@@ -202,6 +226,14 @@ BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_multirow,
                   FreeFaultRepair(makeAddressMap("fig7a", kGeometry), kLlc,
                                   RepairBudget{1, 32768}),
                   "multirow")->Name("BM_FreeFaultTryRepair/multirow");
+BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_bank,
+                  FreeFaultRepair(makeAddressMap("fig7a", kGeometry), kLlc,
+                                  RepairBudget{4, 32768}),
+                  "bank")->Name("BM_FreeFaultTryRepair/bank");
+BENCHMARK_CAPTURE(BM_TryRepair, FreeFault_multirank,
+                  FreeFaultRepair(makeAddressMap("fig7a", kGeometry), kLlc,
+                                  RepairBudget{4, 32768}),
+                  "multirank")->Name("BM_FreeFaultTryRepair/multirank");
 BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_bit,
                   RelaxFaultRepair(kGeometry, kLlc, RepairBudget{1, 32768}),
                   "bit")->Name("BM_RelaxFaultTryRepair/bit");
@@ -214,6 +246,16 @@ BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_column,
 BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_multirow,
                   RelaxFaultRepair(kGeometry, kLlc, RepairBudget{1, 32768}),
                   "multirow")->Name("BM_RelaxFaultTryRepair/multirow");
+BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_bank,
+                  RelaxFaultRepair(kGeometry, kLlc, RepairBudget{4, 32768}),
+                  "bank")->Name("BM_RelaxFaultTryRepair/bank");
+BENCHMARK_CAPTURE(BM_TryRepair, RelaxFault_multirank,
+                  RelaxFaultRepair(kGeometry, kLlc, RepairBudget{4, 32768}),
+                  "multirank")->Name("BM_RelaxFaultTryRepair/multirank");
+BENCHMARK_CAPTURE(BM_TryRepair, Ppr_column, PprRepair(kGeometry),
+                  "column")->Name("BM_PprTryRepair/column");
+BENCHMARK_CAPTURE(BM_TryRepair, Ppr_bank, PprRepair(kGeometry),
+                  "bank")->Name("BM_PprTryRepair/bank");
 
 /**
  * One region draw of a fault mode (DDR3 geometry, default calibration):

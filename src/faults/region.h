@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dram/geometry.h"
@@ -105,20 +106,38 @@ class FaultRegion
                                       const DramGeometry &geometry);
 
     /**
-     * Visit every affected (bank, row, colBlock). A visitor that returns
-     * bool stops the walk by returning false; the call then returns
-     * false. Returns true when every slice was visited.
+     * Visit every (cluster, bank, row) of the region: clusters in order,
+     * banks ascending, rows in set order. A visitor that returns bool
+     * stops the walk by returning false; the call then returns false.
+     * Returns true when every row was visited.
+     */
+    template <typename Visit>
+    bool forEachRow(const DramGeometry &geometry, Visit &&visit) const;
+
+    /**
+     * Visit every affected (bank, row, colBlock), in forEachRow order
+     * with column blocks ascending, with the same early-stop contract.
      */
     template <typename Visit>
     bool forEachSlice(const DramGeometry &geometry, Visit &&visit) const;
 
     /**
      * Visit every affected remap unit (bank, row, colGroup), with the
-     * same early-stop contract as forEachSlice.
+     * same order and early-stop contract as forEachSlice.
      */
     template <typename Visit>
     bool forEachRemapUnit(const DramGeometry &geometry,
                           Visit &&visit) const;
+
+    /**
+     * Visit the distinct column units (colBlock / @p cols_per_unit) of
+     * @p cols in ascending order; all @p row_units of them when @p cols
+     * is every column. Same early-stop contract as forEachSlice.
+     */
+    template <typename Visit>
+    static bool forEachColumnUnit(const ColSet &cols,
+                                  unsigned cols_per_unit,
+                                  unsigned row_units, Visit &&visit);
 
     /** Faulty-bit mask of one slice (0 if the slice is healthy). */
     uint32_t sliceMask(unsigned bank, uint32_t row, uint16_t col_block)
@@ -174,16 +193,15 @@ class FaultRegion
 namespace detail {
 
 /** Call a region visitor; void visitors never stop the walk. */
-template <typename Visit>
+template <typename Visit, typename... Args>
 bool
-visitRegionCell(Visit &visit, unsigned bank, uint32_t row, uint16_t col)
+visitRegion(Visit &visit, Args &&...args)
 {
-    if constexpr (std::is_void_v<std::invoke_result_t<
-                      Visit &, unsigned, uint32_t, uint16_t>>) {
-        visit(bank, row, col);
+    if constexpr (std::is_void_v<std::invoke_result_t<Visit &, Args...>>) {
+        visit(std::forward<Args>(args)...);
         return true;
     } else {
-        return visit(bank, row, col);
+        return visit(std::forward<Args>(args)...);
     }
 }
 
@@ -191,11 +209,10 @@ visitRegionCell(Visit &visit, unsigned bank, uint32_t row, uint16_t col)
 
 template <typename Visit>
 bool
-FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
+FaultRegion::forEachRow(const DramGeometry &geometry, Visit &&visit) const
 {
     for (const auto &cluster : clusters_) {
         const uint64_t row_count = cluster.rows.count(geometry);
-        const uint64_t col_count = cluster.cols.count(geometry);
         for (uint32_t banks = cluster.bankMask; banks != 0;
              banks &= banks - 1) {
             const auto bank = static_cast<unsigned>(std::countr_zero(banks));
@@ -204,16 +221,49 @@ FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
             for (uint64_t ri = 0; ri < row_count; ++ri) {
                 const uint32_t row = cluster.rows.all
                     ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                for (uint64_t ci = 0; ci < col_count; ++ci) {
-                    const uint16_t col = cluster.cols.all
-                        ? static_cast<uint16_t>(ci) : cluster.cols.cols[ci];
-                    if (!detail::visitRegionCell(visit, bank, row, col))
-                        return false;
-                }
+                if (!detail::visitRegion(visit, cluster, bank, row))
+                    return false;
             }
         }
     }
     return true;
+}
+
+template <typename Visit>
+bool
+FaultRegion::forEachColumnUnit(const ColSet &cols, unsigned cols_per_unit,
+                               unsigned row_units, Visit &&visit)
+{
+    if (cols.all) {
+        for (unsigned unit = 0; unit < row_units; ++unit) {
+            if (!detail::visitRegion(visit, static_cast<uint16_t>(unit)))
+                return false;
+        }
+        return true;
+    }
+    uint32_t last_unit = ~0u;
+    for (const auto col : cols.cols) {
+        const uint32_t unit = col / cols_per_unit;
+        if (unit == last_unit)
+            continue;
+        last_unit = unit;
+        if (!detail::visitRegion(visit, static_cast<uint16_t>(unit)))
+            return false;
+    }
+    return true;
+}
+
+template <typename Visit>
+bool
+FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
+{
+    return forEachRow(geometry, [&](const RegionCluster &cluster,
+                                    unsigned bank, uint32_t row) {
+        return forEachColumnUnit(
+            cluster.cols, 1, geometry.colBlocksPerRow, [&](uint16_t col) {
+                return detail::visitRegion(visit, bank, row, col);
+            });
+    });
 }
 
 template <typename Visit>
@@ -225,39 +275,13 @@ FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
         geometry.lineBytes / geometry.bytesPerDevicePerLine();
     const unsigned all_groups =
         (geometry.colBlocksPerRow + cols_per_unit - 1) / cols_per_unit;
-    for (const auto &cluster : clusters_) {
-        const uint64_t row_count = cluster.rows.count(geometry);
-        for (uint32_t banks = cluster.bankMask; banks != 0;
-             banks &= banks - 1) {
-            const auto bank = static_cast<unsigned>(std::countr_zero(banks));
-            if (bank >= geometry.banksPerDevice)
-                break;
-            for (uint64_t ri = 0; ri < row_count; ++ri) {
-                const uint32_t row = cluster.rows.all
-                    ? static_cast<uint32_t>(ri) : cluster.rows.rows[ri];
-                if (cluster.cols.all) {
-                    for (unsigned g = 0; g < all_groups; ++g) {
-                        if (!detail::visitRegionCell(
-                                visit, bank, row, static_cast<uint16_t>(g)))
-                            return false;
-                    }
-                    continue;
-                }
-                // Distinct colBlock / 16 values of the sorted column list.
-                uint32_t last_group = ~0u;
-                for (const auto col : cluster.cols.cols) {
-                    const uint32_t group = col / cols_per_unit;
-                    if (group == last_group)
-                        continue;
-                    last_group = group;
-                    if (!detail::visitRegionCell(
-                            visit, bank, row, static_cast<uint16_t>(group)))
-                        return false;
-                }
-            }
-        }
-    }
-    return true;
+    return forEachRow(geometry, [&](const RegionCluster &cluster,
+                                    unsigned bank, uint32_t row) {
+        return forEachColumnUnit(
+            cluster.cols, cols_per_unit, all_groups, [&](uint16_t group) {
+                return detail::visitRegion(visit, bank, row, group);
+            });
+    });
 }
 
 } // namespace relaxfault

@@ -9,8 +9,21 @@ namespace relaxfault {
 FreeFaultRepair::FreeFaultRepair(const DramAddressMap &map,
                                  const CacheGeometry &llc,
                                  const RepairBudget &budget, bool xor_hash)
-    : map_(map), indexer_(llc, xor_hash), tracker_(llc.sets(), budget)
+    : map_(map), indexer_(llc, xor_hash), tracker_(llc.sets(), budget),
+      footprint_(columnDeltas(), 1)
 {
+}
+
+std::vector<RepairLine>
+FreeFaultRepair::columnDeltas() const
+{
+    std::vector<RepairLine> deltas;
+    LineCoord coord;
+    for (unsigned col = 0; col < map_.geometry().colBlocksPerRow; ++col) {
+        coord.colBlock = col;
+        deltas.push_back(lineOf(coord));
+    }
+    return deltas;
 }
 
 std::string
@@ -46,23 +59,22 @@ FreeFaultRepair::tryRepair(const FaultRecord &fault)
         largest_cluster > tracker_.sets() * budget.maxWaysPerSet)
         return false;
 
-    bool fits = true;
-    for (const auto &part : fault.parts) {
+    // Coset pre-check (DESIGN.md §16): a fault of distinct whole rows
+    // that must overflow some set is rejected per row, not per line.
+    // Then stream: one encode per row, and each line an XOR away.
+    const auto row_base = [&](const DevicePart &part, unsigned bank,
+                              uint32_t row) {
         LineCoord coord;
         coord.channel = part.dimm / geometry.ranksPerChannel;
         coord.rank = part.dimm % geometry.ranksPerChannel;
-        fits = part.region.forEachSlice(
-            geometry, [&](unsigned bank, uint32_t row, uint16_t col_block) {
-                coord.bank = bank;
-                coord.row = row;
-                coord.colBlock = col_block;
-                const uint64_t pa = map_.encode(coord);
-                return tracker_.stage(indexer_.setIndex(pa),
-                                      pa >> geometry.offsetBits());
-            });
-        if (!fits)
-            break;
-    }
+        coord.bank = bank;
+        coord.row = row;
+        return lineOf(coord);
+    };
+    if (!footprint_.mayFit(tracker_, fault, geometry, false, row_base))
+        return false;
+    const bool fits =
+        footprint_.stageFault(tracker_, fault, geometry, row_base);
     return tracker_.finish(fits);
 }
 

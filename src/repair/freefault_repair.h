@@ -18,6 +18,7 @@
 #include "dram/address_map.h"
 #include "repair/line_tracker.h"
 #include "repair/repair_mechanism.h"
+#include "repair/row_footprint.h"
 
 namespace relaxfault {
 
@@ -58,6 +59,9 @@ class FreeFaultRepair : public RepairMechanism
     /** Address translation in use (audit rebuilds keys from faults). */
     const DramAddressMap &addressMap() const { return map_; }
 
+    /** Per-column-block line deltas and coset pre-check (tests). */
+    const RowFootprint &footprint() const { return footprint_; }
+
     /**
      * Fault-injection backdoor: mutable tracker access for the metadata
      * fault injector. Never called by production paths.
@@ -65,9 +69,21 @@ class FreeFaultRepair : public RepairMechanism
     RepairLineTracker &trackerForInjection() { return tracker_; }
 
   private:
+    /** LLC line (set, line address) of one DRAM line. */
+    RepairLine lineOf(const LineCoord &coord) const
+    {
+        const uint64_t pa = map_.encode(coord);
+        return {indexer_.setIndex(pa), pa >> map_.geometry().offsetBits()};
+    }
+
+    /** Line of column block c XOR line of block 0, for every c. */
+    std::vector<RepairLine> columnDeltas() const;
+
     DramAddressMap map_;
     SetIndexer indexer_;
     RepairLineTracker tracker_;
+    /** Per-column-block line deltas of a row (both maps are linear). */
+    RowFootprint footprint_;
 };
 
 } // namespace relaxfault

@@ -88,11 +88,14 @@ RepairLineTracker::rebuildIndex(size_t capacity)
 uint64_t
 RepairLineTracker::publishSetLoads(Log2Histogram &hist) const
 {
+    // The dirty list holds every occupied set once, so this costs
+    // O(occupied sets), not O(sets), and publishes in batches.
+    HistogramBatch batch(&hist);
     uint64_t occupied = 0;
-    for (const uint16_t load : load_) {
-        if (load == 0)
+    for (const uint32_t set : dirtySets_) {
+        if (load_[set] == 0)
             continue;
-        hist.record(load);
+        batch.record(load_[set]);
         ++occupied;
     }
     return occupied;
@@ -121,8 +124,13 @@ RepairLineTracker::corruptReplaceKey(uint64_t old_key, uint64_t new_key)
 void
 RepairLineTracker::corruptSetLoad(uint64_t set, uint16_t value)
 {
+    // Keep the dirty list exactly the occupied sets, each once.
     if (load_[set] == 0 && value != 0)
         dirtySets_.push_back(static_cast<uint32_t>(set));
+    if (load_[set] != 0 && value == 0) {
+        dirtySets_.erase(std::find(dirtySets_.begin(), dirtySets_.end(),
+                                   static_cast<uint32_t>(set)));
+    }
     load_[set] = value;
 }
 

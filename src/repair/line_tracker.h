@@ -72,7 +72,8 @@ class RepairLineTracker
 
     /**
      * Record every occupied set's load into @p hist (one sample per
-     * nonzero set); returns the number of occupied sets.
+     * nonzero set); returns the number of occupied sets. Costs
+     * O(occupied sets).
      */
     uint64_t publishSetLoads(Log2Histogram &hist) const;
 
@@ -123,7 +124,8 @@ class RepairLineTracker
 
     RepairBudget budget_;
     std::vector<uint16_t> load_;       ///< Locked + staged lines per set.
-    std::vector<uint32_t> dirtySets_;  ///< Sets whose load left zero.
+    /** Occupied sets, each once, in the order their load left zero. */
+    std::vector<uint32_t> dirtySets_;
     /** Allocated keys in insertion order; [committed_, end) are staged. */
     std::vector<uint64_t> keys_;
     std::vector<uint32_t> stagedSets_; ///< Set of each staged key.

@@ -1,6 +1,9 @@
 #include "repair/ppr_repair.h"
 
-#include <vector>
+#include <algorithm>
+#include <bit>
+
+#include "common/bitops.h"
 
 namespace relaxfault {
 
@@ -35,51 +38,65 @@ PprRepair::groupKey(unsigned dimm, unsigned device, unsigned group) const
 bool
 PprRepair::tryRepair(const FaultRecord &fault)
 {
-    // Gather the distinct rows the fault needs, then check spare
-    // availability per bank group before committing anything.
-    std::vector<std::pair<uint64_t, uint64_t>> new_rows;  // (rowKey, gKey)
-    std::unordered_map<uint64_t, unsigned> group_need;
-
+    // Pigeonhole, O(clusters): a bank group never holds more than
+    // sparesPerGroup repaired rows, so a cluster with more distinct
+    // (bank, row)s than that in one group never fits, whatever is
+    // repaired already. Column faults over several rows and bank faults
+    // stop here.
     for (const auto &part : fault.parts) {
         if (part.region.massive())
             return false;
         for (const auto &cluster : part.region.clusters()) {
-            for (unsigned bank = 0; bank < dram_.banksPerDevice; ++bank) {
-                if (!(cluster.bankMask & (1u << bank)))
-                    continue;
-                const unsigned group = bank / banksPerGroup_;
-                for (const auto row : cluster.rows.rows) {
-                    const uint64_t rkey =
-                        rowKey(part.dimm, part.device, bank, row);
-                    if (repairedRows_.count(rkey))
-                        continue;
-                    bool pending = false;
-                    for (const auto &[existing, gkey] : new_rows) {
-                        (void)gkey;
-                        if (existing == rkey) {
-                            pending = true;
-                            break;
-                        }
-                    }
-                    if (pending)
-                        continue;
-                    const uint64_t gkey =
-                        groupKey(part.dimm, part.device, group);
-                    new_rows.emplace_back(rkey, gkey);
-                    ++group_need[gkey];
-                }
+            const uint64_t rows = cluster.rows.rows.size();
+            for (unsigned first = 0; first < dram_.banksPerDevice;
+                 first += banksPerGroup_) {
+                const auto group_banks = static_cast<uint32_t>(
+                    maskBits(std::min(banksPerGroup_,
+                                      dram_.banksPerDevice - first))
+                    << first);
+                if (rows * std::popcount(cluster.bankMask & group_banks) >
+                    sparesPerGroup_)
+                    return false;
             }
         }
     }
 
-    for (const auto &[gkey, need] : group_need) {
+    // Gather the distinct rows the fault needs as sorted (group, row)
+    // keys, then check spare availability per bank group before
+    // committing anything.
+    pending_.clear();
+    for (const auto &part : fault.parts) {
+        for (const auto &cluster : part.region.clusters()) {
+            for (unsigned bank = 0; bank < dram_.banksPerDevice; ++bank) {
+                if (!(cluster.bankMask & (1u << bank)))
+                    continue;
+                const uint64_t gkey = groupKey(part.dimm, part.device,
+                                               bank / banksPerGroup_);
+                for (const auto row : cluster.rows.rows) {
+                    const uint64_t rkey =
+                        rowKey(part.dimm, part.device, bank, row);
+                    if (!repairedRows_.count(rkey))
+                        pending_.emplace_back(gkey, rkey);
+                }
+            }
+        }
+    }
+    std::sort(pending_.begin(), pending_.end());
+    pending_.erase(std::unique(pending_.begin(), pending_.end()),
+                   pending_.end());
+
+    for (size_t first = 0, last; first < pending_.size(); first = last) {
+        const uint64_t gkey = pending_[first].first;
+        last = first + 1;
+        while (last < pending_.size() && pending_[last].first == gkey)
+            ++last;
         const auto it = groupUse_.find(gkey);
         const unsigned used = it == groupUse_.end() ? 0 : it->second;
-        if (used + need > sparesPerGroup_)
+        if (used + (last - first) > sparesPerGroup_)
             return false;
     }
 
-    for (const auto &[rkey, gkey] : new_rows) {
+    for (const auto &[gkey, rkey] : pending_) {
         repairedRows_.insert(rkey);
         ++groupUse_[gkey];
         ++sparesUsed_;

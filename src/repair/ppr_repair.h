@@ -14,6 +14,8 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "dram/geometry.h"
 #include "repair/repair_mechanism.h"
@@ -58,6 +60,8 @@ class PprRepair : public RepairMechanism
     std::unordered_map<uint64_t, unsigned> groupUse_;
     std::unordered_set<uint64_t> repairedRows_;
     uint64_t sparesUsed_ = 0;
+    /** tryRepair scratch: (groupKey, rowKey) of each row to repair. */
+    std::vector<std::pair<uint64_t, uint64_t>> pending_;
 };
 
 } // namespace relaxfault

@@ -11,9 +11,9 @@ RelaxFaultRepair::RelaxFaultRepair(const DramGeometry &dram,
                                    const CacheGeometry &llc,
                                    const RepairBudget &budget,
                                    bool xor_fold)
-    : dram_(dram), map_(dram, llc, xor_fold),
-      tracker_(llc.sets(), budget),
-      faultyBankTable_(dram.dimmsPerNode(), 0)
+    : RelaxFaultRepair(dram, llc, budget,
+                       xor_fold ? RelaxFaultMap::IndexMode::StructuredFolded
+                                : RelaxFaultMap::IndexMode::Structured)
 {
 }
 
@@ -24,6 +24,15 @@ RelaxFaultRepair::RelaxFaultRepair(const DramGeometry &dram,
     : dram_(dram), map_(dram, llc, mode), tracker_(llc.sets(), budget),
       faultyBankTable_(dram.dimmsPerNode(), 0)
 {
+    if (mode == RelaxFaultMap::IndexMode::HashOnly)
+        return;
+    const unsigned cols_per_unit =
+        dram.lineBytes / dram.bytesPerDevicePerLine();
+    std::vector<RepairLine> deltas;
+    for (uint64_t group = 0;
+         group * cols_per_unit < dram.colBlocksPerRow; ++group)
+        deltas.push_back({group, group});
+    footprint_.emplace(std::move(deltas), cols_per_unit);
 }
 
 std::string
@@ -66,21 +75,34 @@ RelaxFaultRepair::tryRepair(const FaultRecord &fault)
         largest_cluster > tracker_.sets() * budget.maxWaysPerSet)
         return false;
 
-    bool fits = true;
-    for (const auto &part : fault.parts) {
-        RemapUnit unit;
-        unit.dimm = part.dimm;
-        unit.device = part.device;
-        fits = part.region.forEachRemapUnit(
-            dram_, [&](unsigned bank, uint32_t row, uint16_t col_group) {
-                unit.bank = bank;
-                unit.row = row;
-                unit.colGroup = col_group;
-                const RemapLocation loc = map_.locate(unit);
-                return tracker_.stage(loc.set, loc.key(map_.setBits()));
-            });
-        if (!fits)
-            break;
+    // Coset pre-check (DESIGN.md §16): a fault of distinct whole rows
+    // that must overflow some set is rejected per row, not per unit.
+    // Then stream: one locate per row, and each unit an XOR away; the
+    // hash-only ablation has no footprint and locates every unit.
+    const auto row_base = [&](const DevicePart &part, unsigned bank,
+                              uint32_t row) {
+        return lineOf(RemapUnit{part.dimm, part.device, bank, row, 0});
+    };
+    bool fits;
+    if (footprint_) {
+        if (!footprint_->mayFit(tracker_, fault, dram_, true, row_base))
+            return false;
+        fits = footprint_->stageFault(tracker_, fault, dram_, row_base);
+    } else {
+        fits = true;
+        for (const auto &part : fault.parts) {
+            RemapUnit unit{part.dimm, part.device};
+            fits = part.region.forEachRemapUnit(
+                dram_, [&](unsigned bank, uint32_t row, uint16_t group) {
+                    unit.bank = bank;
+                    unit.row = row;
+                    unit.colGroup = group;
+                    const RepairLine line = lineOf(unit);
+                    return tracker_.stage(line.set, line.key);
+                });
+            if (!fits)
+                break;
+        }
     }
     if (!tracker_.finish(fits))
         return false;

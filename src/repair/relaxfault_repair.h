@@ -13,12 +13,14 @@
 #ifndef RELAXFAULT_REPAIR_RELAXFAULT_REPAIR_H
 #define RELAXFAULT_REPAIR_RELAXFAULT_REPAIR_H
 
+#include <optional>
 #include <vector>
 
 #include "cache/cache_geometry.h"
 #include "repair/line_tracker.h"
 #include "repair/relaxfault_map.h"
 #include "repair/repair_mechanism.h"
+#include "repair/row_footprint.h"
 
 namespace relaxfault {
 
@@ -69,6 +71,12 @@ class RelaxFaultRepair : public RepairMechanism
         return faultyBankTable_[dimm];
     }
 
+    /** Per-column-group line deltas; empty for HashOnly (tests). */
+    const std::optional<RowFootprint> &footprint() const
+    {
+        return footprint_;
+    }
+
     /**
      * Fault-injection backdoor: mutable tracker access for the metadata
      * fault injector. Never called by production paths.
@@ -86,9 +94,22 @@ class RelaxFaultRepair : public RepairMechanism
     }
 
   private:
+    /** LLC line (set, key) of one remap unit. */
+    RepairLine lineOf(const RemapUnit &unit) const
+    {
+        const RemapLocation loc = map_.locate(unit);
+        return {loc.set, loc.key(map_.setBits())};
+    }
+
     DramGeometry dram_;
     RelaxFaultMap map_;
     RepairLineTracker tracker_;
+    /**
+     * Per-column-group line deltas, (g, g): the structured modes put the
+     * group in the low set bits, and the key carries the set. Empty for
+     * HashOnly, whose placement is not linear.
+     */
+    std::optional<RowFootprint> footprint_;
     std::vector<uint32_t> faultyBankTable_;  ///< Per DIMM, bit per bank.
 };
 

@@ -668,11 +668,13 @@ TEST(ChipkillErasureDifferential, SingleErasureSweepAgainstReference)
                     ChipkillCode::decodeWithErasures(decoded, 1u << p);
                 ASSERT_EQ(result.status, reference.status)
                     << "p " << p << " kind " << kind;
-                if (reference.status == EccStatus::Corrected)
+                if (reference.status == EccStatus::Corrected) {
                     EXPECT_EQ(result.correctedSymbol, reference.position);
-                if (reference.status != EccStatus::Uncorrectable)
+                }
+                if (reference.status != EccStatus::Uncorrectable) {
                     EXPECT_EQ(
                         std::memcmp(decoded, reference.corrected, 18), 0);
+                }
             }
         }
     }
@@ -710,10 +712,12 @@ TEST(ChipkillErasureDifferential, TwoErasuresAgainstReference)
         const auto result =
             ChipkillCode::decodeWithErasures(decoded, mask);
         ASSERT_EQ(result.status, reference.status);
-        if (reference.status == EccStatus::Corrected)
+        if (reference.status == EccStatus::Corrected) {
             EXPECT_EQ(result.correctedSymbol, reference.position);
-        if (reference.status != EccStatus::Uncorrectable)
+        }
+        if (reference.status != EccStatus::Uncorrectable) {
             EXPECT_EQ(std::memcmp(decoded, reference.corrected, 18), 0);
+        }
     }
 }
 

@@ -1,13 +1,16 @@
 /**
  * @file
- * Differential tests for the LLC-repair hot path: the open-addressing
- * RepairLineTracker with streamed stage()/finish() adds, and the
- * pigeonhole pre-check in FreeFault/RelaxFault tryRepair.
+ * Differential tests for the repair hot path: the open-addressing
+ * RepairLineTracker with streamed stage()/finish() adds, the pigeonhole
+ * pre-check and the factored row footprint (XOR-delta lines plus the
+ * coset pre-check) in FreeFault/RelaxFault tryRepair, and PPR's
+ * spare-row pigeonhole.
  *
- * The oracle is the straightforward tracker the flat one replaced: an
- * unordered_set of keys, a whole-request staging pass through an
- * unordered_map of per-set increases, and a full-array reset. It lives
- * here only. The suites require:
+ * The oracles are the implementations those replaced, kept here only:
+ * an unordered_set tracker with a whole-request staging pass and a
+ * full-array reset; mechanisms that translate every line in full and
+ * enumerate it; and PPR's O(n^2) pending scan with a group map. The
+ * suites require:
  *
  *  - identical observable state between the two trackers over seeded
  *    random op sequences (shared and duplicate keys, line-cap and
@@ -15,6 +18,22 @@
  *  - that a pigeonhole reject never rejects a fault the full
  *    enumeration would accept, for sampled faults of every mode at
  *    {1,4,16} ways with and without set hashing;
+ *  - that every XOR-delta line equals the full encode + setIndex
+ *    (FreeFault, every registered address map, an 8MiB and a 256-set
+ *    LLC, hashing on and off) or locate (RelaxFault, both structured
+ *    modes);
+ *  - that the coset pre-check rejects iff the full enumeration
+ *    overflows a set's way ceiling, and that every tryRepair makes the
+ *    enumeration's decision with the same key order, loads, line count
+ *    and ways: sampled faults of every mode, {1,4,16} ways, every
+ *    scheme, m = 1 and m > 1, on trackers empty, holding some of the
+ *    fault's own lines, or with its sets filled near the ceiling;
+ *  - that hash-only RelaxFault and faults whose rows may share lines
+ *    (shared banks, explicit columns) bypass the pre-check and still
+ *    decide the same;
+ *  - that PPR's pigeonhole never rejects what row enumeration accepts,
+ *    and PPR decides, counts spares and marks rows as it did (DDR3 and
+ *    DDR4 bank groups, 1/2/4 spares);
  *  - identical per-fault repair decisions when a 10x-FIT node stream
  *    replays through the production mechanisms and through the
  *    enumerate-everything mechanisms built on the oracle tracker.
@@ -23,6 +42,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -34,7 +54,10 @@
 #include "faults/fault_model.h"
 #include "repair/freefault_repair.h"
 #include "repair/line_tracker.h"
+#include "repair/ppr_repair.h"
 #include "repair/relaxfault_repair.h"
+#include "repair/row_footprint.h"
+#include "telemetry/metrics.h"
 
 namespace relaxfault {
 namespace {
@@ -131,6 +154,18 @@ expectSameState(const RepairLineTracker &flat,
     ASSERT_EQ(flat.allocatedKeys().size(), keys.size()) << where;
     for (const uint64_t key : keys)
         ASSERT_TRUE(flat.contains(key)) << where << " key " << key;
+    // publishSetLoads walks only the occupied sets: it must still see
+    // every one once, also after the load-corruption backdoor.
+    Log2Histogram hist;
+    uint64_t occupied = 0;
+    uint64_t sum = 0;
+    for (uint64_t set = 0; set < flat.sets(); ++set) {
+        occupied += oracle.setLoad(set) != 0;
+        sum += oracle.setLoad(set);
+    }
+    ASSERT_EQ(flat.publishSetLoads(hist), occupied) << where;
+    ASSERT_EQ(hist.snapshot().count, occupied) << where;
+    ASSERT_EQ(hist.snapshot().sum, sum) << where;
 }
 
 // ---------------------------------------------------------------------
@@ -329,6 +364,10 @@ class OracleFreeFault
     }
 
     const OracleLineTracker &tracker() const { return tracker_; }
+    const DramGeometry &geometry() const
+    {
+        return twin_.addressMap().geometry();
+    }
     void reset() { tracker_.reset(); }
 
   private:
@@ -380,6 +419,7 @@ class OracleRelaxFault
     }
 
     const OracleLineTracker &tracker() const { return tracker_; }
+    const DramGeometry &geometry() const { return twin_.map().geometry(); }
     void reset() { tracker_.reset(); }
 
   private:
@@ -405,9 +445,10 @@ pigeonholeRejects(const FaultRecord &fault, const DramGeometry &geometry,
 
 /** Sampled faults: every mode from the geometry sampler, plus nodes. */
 std::vector<FaultRecord>
-sampledFaults()
+sampledFaults(const DramGeometry &geometry = DramGeometry{})
 {
     FaultModelConfig config;
+    config.geometry = geometry;
     config.fitScale = 10.0;
     const FaultGeometrySampler regions(config.geometry,
                                        config.geometryParams);
@@ -526,6 +567,593 @@ TEST(PigeonholeDifferential, BoundUsesTheLargestClusterAndIsTight)
     const FaultRecord overlapping = repeatedRowsFault(1, 33);
     ASSERT_TRUE(free_oracle.tryRepair(overlapping));
     EXPECT_TRUE(free_repair.tryRepair(overlapping));
+}
+
+// ---------------------------------------------------------------------
+// The factored footprint: XOR-delta lines and the coset pre-check.
+
+/** 256 sets: a row's 256 column blocks fold m > 1 deep into a set. */
+const CacheGeometry kSmallLlc{256 * 1024, 16, 64};
+
+/** FreeFault's line of @p coord by the full translation. */
+RepairLine
+encodedLine(const FreeFaultRepair &repair, const LineCoord &coord)
+{
+    const uint64_t pa = repair.addressMap().encode(coord);
+    return {repair.indexer().setIndex(pa),
+            pa >> repair.addressMap().geometry().offsetBits()};
+}
+
+/** RelaxFault's line of @p unit by the full translation. */
+RepairLine
+locatedLine(const RelaxFaultRepair &repair, const RemapUnit &unit)
+{
+    const RemapLocation loc = repair.map().locate(unit);
+    return {loc.set, loc.key(repair.map().setBits())};
+}
+
+/** Column block 0 of (part, bank, row) on @p repair's rank layout. */
+LineCoord
+rowCoord(const FreeFaultRepair &repair, const DevicePart &part,
+         unsigned bank, uint32_t row)
+{
+    const DramGeometry &geometry = repair.addressMap().geometry();
+    LineCoord coord;
+    coord.channel = part.dimm / geometry.ranksPerChannel;
+    coord.rank = part.dimm % geometry.ranksPerChannel;
+    coord.bank = bank;
+    coord.row = row;
+    return coord;
+}
+
+TEST(RowFootprintDifferential, XorDeltaLinesMatchTheFullTranslation)
+{
+    const DramGeometry geometry;
+    Rng rng(77);
+    unsigned folded = 0;
+    for (const std::string &scheme : addressMapNames()) {
+        const DramAddressMap map = makeAddressMap(scheme, geometry);
+        for (const CacheGeometry &llc : {kLlc, kSmallLlc}) {
+            for (const bool hash : {true, false}) {
+                const FreeFaultRepair repair(map, llc,
+                                             RepairBudget{1, kMaxLines}, hash);
+                const RowFootprint &footprint = repair.footprint();
+                const std::string where = scheme + " sets " +
+                    std::to_string(llc.sets()) + " hash=" +
+                    std::to_string(hash);
+                ASSERT_EQ(footprint.units(), geometry.colBlocksPerRow);
+                ASSERT_GT(footprint.linesPerSet(), 0u) << where;
+                folded += footprint.linesPerSet() > 1;
+                for (unsigned sample = 0; sample < 24; ++sample) {
+                    const DevicePart part{static_cast<unsigned>(
+                        rng.uniformInt(geometry.dimmsPerNode())), 0, {}};
+                    LineCoord coord = rowCoord(
+                        repair, part,
+                        static_cast<unsigned>(
+                            rng.uniformInt(geometry.banksPerDevice)),
+                        static_cast<uint32_t>(
+                            rng.uniformInt(geometry.rowsPerBank)));
+                    const RepairLine base = encodedLine(repair, coord);
+                    for (unsigned col = 0; col < footprint.units(); ++col) {
+                        coord.colBlock = col;
+                        ASSERT_EQ(footprint.line(base, col),
+                                  encodedLine(repair, coord))
+                            << where << " col " << col;
+                    }
+                }
+            }
+        }
+    }
+    // The small LLC must exercise m > 1 somewhere.
+    EXPECT_GT(folded, 0u);
+
+    for (const CacheGeometry &llc : {kLlc, kSmallLlc}) {
+        for (const auto mode : {RelaxFaultMap::IndexMode::Structured,
+                                RelaxFaultMap::IndexMode::StructuredFolded}) {
+            const RelaxFaultRepair repair(geometry, llc,
+                                          RepairBudget{1, kMaxLines}, mode);
+            ASSERT_TRUE(repair.footprint().has_value());
+            const RowFootprint &footprint = *repair.footprint();
+            ASSERT_EQ(footprint.units(), geometry.colBlocksPerRow / 16);
+            EXPECT_EQ(footprint.linesPerSet(), 1u);
+            for (unsigned sample = 0; sample < 200; ++sample) {
+                RemapUnit unit;
+                unit.dimm = static_cast<unsigned>(
+                    rng.uniformInt(geometry.dimmsPerNode()));
+                unit.device = static_cast<unsigned>(
+                    rng.uniformInt(geometry.devicesPerRank()));
+                unit.bank = static_cast<unsigned>(
+                    rng.uniformInt(geometry.banksPerDevice));
+                unit.row = static_cast<uint32_t>(
+                    rng.uniformInt(geometry.rowsPerBank));
+                const RepairLine base = locatedLine(repair, unit);
+                for (unsigned group = 0; group < footprint.units(); ++group) {
+                    unit.colGroup = static_cast<uint16_t>(group);
+                    ASSERT_EQ(footprint.line(base, group),
+                              locatedLine(repair, unit))
+                        << repair.name() << " group " << group;
+                }
+            }
+        }
+    }
+    // Hash-only placement is not linear: no footprint, locate per unit.
+    const RelaxFaultRepair hash_only(geometry, kLlc,
+                                     RepairBudget{1, kMaxLines},
+                                     RelaxFaultMap::IndexMode::HashOnly);
+    EXPECT_FALSE(hash_only.footprint().has_value());
+}
+
+/**
+ * Lock lines a fault is about to need: none (scenario 0), a few of its
+ * own lines (1), or some of its sets filled to 0-2 ways below the
+ * ceiling with foreign keys, sometimes plus the fault's line there (2).
+ */
+void
+preload(RepairLineTracker &tracker, const Lines &fault_lines,
+        unsigned scenario, Rng &rng)
+{
+    if (scenario == 0 || fault_lines.empty())
+        return;
+    const unsigned ways = tracker.budget().maxWaysPerSet;
+    uint64_t foreign = uint64_t{1} << 62;
+    const auto picks = 1 + static_cast<unsigned>(rng.uniformInt(
+        std::min<size_t>(fault_lines.size(), 48)));
+    for (unsigned i = 0; i < picks; ++i) {
+        const auto [set, key] =
+            fault_lines[rng.uniformInt(fault_lines.size())];
+        if (scenario == 2) {
+            const unsigned target = ways -
+                std::min<unsigned>(ways, static_cast<unsigned>(
+                                             rng.uniformInt(3)));
+            while (tracker.setLoad(set) < target &&
+                   tracker.tryAdd({{set, foreign++}})) {
+            }
+            if (rng.uniformInt(2) == 0)
+                continue;
+        }
+        tracker.tryAdd({{set, key}});
+    }
+}
+
+/** What one pre-checked tryRepair showed. */
+struct PrecheckCounts
+{
+    unsigned decisions = 0;
+    unsigned rejects = 0;
+    unsigned prechecked = 0;       ///< Faults with distinct whole rows.
+    unsigned wayOverflows = 0;     ///< ...whose enumeration overflows.
+    unsigned loadOverflows = 0;    ///< ...only on top of locked lines.
+    unsigned sharedAccepts = 0;    ///< Accepts reusing locked lines.
+};
+
+/**
+ * One tryRepair on @p repair (tracker preloaded) against a copy of its
+ * tracker fed the fully enumerated @p oracle lines: same decision,
+ * same key order, loads, line count and ways. For a fault of distinct
+ * whole rows, also the coset pre-check alone against the enumeration's
+ * way-limit verdict, on the preloaded and on an empty tracker. A null
+ * @p footprint (hash-only RelaxFault) checks the decision only.
+ */
+template <typename Repair, typename Oracle, typename RowBase>
+void
+expectSameAsEnumeration(Repair &repair, const Oracle &oracle,
+                        const FaultRecord &fault, bool per_device,
+                        const RowFootprint *footprint, unsigned scenario,
+                        Rng &rng, RowBase &&row_base,
+                        PrecheckCounts &counts, const std::string &where)
+{
+    repair.reset();
+    bool massive = false;
+    for (const auto &part : fault.parts)
+        massive = massive || part.region.massive();
+    const Lines lines = massive ? Lines{} : oracle.lines(fault);
+    preload(repair.trackerForInjection(), lines, scenario, rng);
+
+    RepairLineTracker reference = repair.tracker();
+    const RepairBudget &budget = reference.budget();
+    uint64_t total = 0;
+    for (const auto &part : fault.parts) {
+        total += per_device
+            ? part.region.remapUnitCount(oracle.geometry())
+            : part.region.lineSliceCount(oracle.geometry());
+    }
+
+    if (footprint != nullptr && !massive &&
+        RowFootprint::distinctWholeRows(fault, per_device)) {
+        RowFootprint check = *footprint;
+        std::unordered_map<uint64_t, unsigned> fresh;
+        for (const auto &[set, key] : lines) {
+            if (!reference.contains(key))
+                ++fresh[set];
+        }
+        bool overflow = false;
+        for (const auto &[set, count] : fresh)
+            overflow = overflow ||
+                reference.setLoad(set) + count > budget.maxWaysPerSet;
+        ASSERT_EQ(check.mayFit(reference, fault, oracle.geometry(),
+                               per_device, row_base),
+                  !overflow)
+            << where;
+        const RepairLineTracker empty(reference.sets(), budget);
+        const bool alone = check.mayFit(empty, fault, oracle.geometry(),
+                                        per_device, row_base);
+        ++counts.prechecked;
+        counts.wayOverflows += overflow;
+        counts.loadOverflows += overflow && alone;
+    }
+
+    const bool expect =
+        !massive && total <= budget.maxLines && reference.tryAdd(lines);
+    const uint64_t used_before = repair.usedLines();
+    ASSERT_EQ(repair.tryRepair(fault), expect) << where;
+    ASSERT_EQ(repair.tracker().allocatedKeys(), reference.allocatedKeys())
+        << where;
+    ASSERT_EQ(repair.usedLines(), reference.usedLines()) << where;
+    ASSERT_EQ(repair.maxWaysUsed(), reference.maxWaysUsed()) << where;
+    for (const auto &[set, key] : lines)
+        ASSERT_EQ(repair.tracker().setLoad(set), reference.setLoad(set))
+            << where << " set " << set;
+    ++counts.decisions;
+    counts.rejects += !expect;
+    counts.sharedAccepts += expect && used_before > 0 &&
+        repair.usedLines() - used_before < lines.size();
+}
+
+TEST(CosetPrecheckDifferential, FreeFaultMatchesEnumerationAtEveryScheme)
+{
+    const DramGeometry geometry;
+    const std::vector<FaultRecord> faults = sampledFaults();
+    PrecheckCounts counts;
+    Rng rng(31);
+    for (const std::string &scheme : addressMapNames()) {
+        const DramAddressMap map = makeAddressMap(scheme, geometry);
+        // The default map sees every fault; the others every third.
+        const size_t stride = scheme == "fig7a" ? 1 : 3;
+        for (const CacheGeometry &llc : {kLlc, kSmallLlc}) {
+            for (const unsigned ways : {1u, 4u, 16u}) {
+                for (const bool hash : {true, false}) {
+                    FreeFaultRepair repair(map, llc,
+                                           RepairBudget{ways, kMaxLines}, hash);
+                    const OracleFreeFault oracle(repair);
+                    const std::string where = scheme + " sets " +
+                        std::to_string(llc.sets()) + " " +
+                        std::to_string(ways) + "way hash=" +
+                        std::to_string(hash) + " fault ";
+                    for (size_t f = 0; f < faults.size(); f += stride) {
+                        expectSameAsEnumeration(
+                            repair, oracle, faults[f], false,
+                            &repair.footprint(), f % 3, rng,
+                            [&](const DevicePart &part, unsigned bank,
+                                uint32_t row) {
+                                return encodedLine(
+                                    repair, rowCoord(repair, part, bank, row));
+                            },
+                            counts, where + std::to_string(f));
+                        if (::testing::Test::HasFatalFailure())
+                            return;
+                    }
+                }
+            }
+        }
+    }
+    // Every path must be reached: pre-checked faults that fit, ones
+    // that overflow alone, ones that overflow only on locked lines, and
+    // accepts that share locked lines.
+    EXPECT_GT(counts.prechecked, 1000u);
+    EXPECT_GT(counts.wayOverflows - counts.loadOverflows, 100u);
+    EXPECT_GT(counts.loadOverflows, 20u);
+    EXPECT_GT(counts.sharedAccepts, 100u);
+    EXPECT_GT(counts.decisions - counts.rejects, 1000u);
+}
+
+TEST(CosetPrecheckDifferential, RelaxFaultMatchesEnumerationInEveryMode)
+{
+    const DramGeometry geometry;
+    const std::vector<FaultRecord> faults = sampledFaults();
+    PrecheckCounts counts;
+    Rng rng(37);
+    for (const CacheGeometry &llc : {kLlc, kSmallLlc}) {
+        for (const unsigned ways : {1u, 4u, 16u}) {
+            for (const auto mode : {RelaxFaultMap::IndexMode::Structured,
+                                    RelaxFaultMap::IndexMode::StructuredFolded,
+                                    RelaxFaultMap::IndexMode::HashOnly}) {
+                RelaxFaultRepair repair(geometry, llc,
+                                        RepairBudget{ways, kMaxLines}, mode);
+                const OracleRelaxFault oracle(repair);
+                const std::string where = repair.name() + " sets " +
+                    std::to_string(llc.sets()) + " " +
+                    std::to_string(ways) + "way fault ";
+                for (size_t f = 0; f < faults.size(); ++f) {
+                    const auto row_base = [&](const DevicePart &part,
+                                              unsigned bank, uint32_t row) {
+                        return locatedLine(
+                            repair, RemapUnit{part.dimm, part.device, bank,
+                                              row, 0});
+                    };
+                    // Hash-only has no footprint: it bypasses the
+                    // pre-check and must still decide the same.
+                    expectSameAsEnumeration(
+                        repair, oracle, faults[f], true,
+                        repair.footprint() ? &*repair.footprint() : nullptr,
+                        f % 3, rng, row_base, counts,
+                        where + std::to_string(f));
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
+    EXPECT_GT(counts.prechecked, 1000u);
+    EXPECT_GT(counts.wayOverflows - counts.loadOverflows, 50u);
+    EXPECT_GT(counts.loadOverflows, 20u);
+    EXPECT_GT(counts.sharedAccepts, 100u);
+}
+
+/** Whole rows 4096.. of @p banks on (dimm, device), one cluster. */
+DevicePart
+wholeRowsPart(unsigned dimm, unsigned device, uint32_t banks, unsigned rows,
+              uint32_t first_row = 4096)
+{
+    std::vector<uint32_t> list;
+    for (unsigned i = 0; i < rows; ++i)
+        list.push_back(first_row + 97 * i);
+    RegionCluster cluster;
+    cluster.bankMask = banks;
+    cluster.rows = RowSet::of(std::move(list));
+    cluster.cols = ColSet::allCols();
+    return {dimm, device, FaultRegion({cluster})};
+}
+
+TEST(CosetPrecheckDifferential, OverlappingFaultsBypassItWithSameDecisions)
+{
+    // Faults whose whole rows may share lines, so the coset count could
+    // double-count them: each must skip the pre-check, stream, and
+    // decide exactly as the enumeration.
+    const DevicePart base = wholeRowsPart(2, 5, 1u << 1, 24);
+    std::vector<std::pair<FaultRecord, std::pair<bool, bool>>> cases;
+    const auto add = [&](std::vector<DevicePart> parts, bool free_distinct,
+                         bool relax_distinct) {
+        FaultRecord fault;
+        fault.parts = std::move(parts);
+        cases.push_back({std::move(fault), {free_distinct, relax_distinct}});
+    };
+    // One part: disjoint banks are distinct; one bank twice is not.
+    add({wholeRowsPart(2, 5, 0b0110, 24)}, true, true);
+    {
+        DevicePart twice = base;
+        std::vector<RegionCluster> clusters = twice.region.clusters();
+        clusters.push_back(wholeRowsPart(2, 5, 0b0011, 16, 4000)
+                               .region.clusters()[0]);
+        twice.region = FaultRegion(std::move(clusters));
+        add({twice}, false, false);
+    }
+    // Same rank, other device, same bank: FreeFault lines are shared,
+    // RelaxFault units are not.
+    add({base, wholeRowsPart(2, 6, 1u << 1, 24)}, false, true);
+    // Same rank and device twice, or the partner rank.
+    add({base, wholeRowsPart(2, 5, 1u << 1, 8, 9000)}, false, false);
+    add({base, wholeRowsPart(3, 5, 1u << 1, 24)}, true, true);
+    // Explicit columns never take the pre-check.
+    {
+        DevicePart columns = base;
+        std::vector<RegionCluster> clusters = columns.region.clusters();
+        clusters[0].cols = ColSet::of({3, 17, 200});
+        columns.region = FaultRegion(std::move(clusters));
+        add({columns}, false, false);
+    }
+
+    const DramGeometry geometry;
+    Rng rng(41);
+    PrecheckCounts counts;
+    for (const auto &[fault, distinct] : cases) {
+        EXPECT_EQ(RowFootprint::distinctWholeRows(fault, false),
+                  distinct.first);
+        EXPECT_EQ(RowFootprint::distinctWholeRows(fault, true),
+                  distinct.second);
+    }
+    for (const std::string &scheme : addressMapNames()) {
+        const DramAddressMap map = makeAddressMap(scheme, geometry);
+        for (const CacheGeometry &llc : {kLlc, kSmallLlc}) {
+            for (const unsigned ways : {1u, 4u, 16u}) {
+                FreeFaultRepair free_repair(map, llc,
+                                            RepairBudget{ways, kMaxLines});
+                const OracleFreeFault free_oracle(free_repair);
+                RelaxFaultRepair relax_repair(geometry, llc,
+                                              RepairBudget{ways, kMaxLines});
+                const OracleRelaxFault relax_oracle(relax_repair);
+                for (size_t c = 0; c < cases.size(); ++c) {
+                    for (unsigned scenario = 0; scenario < 3; ++scenario) {
+                        const std::string where = scheme + " " +
+                            std::to_string(ways) + "way case " +
+                            std::to_string(c);
+                        expectSameAsEnumeration(
+                            free_repair, free_oracle, cases[c].first, false,
+                            &free_repair.footprint(), scenario, rng,
+                            [&](const DevicePart &part, unsigned bank,
+                                uint32_t row) {
+                                return encodedLine(
+                                    free_repair,
+                                    rowCoord(free_repair, part, bank, row));
+                            },
+                            counts, "FreeFault " + where);
+                        expectSameAsEnumeration(
+                            relax_repair, relax_oracle, cases[c].first, true,
+                            &*relax_repair.footprint(), scenario, rng,
+                            [&](const DevicePart &part, unsigned bank,
+                                uint32_t row) {
+                                return locatedLine(
+                                    relax_repair,
+                                    RemapUnit{part.dimm, part.device, bank,
+                                              row, 0});
+                            },
+                            counts, "RelaxFault " + where);
+                        if (::testing::Test::HasFatalFailure())
+                            return;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(counts.rejects, 0u);
+    EXPECT_GT(counts.decisions - counts.rejects, 0u);
+}
+
+// ---------------------------------------------------------------------
+// PPR: the spare-row pigeonhole against the enumerate-every-row check.
+
+/** PprRepair as it was: an O(n^2) pending scan and a group map. */
+class OraclePpr
+{
+  public:
+    OraclePpr(const DramGeometry &dram, unsigned spares_per_group)
+        : dram_(dram), banksPerGroup_(dram.banksPerDevice / 4),
+          spares_(spares_per_group)
+    {
+    }
+
+    bool tryRepair(const FaultRecord &fault)
+    {
+        std::vector<std::pair<uint64_t, uint64_t>> new_rows;
+        std::unordered_map<uint64_t, unsigned> group_need;
+        for (const auto &part : fault.parts) {
+            if (part.region.massive())
+                return false;
+            for (const auto &cluster : part.region.clusters()) {
+                for (unsigned bank = 0; bank < dram_.banksPerDevice; ++bank) {
+                    if (!(cluster.bankMask & (1u << bank)))
+                        continue;
+                    for (const auto row : cluster.rows.rows) {
+                        const uint64_t rkey =
+                            rowKey(part.dimm, part.device, bank, row);
+                        if (repaired_.count(rkey))
+                            continue;
+                        bool pending = false;
+                        for (const auto &[existing, gkey] : new_rows)
+                            pending = pending || existing == rkey;
+                        if (pending)
+                            continue;
+                        const uint64_t gkey =
+                            (uint64_t{part.dimm} * dram_.devicesPerRank() +
+                             part.device) * 4 + bank / banksPerGroup_;
+                        new_rows.emplace_back(rkey, gkey);
+                        ++group_need[gkey];
+                    }
+                }
+            }
+        }
+        for (const auto &[gkey, need] : group_need) {
+            if (groupUse_[gkey] + need > spares_)
+                return false;
+        }
+        for (const auto &[rkey, gkey] : new_rows) {
+            repaired_.insert(rkey);
+            ++groupUse_[gkey];
+        }
+        return true;
+    }
+
+    uint64_t sparesUsed() const { return repaired_.size(); }
+    bool rowRepaired(unsigned dimm, unsigned device, unsigned bank,
+                     uint32_t row) const
+    {
+        return repaired_.count(rowKey(dimm, device, bank, row)) != 0;
+    }
+    void reset()
+    {
+        repaired_.clear();
+        groupUse_.clear();
+    }
+
+    uint64_t rowKey(unsigned dimm, unsigned device, unsigned bank,
+                    uint32_t row) const
+    {
+        return ((uint64_t{dimm} * dram_.devicesPerRank() + device) *
+                    dram_.banksPerDevice + bank) * dram_.rowsPerBank + row;
+    }
+
+  private:
+    DramGeometry dram_;
+    unsigned banksPerGroup_;
+    unsigned spares_;
+    std::unordered_set<uint64_t> repaired_;
+    std::unordered_map<uint64_t, unsigned> groupUse_;
+};
+
+/** The pigeonhole verdict, recomputed from its definition. */
+bool
+pprPigeonholeRejects(const FaultRecord &fault, const DramGeometry &geometry,
+                     unsigned spares)
+{
+    const unsigned per_group = geometry.banksPerDevice / 4;
+    for (const auto &part : fault.parts) {
+        for (const auto &cluster : part.region.clusters()) {
+            if (cluster.rows.all)
+                continue;
+            for (unsigned group = 0; group < 4; ++group) {
+                unsigned banks = 0;
+                for (unsigned b = 0; b < per_group; ++b)
+                    banks += (cluster.bankMask >> (group * per_group + b)) & 1;
+                if (cluster.rows.rows.size() * banks > spares)
+                    return true;
+            }
+        }
+    }
+    return false;
+}
+
+TEST(PprPigeonholeDifferential, MatchesRowEnumeration)
+{
+    unsigned fired = 0;
+    unsigned accepts = 0;
+    for (const DramGeometry &geometry :
+         {DramGeometry::ddr3Dimm(), DramGeometry::ddr4Dimm()}) {
+        const std::vector<FaultRecord> faults = sampledFaults(geometry);
+        for (const unsigned spares : {1u, 2u, 4u}) {
+            PprRepair ppr(geometry, 4, spares);
+            OraclePpr oracle(geometry, spares);
+            Rng rng(spares);
+            for (size_t f = 0; f < faults.size(); ++f) {
+                // Nodes of ~6 faults; some faults twice, so rows repaired
+                // already are shared.
+                if (f % 6 == 0) {
+                    ppr.reset();
+                    oracle.reset();
+                }
+                const FaultRecord &fault =
+                    rng.uniformInt(4) == 0 && f > 0 ? faults[f - 1]
+                                                    : faults[f];
+                const std::string where = "banks " +
+                    std::to_string(geometry.banksPerDevice) + " spares " +
+                    std::to_string(spares) + " fault " + std::to_string(f);
+                const bool expect = oracle.tryRepair(fault);
+                const bool pigeonhole =
+                    pprPigeonholeRejects(fault, geometry, spares);
+                ASSERT_FALSE(pigeonhole && expect) << where;
+                ASSERT_EQ(ppr.tryRepair(fault), expect) << where;
+                ASSERT_EQ(ppr.sparesUsed(), oracle.sparesUsed()) << where;
+                fired += pigeonhole;
+                accepts += expect;
+                for (const auto &part : fault.parts) {
+                    for (const auto &cluster : part.region.clusters()) {
+                        if (cluster.rows.all)
+                            continue;
+                        const auto bank = static_cast<unsigned>(
+                            std::countr_zero(cluster.bankMask));
+                        for (const uint32_t row : cluster.rows.rows) {
+                            ASSERT_EQ(ppr.rowRepaired(part.dimm, part.device,
+                                                      bank, row),
+                                      oracle.rowRepaired(part.dimm,
+                                                         part.device, bank,
+                                                         row))
+                                << where;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(fired, 100u);
+    EXPECT_GT(accepts, 100u);
 }
 
 // ---------------------------------------------------------------------

@@ -83,13 +83,12 @@ RelaxFaultRepair::tryRepair(const FaultRecord &fault)
                               uint32_t row) {
         return lineOf(RemapUnit{part.dimm, part.device, bank, row, 0});
     };
-    bool fits;
+    bool fits = true;
     if (footprint_) {
         if (!footprint_->mayFit(tracker_, fault, dram_, true, row_base))
             return false;
         fits = footprint_->stageFault(tracker_, fault, dram_, row_base);
     } else {
-        fits = true;
         for (const auto &part : fault.parts) {
             RemapUnit unit{part.dimm, part.device};
             fits = part.region.forEachRemapUnit(

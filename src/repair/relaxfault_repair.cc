@@ -143,8 +143,7 @@ RelaxFaultRepair::bankFlagged(unsigned dimm, unsigned bank) const
 bool
 RelaxFaultRepair::unitRepaired(const RemapUnit &unit) const
 {
-    const RemapLocation loc = map_.locate(unit);
-    return tracker_.contains(loc.key(map_.setBits()));
+    return tracker_.contains(lineOf(unit).key);
 }
 
 } // namespace relaxfault

@@ -318,6 +318,58 @@ BM_LineTrackerTryAdd(benchmark::State &state)
 }
 BENCHMARK(BM_LineTrackerTryAdd);
 
+/**
+ * The 96 rows of the `bank` shape staged whole into a 16-way copy of a
+ * mechanism's tracker, then committed and reset: the tracker alone,
+ * with the rows' unit-0 lines translated beforehand.
+ */
+template <typename Mechanism, typename RowBase>
+void
+BM_LineTrackerStageRow(benchmark::State &state, Mechanism mechanism,
+                       RowBase row_base)
+{
+    const FaultRecord fault = repairFault("bank");
+    const DevicePart &part = fault.parts[0];
+    std::vector<RepairLine> bases;
+    part.region.forEachRow(
+        kGeometry, [&](const RegionCluster &, unsigned bank, uint32_t row) {
+            bases.push_back(row_base(mechanism, part, bank, row));
+        });
+    RepairLineTracker tracker = mechanism.tracker();
+    const ColSet all = ColSet::allCols();
+    for (auto _ : state) {
+        bool fits = true;
+        for (const RepairLine &base : bases)
+            fits = fits && tracker.stageRow(base, all);
+        benchmark::DoNotOptimize(tracker.finish(fits));
+        tracker.reset();
+    }
+}
+BENCHMARK_CAPTURE(
+    BM_LineTrackerStageRow, freefault,
+    FreeFaultRepair(makeAddressMap("fig7a", kGeometry), kLlc,
+                    RepairBudget{16, 32768}),
+    [](const FreeFaultRepair &repair, const DevicePart &part,
+       unsigned bank, uint32_t row) {
+        LineCoord coord;
+        coord.channel = part.dimm / kGeometry.ranksPerChannel;
+        coord.rank = part.dimm % kGeometry.ranksPerChannel;
+        coord.bank = bank;
+        coord.row = row;
+        const uint64_t pa = repair.addressMap().encode(coord);
+        return RepairLine{repair.indexer().setIndex(pa),
+                          pa >> kGeometry.offsetBits()};
+    })->Name("BM_LineTrackerStageRow/freefault");
+BENCHMARK_CAPTURE(
+    BM_LineTrackerStageRow, relaxfault,
+    RelaxFaultRepair(kGeometry, kLlc, RepairBudget{16, 32768}),
+    [](const RelaxFaultRepair &repair, const DevicePart &part,
+       unsigned bank, uint32_t row) {
+        const RemapLocation loc = repair.map().locate(
+            RemapUnit{part.dimm, part.device, bank, row, 0});
+        return RepairLine{loc.set, loc.key(repair.map().setBits())};
+    })->Name("BM_LineTrackerStageRow/relaxfault");
+
 void
 BM_ChipkillEncodeLine(benchmark::State &state)
 {

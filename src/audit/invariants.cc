@@ -81,6 +81,7 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
     const RepairBudget &budget = tracker.budget();
     const unsigned set_bits = map.setBits();
     const uint64_t sets = tracker.sets();
+    const std::vector<uint64_t> allocated = tracker.allocatedKeys();
 
     // -- Budget bounds (the paper's <=N-locked-ways-per-set property). --
     check(report, tracker.usedLines() <= budget.maxLines, "line_budget",
@@ -113,9 +114,9 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
               " but usedLines is " +
               std::to_string(tracker.usedLines()));
     check(report,
-          tracker.allocatedKeys().size() == tracker.usedLines(),
+          allocated.size() == tracker.usedLines(),
           "load_accounting",
-          std::to_string(tracker.allocatedKeys().size()) +
+          std::to_string(allocated.size()) +
               " allocated keys vs usedLines " +
               std::to_string(tracker.usedLines()));
 
@@ -127,7 +128,7 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
     std::vector<uint16_t> recomputed(sets, 0);
     uint64_t bad_keys = 0;
     uint64_t bad_example = 0;
-    for (const uint64_t key : tracker.allocatedKeys()) {
+    for (const uint64_t key : allocated) {
         RemapLocation loc;
         loc.set = key & maskBits(set_bits);
         loc.tag = key >> set_bits;
@@ -198,7 +199,7 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
               " unit(s) of repaired faults have no allocated line");
     if (strict_attribution) {
         uint64_t orphans = 0;
-        for (const uint64_t key : tracker.allocatedKeys())
+        for (const uint64_t key : allocated)
             orphans += expected.count(key) != 0 ? 0 : 1;
         check(report, orphans == 0, "orphan_lines",
               std::to_string(orphans) +
@@ -241,6 +242,7 @@ InvariantAuditor::auditFreeFault(const FreeFaultRepair &repair,
     const RepairBudget &budget = tracker.budget();
     const unsigned offset_bits = geometry.offsetBits();
     const uint64_t sets = tracker.sets();
+    const std::vector<uint64_t> allocated = tracker.allocatedKeys();
     const uint64_t line_limit = geometry.nodeBytes() >> offset_bits;
 
     check(report, tracker.usedLines() <= budget.maxLines, "line_budget",
@@ -264,9 +266,9 @@ InvariantAuditor::auditFreeFault(const FreeFaultRepair &repair,
               " but usedLines is " +
               std::to_string(tracker.usedLines()));
     check(report,
-          tracker.allocatedKeys().size() == tracker.usedLines(),
+          allocated.size() == tracker.usedLines(),
           "load_accounting",
-          std::to_string(tracker.allocatedKeys().size()) +
+          std::to_string(allocated.size()) +
               " allocated keys vs usedLines " +
               std::to_string(tracker.usedLines()));
 
@@ -275,7 +277,7 @@ InvariantAuditor::auditFreeFault(const FreeFaultRepair &repair,
     // out-of-image address or a per-set load mismatch.
     std::vector<uint16_t> recomputed(sets, 0);
     uint64_t bad_keys = 0;
-    for (const uint64_t key : tracker.allocatedKeys()) {
+    for (const uint64_t key : allocated) {
         if (key >= line_limit) {
             ++bad_keys;
             continue;
@@ -317,7 +319,7 @@ InvariantAuditor::auditFreeFault(const FreeFaultRepair &repair,
           std::to_string(missing) +
               " line(s) of repaired faults have no allocated entry");
     uint64_t orphans = 0;
-    for (const uint64_t key : tracker.allocatedKeys())
+    for (const uint64_t key : allocated)
         orphans += expected.count(key) != 0 ? 0 : 1;
     check(report, orphans == 0, "orphan_lines",
           std::to_string(orphans) +

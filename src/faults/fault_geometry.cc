@@ -37,21 +37,28 @@ singleCluster(RegionCluster &&cluster)
 
 FaultGeometrySampler::FaultGeometrySampler(const DramGeometry &geometry,
                                            const FaultGeometryParams &params)
-    : geometry_(geometry), params_(params)
+    : geometry_(geometry), params_(params),
+      bankSmallRows_(params.bankSmallRowsMean),
+      columnRows_(params.columnRowsMean),
+      multiRankRows_(params.multiRankRowsMean)
+{
+}
+
+FaultGeometrySampler::GeometricCount::GeometricCount(double mean)
+    : mean(mean), logFailure(mean > 1.0 ? std::log(1.0 - 1.0 / mean) : 0.0)
 {
 }
 
 unsigned
-FaultGeometrySampler::geometricCount(double mean, Rng &rng) const
+FaultGeometrySampler::geometricCount(const GeometricCount &count, Rng &rng)
 {
-    if (mean <= 1.0)
+    if (count.mean <= 1.0)
         return 1;
     // Geometric on {1, 2, ...} with the requested mean.
-    const double p = 1.0 / mean;
     const double u = rng.uniform();
-    const auto count = static_cast<unsigned>(
-        1.0 + std::floor(std::log(1.0 - u) / std::log(1.0 - p)));
-    return std::max(1u, count);
+    const auto rows = static_cast<unsigned>(
+        1.0 + std::floor(std::log(1.0 - u) / count.logFailure));
+    return std::max(1u, rows);
 }
 
 RowSet
@@ -135,7 +142,7 @@ FaultGeometrySampler::bankExtent(unsigned bank, Rng &rng) const
     if (u < params_.bankSmallProb) {
         // A few wordlines within one subarray (local decoder glitch).
         const unsigned count =
-            geometricCount(params_.bankSmallRowsMean, rng);
+            geometricCount(bankSmallRows_, rng);
         const uint32_t subarrays = geometry_.rowsPerBank /
                                    params_.subarrayRows;
         const uint32_t base = static_cast<uint32_t>(
@@ -195,7 +202,7 @@ FaultGeometrySampler::sampleSingleColumn(Rng &rng) const
     const uint32_t base = static_cast<uint32_t>(
         rng.uniformInt(subarrays)) * params_.subarrayRows;
     const unsigned count = std::min<unsigned>(
-        geometricCount(params_.columnRowsMean, rng), params_.subarrayRows);
+        geometricCount(columnRows_, rng), params_.subarrayRows);
     cluster.rows = randomRows(count, base, params_.subarrayRows, rng);
     cluster.cols = ColSet::of({static_cast<uint16_t>(
         rng.uniformInt(geometry_.colBlocksPerRow))});
@@ -263,7 +270,7 @@ FaultGeometrySampler::sampleMultiRank(Rng &rng) const
         RegionCluster cluster;
         cluster.bankMask = 1u << bank;
         const unsigned count =
-            geometricCount(params_.multiRankRowsMean, rng);
+            geometricCount(multiRankRows_, rng);
         cluster.rows = randomRows(count, 0, geometry_.rowsPerBank, rng);
         cluster.cols = ColSet::allCols();
         cluster.bitMask = 0xffffffffu;

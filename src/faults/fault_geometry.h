@@ -80,8 +80,20 @@ class FaultGeometrySampler
                              Rng &rng);
 
   private:
+    /**
+     * A geometric row count on {1, 2, ...} with a fixed mean, with
+     * log(1 - 1/mean) worked out once; a mean <= 1 always draws 1.
+     */
+    struct GeometricCount
+    {
+        explicit GeometricCount(double mean);
+
+        double mean;
+        double logFailure;  ///< log(1 - 1/mean); unused if mean <= 1.
+    };
+
     /** Geometric count with the given mean, >= 1. */
-    unsigned geometricCount(double mean, Rng &rng) const;
+    static unsigned geometricCount(const GeometricCount &count, Rng &rng);
 
     RegionCluster bankExtent(unsigned bank, Rng &rng) const;
 
@@ -94,6 +106,9 @@ class FaultGeometrySampler
 
     DramGeometry geometry_;
     FaultGeometryParams params_;
+    GeometricCount bankSmallRows_;
+    GeometricCount columnRows_;
+    GeometricCount multiRankRows_;
 };
 
 } // namespace relaxfault

@@ -9,8 +9,8 @@ namespace relaxfault {
 FreeFaultRepair::FreeFaultRepair(const DramAddressMap &map,
                                  const CacheGeometry &llc,
                                  const RepairBudget &budget, bool xor_hash)
-    : map_(map), indexer_(llc, xor_hash), tracker_(llc.sets(), budget),
-      footprint_(columnDeltas(), 1)
+    : map_(map), indexer_(llc, xor_hash),
+      tracker_(llc.sets(), budget, RowFootprint(columnDeltas(), 1))
 {
 }
 
@@ -59,9 +59,9 @@ FreeFaultRepair::tryRepair(const FaultRecord &fault)
         largest_cluster > tracker_.sets() * budget.maxWaysPerSet)
         return false;
 
-    // Coset pre-check (DESIGN.md §16): a fault of distinct whole rows
-    // that must overflow some set is rejected per row, not per line.
-    // Then stream: one encode per row, and each line an XOR away.
+    // Stream (DESIGN.md §16): one encode per row; the tracker decides a
+    // fresh whole row from its coset's loads, and any other row line by
+    // line, each an XOR away from the row's first.
     const auto row_base = [&](const DevicePart &part, unsigned bank,
                               uint32_t row) {
         LineCoord coord;
@@ -71,11 +71,7 @@ FreeFaultRepair::tryRepair(const FaultRecord &fault)
         coord.row = row;
         return lineOf(coord);
     };
-    if (!footprint_.mayFit(tracker_, fault, geometry, false, row_base))
-        return false;
-    const bool fits =
-        footprint_.stageFault(tracker_, fault, geometry, row_base);
-    return tracker_.finish(fits);
+    return tracker_.finish(tracker_.stageFault(fault, geometry, row_base));
 }
 
 void
@@ -87,11 +83,12 @@ FreeFaultRepair::reset()
 void
 FreeFaultRepair::publishTelemetry(MetricRegistry &registry) const
 {
-    RepairMechanism::publishTelemetry(registry);
-    const std::string prefix = "repair." + name();
-    const uint64_t occupied = tracker_.publishSetLoads(
-        registry.histogram(prefix + ".locked_ways_per_set"));
-    registry.histogram(prefix + ".occupied_sets").record(occupied);
+    Log2Histogram *const *hist = histograms(
+        registry,
+        {"used_lines", "max_ways", "locked_ways_per_set", "occupied_sets"});
+    hist[0]->record(usedLines());
+    hist[1]->record(maxWaysUsed());
+    hist[3]->record(tracker_.publishSetLoads(*hist[2]));
 }
 
 bool

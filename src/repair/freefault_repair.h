@@ -18,7 +18,6 @@
 #include "dram/address_map.h"
 #include "repair/line_tracker.h"
 #include "repair/repair_mechanism.h"
-#include "repair/row_footprint.h"
 
 namespace relaxfault {
 
@@ -59,8 +58,8 @@ class FreeFaultRepair : public RepairMechanism
     /** Address translation in use (audit rebuilds keys from faults). */
     const DramAddressMap &addressMap() const { return map_; }
 
-    /** Per-column-block line deltas and coset pre-check (tests). */
-    const RowFootprint &footprint() const { return footprint_; }
+    /** Per-column-block line deltas (tests). */
+    const RowFootprint &footprint() const { return tracker_.footprint(); }
 
     /**
      * Fault-injection backdoor: mutable tracker access for the metadata
@@ -81,9 +80,8 @@ class FreeFaultRepair : public RepairMechanism
 
     DramAddressMap map_;
     SetIndexer indexer_;
+    /** Keyed by per-column-block row deltas (both maps are linear). */
     RepairLineTracker tracker_;
-    /** Per-column-block line deltas of a row (both maps are linear). */
-    RowFootprint footprint_;
 };
 
 } // namespace relaxfault

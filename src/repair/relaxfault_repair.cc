@@ -7,6 +7,28 @@
 
 namespace relaxfault {
 
+namespace {
+
+/**
+ * Row deltas of @p mode's placement: (g, g) per column group, or
+ * one-unit rows for HashOnly, whose placement is not linear.
+ */
+RowFootprint
+remapFootprint(const DramGeometry &dram, RelaxFaultMap::IndexMode mode)
+{
+    if (mode == RelaxFaultMap::IndexMode::HashOnly)
+        return RowFootprint();
+    const unsigned cols_per_unit =
+        dram.lineBytes / dram.bytesPerDevicePerLine();
+    std::vector<RepairLine> deltas;
+    for (uint64_t group = 0;
+         group * cols_per_unit < dram.colBlocksPerRow; ++group)
+        deltas.push_back({group, group});
+    return RowFootprint(std::move(deltas), cols_per_unit);
+}
+
+} // namespace
+
 RelaxFaultRepair::RelaxFaultRepair(const DramGeometry &dram,
                                    const CacheGeometry &llc,
                                    const RepairBudget &budget,
@@ -21,18 +43,10 @@ RelaxFaultRepair::RelaxFaultRepair(const DramGeometry &dram,
                                    const CacheGeometry &llc,
                                    const RepairBudget &budget,
                                    RelaxFaultMap::IndexMode mode)
-    : dram_(dram), map_(dram, llc, mode), tracker_(llc.sets(), budget),
+    : dram_(dram), map_(dram, llc, mode),
+      tracker_(llc.sets(), budget, remapFootprint(dram, mode)),
       faultyBankTable_(dram.dimmsPerNode(), 0)
 {
-    if (mode == RelaxFaultMap::IndexMode::HashOnly)
-        return;
-    const unsigned cols_per_unit =
-        dram.lineBytes / dram.bytesPerDevicePerLine();
-    std::vector<RepairLine> deltas;
-    for (uint64_t group = 0;
-         group * cols_per_unit < dram.colBlocksPerRow; ++group)
-        deltas.push_back({group, group});
-    footprint_.emplace(std::move(deltas), cols_per_unit);
 }
 
 std::string
@@ -75,19 +89,17 @@ RelaxFaultRepair::tryRepair(const FaultRecord &fault)
         largest_cluster > tracker_.sets() * budget.maxWaysPerSet)
         return false;
 
-    // Coset pre-check (DESIGN.md §16): a fault of distinct whole rows
-    // that must overflow some set is rejected per row, not per unit.
-    // Then stream: one locate per row, and each unit an XOR away; the
-    // hash-only ablation has no footprint and locates every unit.
-    const auto row_base = [&](const DevicePart &part, unsigned bank,
-                              uint32_t row) {
-        return lineOf(RemapUnit{part.dimm, part.device, bank, row, 0});
-    };
+    // Stream (DESIGN.md §16): one locate per row; the tracker decides a
+    // fresh whole row from its coset's loads, and any other row unit by
+    // unit, each an XOR away. Hash-only placement is not linear, so that
+    // ablation locates every unit.
     bool fits = true;
-    if (footprint_) {
-        if (!footprint_->mayFit(tracker_, fault, dram_, true, row_base))
-            return false;
-        fits = footprint_->stageFault(tracker_, fault, dram_, row_base);
+    if (map_.indexMode() != RelaxFaultMap::IndexMode::HashOnly) {
+        fits = tracker_.stageFault(
+            fault, dram_, [&](const DevicePart &part, unsigned bank,
+                              uint32_t row) {
+                return lineOf(RemapUnit{part.dimm, part.device, bank, row, 0});
+            });
     } else {
         for (const auto &part : fault.parts) {
             RemapUnit unit{part.dimm, part.device};
@@ -123,15 +135,16 @@ RelaxFaultRepair::reset()
 void
 RelaxFaultRepair::publishTelemetry(MetricRegistry &registry) const
 {
-    RepairMechanism::publishTelemetry(registry);
-    const std::string prefix = "repair." + name();
-    const uint64_t occupied = tracker_.publishSetLoads(
-        registry.histogram(prefix + ".locked_ways_per_set"));
-    registry.histogram(prefix + ".occupied_sets").record(occupied);
+    Log2Histogram *const *hist = histograms(
+        registry, {"used_lines", "max_ways", "locked_ways_per_set",
+                   "occupied_sets", "flagged_banks"});
+    hist[0]->record(usedLines());
+    hist[1]->record(maxWaysUsed());
+    hist[3]->record(tracker_.publishSetLoads(*hist[2]));
     uint64_t flagged = 0;
     for (const uint32_t mask : faultyBankTable_)
         flagged += std::popcount(mask);
-    registry.histogram(prefix + ".flagged_banks").record(flagged);
+    hist[4]->record(flagged);
 }
 
 bool

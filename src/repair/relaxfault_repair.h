@@ -13,14 +13,12 @@
 #ifndef RELAXFAULT_REPAIR_RELAXFAULT_REPAIR_H
 #define RELAXFAULT_REPAIR_RELAXFAULT_REPAIR_H
 
-#include <optional>
 #include <vector>
 
 #include "cache/cache_geometry.h"
 #include "repair/line_tracker.h"
 #include "repair/relaxfault_map.h"
 #include "repair/repair_mechanism.h"
-#include "repair/row_footprint.h"
 
 namespace relaxfault {
 
@@ -71,11 +69,11 @@ class RelaxFaultRepair : public RepairMechanism
         return faultyBankTable_[dimm];
     }
 
-    /** Per-column-group line deltas; empty for HashOnly (tests). */
-    const std::optional<RowFootprint> &footprint() const
-    {
-        return footprint_;
-    }
+    /**
+     * Per-column-group line deltas; one-unit rows for HashOnly, whose
+     * placement is not linear (tests).
+     */
+    const RowFootprint &footprint() const { return tracker_.footprint(); }
 
     /**
      * Fault-injection backdoor: mutable tracker access for the metadata
@@ -103,13 +101,12 @@ class RelaxFaultRepair : public RepairMechanism
 
     DramGeometry dram_;
     RelaxFaultMap map_;
-    RepairLineTracker tracker_;
     /**
-     * Per-column-group line deltas, (g, g): the structured modes put the
-     * group in the low set bits, and the key carries the set. Empty for
-     * HashOnly, whose placement is not linear.
+     * Keyed by per-column-group line deltas, (g, g): the structured
+     * modes put the group in the low set bits, and the key carries the
+     * set.
      */
-    std::optional<RowFootprint> footprint_;
+    RepairLineTracker tracker_;
     std::vector<uint32_t> faultyBankTable_;  ///< Per DIMM, bit per bank.
 };
 

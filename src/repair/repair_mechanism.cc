@@ -8,9 +8,25 @@ namespace relaxfault {
 void
 RepairMechanism::publishTelemetry(MetricRegistry &registry) const
 {
-    const std::string prefix = "repair." + name();
-    registry.histogram(prefix + ".used_lines").record(usedLines());
-    registry.histogram(prefix + ".max_ways").record(maxWaysUsed());
+    Log2Histogram *const *hist =
+        histograms(registry, {"used_lines", "max_ways"});
+    hist[0]->record(usedLines());
+    hist[1]->record(maxWaysUsed());
+}
+
+Log2Histogram *const *
+RepairMechanism::histograms(MetricRegistry &registry,
+                            std::initializer_list<const char *> metrics) const
+{
+    if (histogramRegistry_ != registry.id() ||
+        histograms_.size() != metrics.size()) {
+        const std::string prefix = "repair." + name() + ".";
+        histograms_.clear();
+        for (const char *metric : metrics)
+            histograms_.push_back(&registry.histogram(prefix + metric));
+        histogramRegistry_ = registry.id();
+    }
+    return histograms_.data();
 }
 
 bool

@@ -14,13 +14,16 @@
 #define RELAXFAULT_REPAIR_REPAIR_MECHANISM_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "faults/fault.h"
 
 namespace relaxfault {
 
+class Log2Histogram;
 class MetricRegistry;
 class TraceSink;
 
@@ -79,6 +82,23 @@ class RepairMechanism
 
     /** LLC bytes locked for repair. */
     uint64_t usedBytes() const { return usedLines() * 64; }
+
+  protected:
+    /**
+     * The `repair.<name>.<metric>` histogram of @p registry for each of
+     * @p metrics, in order, looked up by name only when @p registry is
+     * not the one of the previous call. Every call on one mechanism
+     * must pass the same @p metrics, and calls on one mechanism must
+     * not overlap.
+     */
+    Log2Histogram *const *
+    histograms(MetricRegistry &registry,
+               std::initializer_list<const char *> metrics) const;
+
+  private:
+    /** MetricRegistry::id() of histograms_; 0 before the first call. */
+    mutable uint64_t histogramRegistry_ = 0;
+    mutable std::vector<Log2Histogram *> histograms_;
 };
 
 } // namespace relaxfault

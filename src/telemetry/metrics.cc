@@ -235,6 +235,12 @@ MetricsSnapshot::findHistogram(const std::string &name) const
     return nullptr;
 }
 
+MetricRegistry::MetricRegistry()
+{
+    static std::atomic<uint64_t> next{1};
+    id_ = next.fetch_add(1, std::memory_order_relaxed);
+}
+
 Counter &
 MetricRegistry::counter(const std::string &name)
 {

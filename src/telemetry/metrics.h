@@ -287,6 +287,15 @@ struct MetricsSnapshot
 class MetricRegistry
 {
   public:
+    MetricRegistry();
+
+    /**
+     * Nonzero, and never shared with another registry of the process,
+     * even one built where this one was: holders of metric references
+     * can tell which registry they came from.
+     */
+    uint64_t id() const { return id_; }
+
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     Log2Histogram &histogram(const std::string &name);
@@ -320,6 +329,7 @@ class MetricRegistry
     void printSummary(std::ostream &os) const;
 
   private:
+    uint64_t id_;
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -1,10 +1,11 @@
 /**
  * @file
- * Differential tests for the repair hot path: the open-addressing
- * RepairLineTracker with streamed stage()/finish() adds, the pigeonhole
- * pre-check and the factored row footprint (XOR-delta lines plus the
- * coset pre-check) in FreeFault/RelaxFault tryRepair, and PPR's
- * spare-row pigeonhole.
+ * Differential tests for the repair hot path: the coset-factored
+ * RepairLineTracker (per-row index entries, per-coset row loads, O(1)
+ * whole-row stage/rollback/reset) with streamed stage()/stageRow()/
+ * finish() adds, the pigeonhole pre-check and the factored row
+ * footprint (XOR-delta lines and coset reductions) in FreeFault and
+ * RelaxFault tryRepair, and PPR's spare-row pigeonhole.
  *
  * The oracles are the implementations those replaced, kept here only:
  * an unordered_set tracker with a whole-request staging pass and a
@@ -12,25 +13,31 @@
  * enumerate it; and PPR's O(n^2) pending scan with a group map. The
  * suites require:
  *
- *  - identical observable state between the two trackers over seeded
- *    random op sequences (shared and duplicate keys, line-cap and
- *    way-cap rejects, index growth, reset, both corruption backdoors);
+ *  - identical observable state between the tracker and the oracle
+ *    over seeded random op sequences of single lines (shared and
+ *    duplicate keys, line-cap and way-cap rejects, index growth, reset,
+ *    both corruption backdoors);
+ *  - the same over random sequences of row ops on the mechanisms'
+ *    footprints (FreeFault at m = 1 and m > 1, RelaxFault, hash-only
+ *    RelaxFault; {1,4,16} ways): whole rows, partly locked rows,
+ *    explicit columns, single lines and rows overlapping locked lines,
+ *    rejects in the middle of a fault, reset, index growth and both
+ *    backdoors, with allocatedKeys() in per-line staging order;
  *  - that a pigeonhole reject never rejects a fault the full
  *    enumeration would accept, for sampled faults of every mode at
  *    {1,4,16} ways with and without set hashing;
  *  - that every XOR-delta line equals the full encode + setIndex
  *    (FreeFault, every registered address map, an 8MiB and a 256-set
  *    LLC, hashing on and off) or locate (RelaxFault, both structured
- *    modes);
- *  - that the coset pre-check rejects iff the full enumeration
- *    overflows a set's way ceiling, and that every tryRepair makes the
- *    enumeration's decision with the same key order, loads, line count
- *    and ways: sampled faults of every mode, {1,4,16} ways, every
- *    scheme, m = 1 and m > 1, on trackers empty, holding some of the
- *    fault's own lines, or with its sets filled near the ceiling;
- *  - that hash-only RelaxFault and faults whose rows may share lines
- *    (shared banks, explicit columns) bypass the pre-check and still
- *    decide the same;
+ *    modes), and that a row's lines make one key coset, unit by unit,
+ *    and m lines in each set of one set coset;
+ *  - that every tryRepair makes the enumeration's decision with the
+ *    same key order, loads, line count and ways: sampled faults of
+ *    every mode, {1,4,16} ways, every scheme, m = 1 and m > 1, on
+ *    trackers empty, holding some of the fault's own lines, or with its
+ *    sets filled near the ceiling; hash-only RelaxFault, and faults
+ *    whose rows may share lines (shared banks, explicit columns),
+ *    included;
  *  - that PPR's pigeonhole never rejects what row enumeration accepts,
  *    and PPR decides, counts spares and marks rows as it did (DDR3 and
  *    DDR4 bank groups, 1/2/4 spares);
@@ -606,6 +613,34 @@ rowCoord(const FreeFaultRepair &repair, const DevicePart &part,
     return coord;
 }
 
+/**
+ * The row whose unit 0 is @p base, by the footprint's coset reductions:
+ * its keys are one key coset, unit c being entry unit c ^ (base's
+ * unit), and its sets one set coset holding m of its lines each.
+ */
+void
+expectRowCosets(const RowFootprint &footprint, const RepairLine &base,
+                const std::string &where)
+{
+    const RowFootprint::KeyCoset row = footprint.keyCoset(base.key);
+    const uint64_t set_coset = footprint.setCoset(base.set);
+    std::unordered_map<uint64_t, unsigned> per_set;
+    for (unsigned unit = 0; unit < footprint.units(); ++unit) {
+        const RepairLine line = footprint.line(base, unit);
+        const RowFootprint::KeyCoset key = footprint.keyCoset(line.key);
+        ASSERT_EQ(key.coset, row.coset) << where << " unit " << unit;
+        ASSERT_EQ(key.unit, unit ^ row.unit) << where << " unit " << unit;
+        ASSERT_EQ(footprint.setCoset(line.set), set_coset)
+            << where << " unit " << unit;
+        ++per_set[line.set];
+    }
+    ASSERT_EQ(per_set.size(), footprint.setSpan().size()) << where;
+    for (const auto &[set, lines] : per_set) {
+        ASSERT_EQ(lines, footprint.linesPerSet()) << where << " set " << set;
+        ASSERT_EQ(footprint.setCoset(set), set_coset) << where;
+    }
+}
+
 TEST(RowFootprintDifferential, XorDeltaLinesMatchTheFullTranslation)
 {
     const DramGeometry geometry;
@@ -640,6 +675,7 @@ TEST(RowFootprintDifferential, XorDeltaLinesMatchTheFullTranslation)
                                   encodedLine(repair, coord))
                             << where << " col " << col;
                     }
+                    expectRowCosets(footprint, base, where);
                 }
             }
         }
@@ -652,8 +688,7 @@ TEST(RowFootprintDifferential, XorDeltaLinesMatchTheFullTranslation)
                                 RelaxFaultMap::IndexMode::StructuredFolded}) {
             const RelaxFaultRepair repair(geometry, llc,
                                           RepairBudget{1, kMaxLines}, mode);
-            ASSERT_TRUE(repair.footprint().has_value());
-            const RowFootprint &footprint = *repair.footprint();
+            const RowFootprint &footprint = repair.footprint();
             ASSERT_EQ(footprint.units(), geometry.colBlocksPerRow / 16);
             EXPECT_EQ(footprint.linesPerSet(), 1u);
             for (unsigned sample = 0; sample < 200; ++sample) {
@@ -673,14 +708,261 @@ TEST(RowFootprintDifferential, XorDeltaLinesMatchTheFullTranslation)
                               locatedLine(repair, unit))
                         << repair.name() << " group " << group;
                 }
+                expectRowCosets(footprint, base, repair.name());
             }
         }
     }
-    // Hash-only placement is not linear: no footprint, locate per unit.
+    // Hash-only placement is not linear: one-unit rows, locate per unit.
     const RelaxFaultRepair hash_only(geometry, kLlc,
                                      RepairBudget{1, kMaxLines},
                                      RelaxFaultMap::IndexMode::HashOnly);
-    EXPECT_FALSE(hash_only.footprint().has_value());
+    EXPECT_EQ(hash_only.footprint().units(), 1u);
+    EXPECT_EQ(hash_only.footprint().linesPerSet(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Row ops on the mechanisms' footprints vs the oracle and line staging.
+
+/** One staged item of a fault: a row's units or a single line. */
+struct RowItem
+{
+    RepairLine base;  ///< The row's unit 0, or the line itself.
+    ColSet cols;      ///< The row's columns; unused for a line.
+    bool line = false;
+};
+
+/** What the row-op sequences reached. */
+struct RowOpCounts
+{
+    unsigned wholeRows = 0;      ///< Whole rows in accepted faults.
+    unsigned partialRows = 0;    ///< Rows met partly locked.
+    unsigned columnRows = 0;     ///< Explicit-column rows.
+    unsigned midRejects = 0;     ///< Rejects after a staged item.
+    unsigned capRejects = 0;     ///< Rejects at the line cap.
+    unsigned growths = 0;        ///< Sequences past 128 key cosets.
+    unsigned replaced = 0;       ///< Tag-flip backdoor hits.
+};
+
+/**
+ * One seeded sequence of faults, resets and backdoor flips through a
+ * tracker keyed by @p footprint, an oracle fed each fault's lines as one
+ * request, and a one-unit tracker staging them line by line. Decisions,
+ * state and allocatedKeys() order must agree throughout.
+ */
+template <typename RowBase>
+void
+runRowOpSequence(const RowFootprint &footprint, uint64_t sets,
+                 unsigned ways, uint64_t seed, RowBase &&row_base,
+                 RowOpCounts &counts, const std::string &tag)
+{
+    const DramGeometry geometry;
+    Rng rng(seed);
+    const bool one_unit = footprint.units() == 1;
+    RepairBudget budget{ways, kMaxLines};
+    if (rng.uniformInt(4) == 0)
+        budget.maxLines = 1 + rng.uniformInt(24 * footprint.units());
+    RepairLineTracker rows(sets, budget, footprint);
+    RepairLineTracker lines_only(sets, budget);
+    OracleLineTracker oracle(sets, budget);
+
+    const auto random_row = [&] {
+        RemapUnit unit;
+        unit.dimm = static_cast<unsigned>(rng.uniformInt(2));
+        unit.device = static_cast<unsigned>(rng.uniformInt(2));
+        unit.bank = static_cast<unsigned>(rng.uniformInt(2));
+        unit.row = static_cast<uint32_t>(rng.uniformInt(geometry.rowsPerBank));
+        unit.colGroup = static_cast<uint16_t>(
+            one_unit ? rng.uniformInt(geometry.colBlocksPerRow / 16) : 0);
+        return row_base(unit);
+    };
+    // Rows recur from a small pool, so faults overlap locked lines.
+    std::vector<RepairLine> pool;
+    for (unsigned i = 0; i < 10; ++i)
+        pool.push_back(random_row());
+
+    const auto random_item = [&] {
+        RowItem item;
+        item.base = pool[rng.uniformInt(pool.size())];
+        const uint64_t kind = one_unit ? 0 : rng.uniformInt(6);
+        if (kind < 3) {
+            item.cols = ColSet::allCols();
+        } else if (kind < 5) {
+            std::vector<uint16_t> cols;
+            const auto count = 1 + rng.uniformInt(6);
+            for (uint64_t i = 0; i < count; ++i)
+                cols.push_back(static_cast<uint16_t>(
+                    rng.uniformInt(geometry.colBlocksPerRow)));
+            item.cols = ColSet::of(std::move(cols));
+        } else {
+            item.base = footprint.line(
+                item.base,
+                static_cast<unsigned>(rng.uniformInt(footprint.units())));
+            item.line = true;
+        }
+        return item;
+    };
+
+    for (unsigned op = 0; op < 16; ++op) {
+        const std::string where = tag + " op " + std::to_string(op);
+        const uint64_t kind = rng.uniformInt(20);
+        if (kind < 15) {
+            std::vector<RowItem> items;
+            if (kind == 0) {
+                // Many fresh whole rows: grows the index, and often
+                // overflows a coset or the cap midway.
+                const auto count = 40 + rng.uniformInt(200);
+                for (uint64_t i = 0; i < count; ++i)
+                    items.push_back({random_row(), ColSet::allCols(), false});
+            } else {
+                const auto count = 1 + rng.uniformInt(6);
+                for (uint64_t i = 0; i < count; ++i)
+                    items.push_back(random_item());
+            }
+            Lines lines;
+            for (const RowItem &item : items) {
+                if (item.line) {
+                    lines.emplace_back(item.base.set, item.base.key);
+                    continue;
+                }
+                FaultRegion::forEachColumnUnit(
+                    item.cols, footprint.colsPerUnit(), footprint.units(),
+                    [&](uint16_t unit) {
+                        const RepairLine line = footprint.line(item.base, unit);
+                        lines.emplace_back(line.set, line.key);
+                    });
+            }
+            const uint64_t before = oracle.usedLines();
+            const bool expect = oracle.tryAdd(lines);
+            ASSERT_EQ(lines_only.tryAdd(lines), expect) << where;
+
+            bool fits = true;
+            size_t staged = 0;
+            for (const RowItem &item : items) {
+                if (!item.line && !item.cols.all)
+                    ++counts.columnRows;
+                if (!item.line && item.cols.all) {
+                    unsigned locked = 0;
+                    for (unsigned unit = 0; unit < footprint.units(); ++unit)
+                        locked += oracle.contains(
+                            footprint.line(item.base, unit).key);
+                    counts.partialRows +=
+                        locked > 0 && locked < footprint.units();
+                }
+                fits = item.line ? rows.stage(item.base.set, item.base.key)
+                                 : rows.stageRow(item.base, item.cols);
+                if (!fits)
+                    break;
+                ++staged;
+            }
+            ASSERT_EQ(rows.finish(fits), expect) << where;
+            if (!expect) {
+                counts.midRejects += staged > 0;
+                std::unordered_set<uint64_t> fresh;
+                for (const auto &line : lines) {
+                    if (!oracle.contains(line.second))
+                        fresh.insert(line.second);
+                }
+                counts.capRejects += before + fresh.size() > budget.maxLines;
+            } else {
+                for (const RowItem &item : items)
+                    counts.wholeRows += !item.line && item.cols.all;
+            }
+        } else if (kind < 16) {
+            rows.reset();
+            lines_only.reset();
+            oracle.reset();
+        } else if (kind < 18) {
+            // Flip a locked key, sometimes onto a pool row's line.
+            const std::vector<uint64_t> keys = oracle.sortedKeys();
+            if (keys.empty())
+                continue;
+            const uint64_t old_key = keys[rng.uniformInt(keys.size())];
+            const uint64_t new_key = rng.uniformInt(2) == 0
+                ? old_key ^ (uint64_t{1} << rng.uniformInt(13))
+                : footprint.line(pool[rng.uniformInt(pool.size())],
+                                 static_cast<unsigned>(rng.uniformInt(
+                                     footprint.units()))).key;
+            const bool done = oracle.corruptReplaceKey(old_key, new_key);
+            ASSERT_EQ(rows.corruptReplaceKey(old_key, new_key), done)
+                << where;
+            ASSERT_EQ(lines_only.corruptReplaceKey(old_key, new_key), done)
+                << where;
+            counts.replaced += done;
+        } else {
+            // Flip a load in a pool row's coset, or anywhere.
+            const uint64_t set = rng.uniformInt(2) == 0
+                ? footprint.line(pool[rng.uniformInt(pool.size())], 0).set
+                : rng.uniformInt(sets);
+            const auto value =
+                static_cast<uint16_t>(rng.uniformInt(ways + 3));
+            rows.corruptSetLoad(set, value);
+            lines_only.corruptSetLoad(set, value);
+            oracle.corruptSetLoad(set, value);
+        }
+        expectSameState(rows, oracle, where);
+        ASSERT_EQ(rows.allocatedKeys(), lines_only.allocatedKeys()) << where;
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    std::unordered_set<uint64_t> cosets;
+    for (const uint64_t key : oracle.sortedKeys())
+        cosets.insert(footprint.keyCoset(key).coset);
+    counts.growths += cosets.size() > 128;
+}
+
+TEST(LineTrackerDifferential, RowOpsMatchOracleOverRandomSequences)
+{
+    const DramGeometry geometry;
+    const DramAddressMap address_map = makeAddressMap("fig7a", geometry);
+    RowOpCounts counts;
+    unsigned multi_line_sets = 0;
+    uint64_t seed = 0x70770000u;
+    for (const CacheGeometry &llc : {kLlc, kSmallLlc}) {
+        const RepairBudget budget{1, kMaxLines};
+        const FreeFaultRepair free_repair(address_map, llc, budget);
+        const RelaxFaultRepair relax(geometry, llc, budget);
+        const RelaxFaultRepair hash_only(geometry, llc, budget,
+                                         RelaxFaultMap::IndexMode::HashOnly);
+        multi_line_sets += free_repair.footprint().linesPerSet() > 1;
+        for (const unsigned ways : {1u, 4u, 16u}) {
+            const std::string where = "sets " + std::to_string(llc.sets()) +
+                " " + std::to_string(ways) + "way ";
+            for (unsigned seq = 0; seq < 24; ++seq, ++seed) {
+                runRowOpSequence(
+                    free_repair.footprint(), llc.sets(), ways, seed,
+                    [&](const RemapUnit &unit) {
+                        return encodedLine(
+                            free_repair,
+                            rowCoord(free_repair, DevicePart{unit.dimm, 0, {}},
+                                     unit.bank, unit.row));
+                    },
+                    counts, where + "FreeFault seq " + std::to_string(seq));
+                runRowOpSequence(
+                    relax.footprint(), llc.sets(), ways, seed,
+                    [&](const RemapUnit &unit) {
+                        return locatedLine(relax, unit);
+                    },
+                    counts, where + "RelaxFault seq " + std::to_string(seq));
+                runRowOpSequence(
+                    hash_only.footprint(), llc.sets(), ways, seed,
+                    [&](const RemapUnit &unit) {
+                        return locatedLine(hash_only, unit);
+                    },
+                    counts, where + "hash-only seq " + std::to_string(seq));
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+        }
+    }
+    // m > 1 must be covered, and the sequences must reach every path.
+    EXPECT_GT(multi_line_sets, 0u);
+    EXPECT_GT(counts.wholeRows, 1000u);
+    EXPECT_GT(counts.partialRows, 100u);
+    EXPECT_GT(counts.columnRows, 1000u);
+    EXPECT_GT(counts.midRejects, 100u);
+    EXPECT_GT(counts.capRejects, 20u);
+    EXPECT_GT(counts.growths, 10u);
+    EXPECT_GT(counts.replaced, 100u);
 }
 
 /**
@@ -715,12 +997,12 @@ preload(RepairLineTracker &tracker, const Lines &fault_lines,
     }
 }
 
-/** What one pre-checked tryRepair showed. */
+/** What the tryRepairs of one suite showed. */
 struct PrecheckCounts
 {
     unsigned decisions = 0;
     unsigned rejects = 0;
-    unsigned prechecked = 0;       ///< Faults with distinct whole rows.
+    unsigned wholeRows = 0;        ///< Faults of whole rows only.
     unsigned wayOverflows = 0;     ///< ...whose enumeration overflows.
     unsigned loadOverflows = 0;    ///< ...only on top of locked lines.
     unsigned sharedAccepts = 0;    ///< Accepts reusing locked lines.
@@ -728,24 +1010,26 @@ struct PrecheckCounts
 
 /**
  * One tryRepair on @p repair (tracker preloaded) against a copy of its
- * tracker fed the fully enumerated @p oracle lines: same decision,
- * same key order, loads, line count and ways. For a fault of distinct
- * whole rows, also the coset pre-check alone against the enumeration's
- * way-limit verdict, on the preloaded and on an empty tracker. A null
- * @p footprint (hash-only RelaxFault) checks the decision only.
+ * tracker fed the fully enumerated @p oracle lines one at a time: same
+ * decision, same key order, loads, line count and ways. Counts, for a
+ * fault of whole rows, whether the enumeration overflows a way ceiling
+ * and whether it would on an empty tracker.
  */
-template <typename Repair, typename Oracle, typename RowBase>
+template <typename Repair, typename Oracle>
 void
 expectSameAsEnumeration(Repair &repair, const Oracle &oracle,
                         const FaultRecord &fault, bool per_device,
-                        const RowFootprint *footprint, unsigned scenario,
-                        Rng &rng, RowBase &&row_base,
-                        PrecheckCounts &counts, const std::string &where)
+                        unsigned scenario, Rng &rng, PrecheckCounts &counts,
+                        const std::string &where)
 {
     repair.reset();
     bool massive = false;
-    for (const auto &part : fault.parts)
+    bool whole_rows = true;
+    for (const auto &part : fault.parts) {
         massive = massive || part.region.massive();
+        for (const auto &cluster : part.region.clusters())
+            whole_rows = whole_rows && cluster.cols.all;
+    }
     const Lines lines = massive ? Lines{} : oracle.lines(fault);
     preload(repair.trackerForInjection(), lines, scenario, rng);
 
@@ -758,26 +1042,13 @@ expectSameAsEnumeration(Repair &repair, const Oracle &oracle,
             : part.region.lineSliceCount(oracle.geometry());
     }
 
-    if (footprint != nullptr && !massive &&
-        RowFootprint::distinctWholeRows(fault, per_device)) {
-        RowFootprint check = *footprint;
-        std::unordered_map<uint64_t, unsigned> fresh;
-        for (const auto &[set, key] : lines) {
-            if (!reference.contains(key))
-                ++fresh[set];
-        }
-        bool overflow = false;
-        for (const auto &[set, count] : fresh)
-            overflow = overflow ||
-                reference.setLoad(set) + count > budget.maxWaysPerSet;
-        ASSERT_EQ(check.mayFit(reference, fault, oracle.geometry(),
-                               per_device, row_base),
-                  !overflow)
-            << where;
-        const RepairLineTracker empty(reference.sets(), budget);
-        const bool alone = check.mayFit(empty, fault, oracle.geometry(),
-                                        per_device, row_base);
-        ++counts.prechecked;
+    if (!massive && whole_rows &&
+        reference.usedLines() + total <= budget.maxLines) {
+        // Within the line cap, a reject is a way overflow.
+        RepairLineTracker empty(reference.sets(), budget);
+        const bool overflow = !RepairLineTracker(reference).tryAdd(lines);
+        const bool alone = empty.tryAdd(lines);
+        ++counts.wholeRows;
         counts.wayOverflows += overflow;
         counts.loadOverflows += overflow && alone;
     }
@@ -790,9 +1061,12 @@ expectSameAsEnumeration(Repair &repair, const Oracle &oracle,
         << where;
     ASSERT_EQ(repair.usedLines(), reference.usedLines()) << where;
     ASSERT_EQ(repair.maxWaysUsed(), reference.maxWaysUsed()) << where;
-    for (const auto &[set, key] : lines)
+    for (const auto &[set, key] : lines) {
         ASSERT_EQ(repair.tracker().setLoad(set), reference.setLoad(set))
             << where << " set " << set;
+        ASSERT_EQ(repair.tracker().contains(key), reference.contains(key))
+            << where << " key " << key;
+    }
     ++counts.decisions;
     counts.rejects += !expect;
     counts.sharedAccepts += expect && used_before > 0 &&
@@ -821,13 +1095,7 @@ TEST(CosetPrecheckDifferential, FreeFaultMatchesEnumerationAtEveryScheme)
                         std::to_string(hash) + " fault ";
                     for (size_t f = 0; f < faults.size(); f += stride) {
                         expectSameAsEnumeration(
-                            repair, oracle, faults[f], false,
-                            &repair.footprint(), f % 3, rng,
-                            [&](const DevicePart &part, unsigned bank,
-                                uint32_t row) {
-                                return encodedLine(
-                                    repair, rowCoord(repair, part, bank, row));
-                            },
+                            repair, oracle, faults[f], false, f % 3, rng,
                             counts, where + std::to_string(f));
                         if (::testing::Test::HasFatalFailure())
                             return;
@@ -836,10 +1104,10 @@ TEST(CosetPrecheckDifferential, FreeFaultMatchesEnumerationAtEveryScheme)
             }
         }
     }
-    // Every path must be reached: pre-checked faults that fit, ones
-    // that overflow alone, ones that overflow only on locked lines, and
+    // Every path must be reached: whole-row faults that fit, ones that
+    // overflow alone, ones that overflow only on locked lines, and
     // accepts that share locked lines.
-    EXPECT_GT(counts.prechecked, 1000u);
+    EXPECT_GT(counts.wholeRows, 1000u);
     EXPECT_GT(counts.wayOverflows - counts.loadOverflows, 100u);
     EXPECT_GT(counts.loadOverflows, 20u);
     EXPECT_GT(counts.sharedAccepts, 100u);
@@ -864,26 +1132,18 @@ TEST(CosetPrecheckDifferential, RelaxFaultMatchesEnumerationInEveryMode)
                     std::to_string(llc.sets()) + " " +
                     std::to_string(ways) + "way fault ";
                 for (size_t f = 0; f < faults.size(); ++f) {
-                    const auto row_base = [&](const DevicePart &part,
-                                              unsigned bank, uint32_t row) {
-                        return locatedLine(
-                            repair, RemapUnit{part.dimm, part.device, bank,
-                                              row, 0});
-                    };
-                    // Hash-only has no footprint: it bypasses the
-                    // pre-check and must still decide the same.
-                    expectSameAsEnumeration(
-                        repair, oracle, faults[f], true,
-                        repair.footprint() ? &*repair.footprint() : nullptr,
-                        f % 3, rng, row_base, counts,
-                        where + std::to_string(f));
+                    // Hash-only locates every unit into one-unit rows and
+                    // must still decide the same.
+                    expectSameAsEnumeration(repair, oracle, faults[f], true,
+                                            f % 3, rng, counts,
+                                            where + std::to_string(f));
                     if (::testing::Test::HasFatalFailure())
                         return;
                 }
             }
         }
     }
-    EXPECT_GT(counts.prechecked, 1000u);
+    EXPECT_GT(counts.wholeRows, 1000u);
     EXPECT_GT(counts.wayOverflows - counts.loadOverflows, 50u);
     EXPECT_GT(counts.loadOverflows, 20u);
     EXPECT_GT(counts.sharedAccepts, 100u);
@@ -906,51 +1166,45 @@ wholeRowsPart(unsigned dimm, unsigned device, uint32_t banks, unsigned rows,
 
 TEST(CosetPrecheckDifferential, OverlappingFaultsBypassItWithSameDecisions)
 {
-    // Faults whose whole rows may share lines, so the coset count could
-    // double-count them: each must skip the pre-check, stream, and
-    // decide exactly as the enumeration.
+    // Faults whose whole rows may share lines, so counting whole rows per
+    // coset could double-count them: a row met again, or partly locked,
+    // must go line by line and decide exactly as the enumeration.
     const DevicePart base = wholeRowsPart(2, 5, 1u << 1, 24);
-    std::vector<std::pair<FaultRecord, std::pair<bool, bool>>> cases;
-    const auto add = [&](std::vector<DevicePart> parts, bool free_distinct,
-                         bool relax_distinct) {
+    std::vector<FaultRecord> cases;
+    const auto add = [&](std::vector<DevicePart> parts) {
         FaultRecord fault;
         fault.parts = std::move(parts);
-        cases.push_back({std::move(fault), {free_distinct, relax_distinct}});
+        cases.push_back(std::move(fault));
     };
-    // One part: disjoint banks are distinct; one bank twice is not.
-    add({wholeRowsPart(2, 5, 0b0110, 24)}, true, true);
+    // One part: disjoint banks, and one bank twice.
+    add({wholeRowsPart(2, 5, 0b0110, 24)});
     {
         DevicePart twice = base;
         std::vector<RegionCluster> clusters = twice.region.clusters();
         clusters.push_back(wholeRowsPart(2, 5, 0b0011, 16, 4000)
                                .region.clusters()[0]);
         twice.region = FaultRegion(std::move(clusters));
-        add({twice}, false, false);
+        add({twice});
     }
     // Same rank, other device, same bank: FreeFault lines are shared,
     // RelaxFault units are not.
-    add({base, wholeRowsPart(2, 6, 1u << 1, 24)}, false, true);
+    add({base, wholeRowsPart(2, 6, 1u << 1, 24)});
     // Same rank and device twice, or the partner rank.
-    add({base, wholeRowsPart(2, 5, 1u << 1, 8, 9000)}, false, false);
-    add({base, wholeRowsPart(3, 5, 1u << 1, 24)}, true, true);
-    // Explicit columns never take the pre-check.
+    add({base, wholeRowsPart(2, 5, 1u << 1, 8, 9000)});
+    add({base, wholeRowsPart(3, 5, 1u << 1, 24)});
+    // Explicit columns, then the same rows whole.
     {
         DevicePart columns = base;
         std::vector<RegionCluster> clusters = columns.region.clusters();
         clusters[0].cols = ColSet::of({3, 17, 200});
+        clusters.push_back(base.region.clusters()[0]);
         columns.region = FaultRegion(std::move(clusters));
-        add({columns}, false, false);
+        add({columns});
     }
 
     const DramGeometry geometry;
     Rng rng(41);
     PrecheckCounts counts;
-    for (const auto &[fault, distinct] : cases) {
-        EXPECT_EQ(RowFootprint::distinctWholeRows(fault, false),
-                  distinct.first);
-        EXPECT_EQ(RowFootprint::distinctWholeRows(fault, true),
-                  distinct.second);
-    }
     for (const std::string &scheme : addressMapNames()) {
         const DramAddressMap map = makeAddressMap(scheme, geometry);
         for (const CacheGeometry &llc : {kLlc, kSmallLlc}) {
@@ -967,26 +1221,11 @@ TEST(CosetPrecheckDifferential, OverlappingFaultsBypassItWithSameDecisions)
                             std::to_string(ways) + "way case " +
                             std::to_string(c);
                         expectSameAsEnumeration(
-                            free_repair, free_oracle, cases[c].first, false,
-                            &free_repair.footprint(), scenario, rng,
-                            [&](const DevicePart &part, unsigned bank,
-                                uint32_t row) {
-                                return encodedLine(
-                                    free_repair,
-                                    rowCoord(free_repair, part, bank, row));
-                            },
-                            counts, "FreeFault " + where);
+                            free_repair, free_oracle, cases[c], false,
+                            scenario, rng, counts, "FreeFault " + where);
                         expectSameAsEnumeration(
-                            relax_repair, relax_oracle, cases[c].first, true,
-                            &*relax_repair.footprint(), scenario, rng,
-                            [&](const DevicePart &part, unsigned bank,
-                                uint32_t row) {
-                                return locatedLine(
-                                    relax_repair,
-                                    RemapUnit{part.dimm, part.device, bank,
-                                              row, 0});
-                            },
-                            counts, "RelaxFault " + where);
+                            relax_repair, relax_oracle, cases[c], true,
+                            scenario, rng, counts, "RelaxFault " + where);
                         if (::testing::Test::HasFatalFailure())
                             return;
                     }

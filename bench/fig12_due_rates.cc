@@ -28,10 +28,8 @@ main(int argc, char **argv)
                   << ": expected DUEs per system, " << fit << "x FIT, "
                   << bench.nodes() << " nodes, " << bench.trials()
                   << " trials\n\n";
-        if (!runRepairMatrix(bench, config,
-                             [](const LifetimeSummary &s)
-                                 -> const RunningStat & { return s.dues; },
-                             "DUEs", fit == 1.0 ? "1x-fit" : "10x-fit"))
+        if (!runRepairMatrix(bench, config, &LifetimeSummary::dues, "DUEs",
+                             fit == 1.0 ? "1x-fit" : "10x-fit"))
             break;
         std::cout << "\n";
     }

@@ -27,10 +27,8 @@ main(int argc, char **argv)
                   << ": expected SDCs per system, " << fit << "x FIT, "
                   << bench.nodes() << " nodes, " << bench.trials()
                   << " trials\n\n";
-        if (!runRepairMatrix(bench, config,
-                             [](const LifetimeSummary &s)
-                                 -> const RunningStat & { return s.sdcs; },
-                             "SDCs", fit == 1.0 ? "1x-fit" : "10x-fit"))
+        if (!runRepairMatrix(bench, config, &LifetimeSummary::sdcs, "SDCs",
+                             fit == 1.0 ? "1x-fit" : "10x-fit"))
             break;
         std::cout << "\n";
     }

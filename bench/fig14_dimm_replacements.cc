@@ -44,9 +44,7 @@ main(int argc, char **argv)
                       << "x FIT, " << bench.nodes() << " nodes, "
                       << bench.trials() << " trials\n\n";
             completed = runRepairMatrix(
-                bench, config,
-                [](const LifetimeSummary &s) -> const RunningStat &
-                { return s.replacements; },
+                bench, config, &LifetimeSummary::replacements,
                 "replacements", std::string("14") + panel);
             if (!completed)
                 break;

@@ -52,7 +52,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -552,9 +551,6 @@ fig09Points()
     return points;
 }
 
-/** Metric extractor from a trial summary. */
-using MetricFn = std::function<const RunningStat &(const LifetimeSummary &)>;
-
 /**
  * Run the repair-mechanism matrix of Figs. 12-14 (no-repair, PPR, and
  * 1-/4-way FreeFault and RelaxFault) on @p config and print `metric`
@@ -566,7 +562,8 @@ using MetricFn = std::function<const RunningStat &(const LifetimeSummary &)>;
  */
 inline bool
 runRepairMatrix(LifetimeBench &bench, const LifetimeConfig &config,
-                const MetricFn &metric, const std::string &metric_name,
+                RunningStat LifetimeSummary::*metric,
+                const std::string &metric_name,
                 const std::string &panel)
 {
     const DramGeometry geometry = config.faultModel.geometry;
@@ -586,7 +583,7 @@ runRepairMatrix(LifetimeBench &bench, const LifetimeConfig &config,
             row.label + " trials");
         if (result.interrupted)
             return false;
-        const RunningStat &stat = metric(result.summary);
+        const RunningStat &stat = result.summary.*metric;
         if (none)
             baseline = stat.mean();
         const double reduction = baseline > 0.0

@@ -18,53 +18,30 @@ namespace relaxfault {
 namespace {
 
 /**
- * Per-trial metric serialization order. Changing this order changes the
- * schema; bump kCheckpointSchema if you do.
+ * One trial's metrics in `kLifetimeFields` order. That order is the
+ * schema; bump kCheckpointSchema if it changes.
  */
-constexpr unsigned kMetricFields = 12;
-
 void
 writeMetrics(JsonWriter &writer, const LifetimeMetrics &m)
 {
-    writer.beginArray()
-        .value(m.faultyNodes)
-        .value(m.multiDeviceFaultDimms)
-        .value(m.dues)
-        .value(m.sdcs)
-        .value(m.replacements)
-        .value(m.repairedFaults)
-        .value(m.permanentFaults)
-        .value(m.fullyRepairedNodes)
-        .value(m.budgetExhausted)
-        .value(m.degradedToRetirement)
-        .value(m.degradedDues)
-        .value(m.failStops)
-        .endArray();
+    writer.beginArray();
+    for (const LifetimeField &field : kLifetimeFields)
+        writer.value(m.*field.metric);
+    writer.endArray();
 }
 
 bool
 parseMetrics(const JsonValue &value, LifetimeMetrics &out)
 {
-    if (!value.isArray() || value.array().size() != kMetricFields)
+    if (!value.isArray() || value.array().size() != kLifetimeFieldCount)
         return false;
-    double fields[kMetricFields];
-    for (unsigned i = 0; i < kMetricFields; ++i) {
+    LifetimeMetrics parsed;
+    for (size_t i = 0; i < kLifetimeFieldCount; ++i) {
         if (!value.array()[i].isNumber())
             return false;
-        fields[i] = value.array()[i].number();
+        parsed.*kLifetimeFields[i].metric = value.array()[i].number();
     }
-    out.faultyNodes = fields[0];
-    out.multiDeviceFaultDimms = fields[1];
-    out.dues = fields[2];
-    out.sdcs = fields[3];
-    out.replacements = fields[4];
-    out.repairedFaults = fields[5];
-    out.permanentFaults = fields[6];
-    out.fullyRepairedNodes = fields[7];
-    out.budgetExhausted = fields[8];
-    out.degradedToRetirement = fields[9];
-    out.degradedDues = fields[10];
-    out.failStops = fields[11];
+    out = parsed;
     return true;
 }
 

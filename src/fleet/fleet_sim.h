@@ -30,9 +30,11 @@
  *
  * The fleet engine is a separate deterministic universe from the
  * classic engine: same physics, different stream keying, so its numbers
- * are statistically equivalent but not bit-equal to the classic
- * engine's. The paper-figure benches keep the classic engine; the fleet
- * benches (`bench/fleet_scale`) use this one.
+ * are statistically equivalent (`Fleet.StatisticallyEquivalentToClassicEngine`
+ * in `tests/test_fleet.cc` holds every metric to a Welch z test) but
+ * not bit-equal to the classic engine's. The paper-figure benches keep
+ * the classic engine; the fleet benches (`bench/fleet_scale`) use this
+ * one.
  */
 
 #ifndef RELAXFAULT_FLEET_FLEET_SIM_H

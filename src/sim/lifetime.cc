@@ -32,74 +32,11 @@ struct TrialAuditState
     uint64_t violations = 0;
 };
 
-LifetimeMetrics &
-LifetimeMetrics::operator+=(const LifetimeMetrics &other)
-{
-    faultyNodes += other.faultyNodes;
-    multiDeviceFaultDimms += other.multiDeviceFaultDimms;
-    dues += other.dues;
-    sdcs += other.sdcs;
-    replacements += other.replacements;
-    repairedFaults += other.repairedFaults;
-    permanentFaults += other.permanentFaults;
-    fullyRepairedNodes += other.fullyRepairedNodes;
-    budgetExhausted += other.budgetExhausted;
-    degradedToRetirement += other.degradedToRetirement;
-    degradedDues += other.degradedDues;
-    failStops += other.failStops;
-    return *this;
-}
-
-LifetimeMetrics &
-LifetimeMetrics::operator/=(double divisor)
-{
-    faultyNodes /= divisor;
-    multiDeviceFaultDimms /= divisor;
-    dues /= divisor;
-    sdcs /= divisor;
-    replacements /= divisor;
-    repairedFaults /= divisor;
-    permanentFaults /= divisor;
-    fullyRepairedNodes /= divisor;
-    budgetExhausted /= divisor;
-    degradedToRetirement /= divisor;
-    degradedDues /= divisor;
-    failStops /= divisor;
-    return *this;
-}
-
 void
 LifetimeSummary::addTrial(const LifetimeMetrics &metrics)
 {
-    faultyNodes.add(metrics.faultyNodes);
-    multiDeviceFaultDimms.add(metrics.multiDeviceFaultDimms);
-    dues.add(metrics.dues);
-    sdcs.add(metrics.sdcs);
-    replacements.add(metrics.replacements);
-    repairedFaults.add(metrics.repairedFaults);
-    permanentFaults.add(metrics.permanentFaults);
-    fullyRepairedNodes.add(metrics.fullyRepairedNodes);
-    budgetExhausted.add(metrics.budgetExhausted);
-    degradedToRetirement.add(metrics.degradedToRetirement);
-    degradedDues.add(metrics.degradedDues);
-    failStops.add(metrics.failStops);
-}
-
-void
-LifetimeSummary::merge(const LifetimeSummary &other)
-{
-    faultyNodes.merge(other.faultyNodes);
-    multiDeviceFaultDimms.merge(other.multiDeviceFaultDimms);
-    dues.merge(other.dues);
-    sdcs.merge(other.sdcs);
-    replacements.merge(other.replacements);
-    repairedFaults.merge(other.repairedFaults);
-    permanentFaults.merge(other.permanentFaults);
-    fullyRepairedNodes.merge(other.fullyRepairedNodes);
-    budgetExhausted.merge(other.budgetExhausted);
-    degradedToRetirement.merge(other.degradedToRetirement);
-    degradedDues.merge(other.degradedDues);
-    failStops.merge(other.failStops);
+    for (const LifetimeField &field : kLifetimeFields)
+        (this->*field.summary).add(metrics.*field.metric);
 }
 
 std::string
@@ -112,14 +49,11 @@ LifetimeSummary::digest() const
             hash *= 0x100000001b3ull;
         }
     };
-    for (const RunningStat *stat :
-         {&faultyNodes, &multiDeviceFaultDimms, &dues, &sdcs,
-          &replacements, &repairedFaults, &permanentFaults,
-          &fullyRepairedNodes, &budgetExhausted, &degradedToRetirement,
-          &degradedDues, &failStops}) {
-        mix(stat->count());
-        for (const double value : {stat->mean(), stat->variance(),
-                                   stat->sum(), stat->min(), stat->max()})
+    for (const LifetimeField &field : kLifetimeFields) {
+        const RunningStat &stat = this->*field.summary;
+        mix(stat.count());
+        for (const double value : {stat.mean(), stat.variance(),
+                                   stat.sum(), stat.min(), stat.max()})
             mix(std::bit_cast<uint64_t>(value));
     }
     char hex[17];
@@ -134,18 +68,8 @@ TrialTelemetry::TrialTelemetry(MetricRegistry *registry,
     if (registry == nullptr)
         return;
     trials_ = &registry->counter("sim.trials");
-    faultyNodes_ = &registry->counter("sim.faulty_nodes");
-    multiDev_ = &registry->counter("sim.multi_device_fault_dimms");
-    dues_ = &registry->counter("sim.dues");
-    sdcMicros_ = &registry->counter("sim.sdc_micros");
-    replacements_ = &registry->counter("sim.replacements");
-    repaired_ = &registry->counter("sim.repaired_faults");
-    permanent_ = &registry->counter("sim.permanent_faults");
-    fullyRepaired_ = &registry->counter("sim.fully_repaired_nodes");
-    budgetExhausted_ = &registry->counter("repair.budget_exhausted");
-    degradedRetire_ = &registry->counter("repair.degraded_to_retirement");
-    degradedDues_ = &registry->counter("repair.degraded_dues");
-    failStops_ = &registry->counter("repair.fail_stops");
+    for (size_t i = 0; i < kLifetimeFieldCount; ++i)
+        fields_[i] = &registry->counter(kLifetimeFields[i].counter);
     if (audit_counters) {
         auditChecks_ = &registry->counter("audit.checks");
         auditViolations_ = &registry->counter("audit.violations");
@@ -158,22 +82,12 @@ TrialTelemetry::foldTrial(const LifetimeMetrics &m)
 {
     if (trials_ == nullptr)
         return;
-    const auto count = [](double value) {
-        return static_cast<uint64_t>(std::llround(value));
-    };
     trials_->add(1);
-    faultyNodes_->add(count(m.faultyNodes));
-    multiDev_->add(count(m.multiDeviceFaultDimms));
-    dues_->add(count(m.dues));
-    sdcMicros_->add(count(m.sdcs * 1e6));
-    replacements_->add(count(m.replacements));
-    repaired_->add(count(m.repairedFaults));
-    permanent_->add(count(m.permanentFaults));
-    fullyRepaired_->add(count(m.fullyRepairedNodes));
-    budgetExhausted_->add(count(m.budgetExhausted));
-    degradedRetire_->add(count(m.degradedToRetirement));
-    degradedDues_->add(count(m.degradedDues));
-    failStops_->add(count(m.failStops));
+    for (size_t i = 0; i < kLifetimeFieldCount; ++i) {
+        const LifetimeField &field = kLifetimeFields[i];
+        fields_[i]->add(static_cast<uint64_t>(
+            std::llround(m.*field.metric * field.counterScale)));
+    }
 }
 
 void

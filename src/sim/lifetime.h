@@ -21,7 +21,9 @@
 #ifndef RELAXFAULT_SIM_LIFETIME_H
 #define RELAXFAULT_SIM_LIFETIME_H
 
+#include <array>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,9 +129,6 @@ struct LifetimeMetrics
     double degradedToRetirement = 0; ///< Faults absorbed by retirement.
     double degradedDues = 0;         ///< Faults left to DUE accounting.
     double failStops = 0;            ///< Nodes taken down by FailStop.
-
-    LifetimeMetrics &operator+=(const LifetimeMetrics &other);
-    LifetimeMetrics &operator/=(double divisor);
 };
 
 /** Mean and 95% CI of each metric over many trials. */
@@ -151,17 +150,62 @@ struct LifetimeSummary
     /** Accumulate one trial's metrics. */
     void addTrial(const LifetimeMetrics &metrics);
 
-    /** Fold another summary in (Chan's merge, metric by metric). */
-    void merge(const LifetimeSummary &other);
-
     /**
      * FNV-1a over the bit patterns of every statistic (count, mean,
-     * variance, sum, min, max of each metric), as 16 hex digits. Equal
-     * digests mean bit-identical summaries; the result pins
-     * (`tests/result_pins.txt`) and `chaos_soak` compare these.
+     * variance, sum, min, max of each metric, in `kLifetimeFields`
+     * order), as 16 hex digits. Equal digests mean bit-identical
+     * summaries; the result pins (`tests/result_pins.txt`) and
+     * `chaos_soak` compare these.
      */
     std::string digest() const;
 };
+
+/** One per-trial metric: its two homes and its telemetry counter. */
+struct LifetimeField
+{
+    double LifetimeMetrics::*metric;
+    RunningStat LifetimeSummary::*summary;
+    const char *counter;  ///< Counter the trial loop folds it into.
+    double counterScale;  ///< Counter units per metric unit.
+};
+
+/**
+ * Every per-trial metric, once. The order is the checkpoint's per-trial
+ * array (`relaxfault.ckpt.v2`) and the summary digest's order: changing
+ * it changes that schema and every result pin. Each trial adds
+ * `llround(value * counterScale)` to `counter`; SDC expectations count
+ * in micro-units so the integer totals stay bit-identical at any split.
+ * `Checkpoint.ShardLineMatchesGoldenV2` pins the order and
+ * `Lifetime.CounterNamesPinnedToMetrics` the counter map.
+ */
+inline constexpr LifetimeField kLifetimeFields[] = {
+    {&LifetimeMetrics::faultyNodes, &LifetimeSummary::faultyNodes,
+     "sim.faulty_nodes", 1},
+    {&LifetimeMetrics::multiDeviceFaultDimms,
+     &LifetimeSummary::multiDeviceFaultDimms,
+     "sim.multi_device_fault_dimms", 1},
+    {&LifetimeMetrics::dues, &LifetimeSummary::dues, "sim.dues", 1},
+    {&LifetimeMetrics::sdcs, &LifetimeSummary::sdcs, "sim.sdc_micros", 1e6},
+    {&LifetimeMetrics::replacements, &LifetimeSummary::replacements,
+     "sim.replacements", 1},
+    {&LifetimeMetrics::repairedFaults, &LifetimeSummary::repairedFaults,
+     "sim.repaired_faults", 1},
+    {&LifetimeMetrics::permanentFaults, &LifetimeSummary::permanentFaults,
+     "sim.permanent_faults", 1},
+    {&LifetimeMetrics::fullyRepairedNodes,
+     &LifetimeSummary::fullyRepairedNodes, "sim.fully_repaired_nodes", 1},
+    {&LifetimeMetrics::budgetExhausted, &LifetimeSummary::budgetExhausted,
+     "repair.budget_exhausted", 1},
+    {&LifetimeMetrics::degradedToRetirement,
+     &LifetimeSummary::degradedToRetirement,
+     "repair.degraded_to_retirement", 1},
+    {&LifetimeMetrics::degradedDues, &LifetimeSummary::degradedDues,
+     "repair.degraded_dues", 1},
+    {&LifetimeMetrics::failStops, &LifetimeSummary::failStops,
+     "repair.fail_stops", 1},
+};
+
+inline constexpr size_t kLifetimeFieldCount = std::size(kLifetimeFields);
 
 /** Invariant-audit cadence during lifetime trials. */
 struct AuditOptions
@@ -226,13 +270,13 @@ struct TrialRunOptions
 };
 
 /**
- * Hoisted handles to the `sim.*` / `repair.*` trial counters, with the
- * per-trial fold of the trial loop (`runTrialRange`). Metric creation
- * takes the registry mutex, so the handles are resolved once up front;
- * the folds themselves are lock-free integer adds (SDC expectations
- * fold as micro-units), which keeps merged totals bit-identical no
- * matter which thread — or which worker process — ran which trial. A
- * null registry disables everything (all folds are no-ops).
+ * Hoisted handles to `sim.trials` and the `kLifetimeFields` counters,
+ * with the per-trial fold of the trial loop (`runTrialRange`). Metric
+ * creation takes the registry mutex, so the handles are resolved once
+ * up front; the folds themselves are lock-free integer adds, which
+ * keeps merged totals bit-identical no matter which thread — or which
+ * worker process — ran which trial. A null registry disables
+ * everything (all folds are no-ops).
  */
 class TrialTelemetry
 {
@@ -252,18 +296,7 @@ class TrialTelemetry
 
   private:
     Counter *trials_ = nullptr;
-    Counter *faultyNodes_ = nullptr;
-    Counter *multiDev_ = nullptr;
-    Counter *dues_ = nullptr;
-    Counter *sdcMicros_ = nullptr;
-    Counter *replacements_ = nullptr;
-    Counter *repaired_ = nullptr;
-    Counter *permanent_ = nullptr;
-    Counter *fullyRepaired_ = nullptr;
-    Counter *budgetExhausted_ = nullptr;
-    Counter *degradedRetire_ = nullptr;
-    Counter *degradedDues_ = nullptr;
-    Counter *failStops_ = nullptr;
+    std::array<Counter *, kLifetimeFieldCount> fields_{};  ///< Table order.
     Counter *auditChecks_ = nullptr;
     Counter *auditViolations_ = nullptr;
     Log2Histogram *trialUs_ = nullptr;

@@ -30,6 +30,8 @@
 #include "sim/lifetime.h"
 #include "telemetry/metrics.h"
 
+#include "lifetime_expect.h"
+
 namespace relaxfault {
 namespace {
 
@@ -53,66 +55,6 @@ relaxFactory(const LifetimeConfig &config)
         return std::make_unique<RelaxFaultRepair>(
             geometry, llc, RepairBudget{4, 32768}, true);
     };
-}
-
-void
-expectIdentical(const RunningStat &a, const RunningStat &b)
-{
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.mean(), b.mean());
-    EXPECT_EQ(a.ci95(), b.ci95());
-    EXPECT_EQ(a.variance(), b.variance());
-    EXPECT_EQ(a.sum(), b.sum());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-}
-
-void
-expectIdentical(const LifetimeSummary &a, const LifetimeSummary &b)
-{
-    expectIdentical(a.faultyNodes, b.faultyNodes);
-    expectIdentical(a.multiDeviceFaultDimms, b.multiDeviceFaultDimms);
-    expectIdentical(a.dues, b.dues);
-    expectIdentical(a.sdcs, b.sdcs);
-    expectIdentical(a.replacements, b.replacements);
-    expectIdentical(a.repairedFaults, b.repairedFaults);
-    expectIdentical(a.permanentFaults, b.permanentFaults);
-    expectIdentical(a.fullyRepairedNodes, b.fullyRepairedNodes);
-    expectIdentical(a.budgetExhausted, b.budgetExhausted);
-    expectIdentical(a.degradedToRetirement, b.degradedToRetirement);
-    expectIdentical(a.degradedDues, b.degradedDues);
-    expectIdentical(a.failStops, b.failStops);
-}
-
-/**
- * Merged telemetry must match exactly, except the `sim.trial_us`
- * wall-clock histogram, which is the one intentionally nondeterministic
- * metric of the lifetime path.
- */
-void
-expectIdenticalTelemetry(const MetricsSnapshot &a,
-                         const MetricsSnapshot &b)
-{
-    ASSERT_EQ(a.counters.size(), b.counters.size());
-    for (size_t i = 0; i < a.counters.size(); ++i) {
-        EXPECT_EQ(a.counters[i].first, b.counters[i].first);
-        EXPECT_EQ(a.counters[i].second, b.counters[i].second)
-            << "counter " << a.counters[i].first;
-    }
-    ASSERT_EQ(a.gauges.size(), b.gauges.size());
-    ASSERT_EQ(a.histograms.size(), b.histograms.size());
-    for (size_t i = 0; i < a.histograms.size(); ++i) {
-        EXPECT_EQ(a.histograms[i].first, b.histograms[i].first);
-        if (a.histograms[i].first == "sim.trial_us")
-            continue;
-        const Log2HistogramSnapshot &ha = a.histograms[i].second;
-        const Log2HistogramSnapshot &hb = b.histograms[i].second;
-        EXPECT_EQ(ha.count, hb.count) << a.histograms[i].first;
-        EXPECT_EQ(ha.sum, hb.sum) << a.histograms[i].first;
-        for (size_t bkt = 0; bkt < ha.buckets.size(); ++bkt)
-            EXPECT_EQ(ha.buckets[bkt], hb.buckets[bkt])
-                << a.histograms[i].first << " bucket " << bkt;
-    }
 }
 
 TrialRunOptions
@@ -146,6 +88,18 @@ tempPath(const std::string &name)
 // ---------------------------------------------------------------------
 // Checkpoint serialization.
 
+/**
+ * Trial @p t's value of @p field: distinct, none exact in decimal, and
+ * keyed on the member (not its table position), so the golden line
+ * below sees a reordered kLifetimeFields.
+ */
+double
+sampleValue(int t, const LifetimeField &field)
+{
+    const size_t slot = metricSlot(field);
+    return 16.0 * t + slot + 1e-7 * (slot + 1);
+}
+
 ShardRecord
 sampleRecord()
 {
@@ -160,10 +114,8 @@ sampleRecord()
     record.gitRev = "abc1234";
     for (int t = 0; t < 3; ++t) {
         LifetimeMetrics m;
-        m.faultyNodes = 3.0 + t;
-        m.dues = 0.125 * t;            // Exact in binary.
-        m.sdcs = 1e-7 * (t + 1);       // Not exact in decimal.
-        m.repairedFaults = 7.0;
+        for (const LifetimeField &field : kLifetimeFields)
+            m.*field.metric = sampleValue(t, field);
         record.trials.push_back(m);
     }
     record.metrics.counters.emplace_back("sim.dues", 41u);
@@ -199,14 +151,53 @@ TEST(Checkpoint, ShardLineRoundTripsExactly)
     ASSERT_EQ(parsed.trials.size(), record.trials.size());
     for (size_t t = 0; t < record.trials.size(); ++t) {
         // Bit-exact doubles — %.17g and strtod round-trip IEEE-754.
-        EXPECT_EQ(parsed.trials[t].faultyNodes,
-                  record.trials[t].faultyNodes);
-        EXPECT_EQ(parsed.trials[t].dues, record.trials[t].dues);
-        EXPECT_EQ(parsed.trials[t].sdcs, record.trials[t].sdcs);
-        EXPECT_EQ(parsed.trials[t].repairedFaults,
-                  record.trials[t].repairedFaults);
+        for (const LifetimeField &field : kLifetimeFields)
+            EXPECT_EQ(parsed.trials[t].*field.metric,
+                      record.trials[t].*field.metric)
+                << "trial " << t << " " << field.counter;
     }
     expectIdenticalTelemetry(parsed.metrics, record.metrics);
+}
+
+TEST(Checkpoint, ShardLineMatchesGoldenV2)
+{
+    // The per-trial array order is the on-disk schema. A round trip
+    // cannot see a reorder (writer and parser share it), so pin the
+    // exact bytes a relaxfault.ckpt.v2 writer produced for
+    // sampleRecord(); its values are keyed on the member, so a
+    // reordered kLifetimeFields changes them.
+    const std::string golden =
+        R"({"schema":"relaxfault.ckpt.v2","kind":"shard",)"
+        R"("unit":"1x-fit/RelaxFault-4way","shard":3,"first_trial":12,)"
+        R"("trial_count":3,"attempt":2,"threads":8,"duration_ms":1234,)"
+        R"("timestamp_ms":1700000000000,"git_rev":"abc1234","trials":[)"
+        R"([9.9999999999999995e-08,1.0000001999999999,2.0000003,)"
+        R"(3.0000003999999998,4.0000004999999996,5.0000005999999999,)"
+        R"(6.0000007000000002,7.0000007999999996,8.0000008999999999,)"
+        R"(9.0000009999999993,10.0000011,11.0000012],)"
+        R"([16.000000100000001,17.000000199999999,18.0000003,)"
+        R"(19.000000400000001,20.000000499999999,21.0000006,)"
+        R"(22.000000700000001,23.000000799999999,24.0000009,)"
+        R"(25.000001000000001,26.000001099999999,27.0000012],)"
+        R"([32.000000100000001,33.000000200000002,34.000000300000004,)"
+        R"(35.000000399999998,36.000000499999999,37.0000006,)"
+        R"(38.000000700000001,39.000000800000002,40.000000900000003,)"
+        R"(41.000000999999997,42.000001099999999,43.0000012]],)"
+        R"("metrics":{"counters":{"sim.dues":41,)"
+        R"("sim.huge":1152921504606846979},"gauges":{},)"
+        R"("histograms":{"repair.ways":{"sum":1234567,)"
+        R"("buckets":{"0":2,"17":5}}}}})";
+    EXPECT_EQ(CheckpointLog::shardLine(sampleRecord()), golden);
+
+    ShardRecord parsed;
+    ASSERT_TRUE(CheckpointLog::parseShardLine(golden, parsed));
+    ASSERT_EQ(parsed.trials.size(), 3u);
+    EXPECT_EQ(parsed.trials[2].faultyNodes, 32.000000100000001);
+    EXPECT_EQ(parsed.trials[2].failStops, 43.0000012);
+    for (int t = 0; t < 3; ++t)
+        for (const LifetimeField &field : kLifetimeFields)
+            EXPECT_EQ(parsed.trials[t].*field.metric, sampleValue(t, field))
+                << "trial " << t << " " << field.counter;
 }
 
 TEST(Checkpoint, EveryStrictPrefixOfAShardLineIsTorn)

@@ -37,6 +37,8 @@
 #include "telemetry/metrics.h"
 #include "telemetry/stats_plane.h"
 
+#include "lifetime_expect.h"
+
 namespace relaxfault {
 namespace {
 
@@ -601,34 +603,6 @@ fleetFingerprint(uint64_t seed, uint64_t trials, unsigned shards)
     fingerprint.shards = shards;
     fingerprint.config = "chaos";
     return fingerprint;
-}
-
-void
-expectIdentical(const RunningStat &a, const RunningStat &b)
-{
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.mean(), b.mean());
-    EXPECT_EQ(a.variance(), b.variance());
-    EXPECT_EQ(a.sum(), b.sum());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-}
-
-void
-expectIdentical(const LifetimeSummary &a, const LifetimeSummary &b)
-{
-    expectIdentical(a.faultyNodes, b.faultyNodes);
-    expectIdentical(a.multiDeviceFaultDimms, b.multiDeviceFaultDimms);
-    expectIdentical(a.dues, b.dues);
-    expectIdentical(a.sdcs, b.sdcs);
-    expectIdentical(a.replacements, b.replacements);
-    expectIdentical(a.repairedFaults, b.repairedFaults);
-    expectIdentical(a.permanentFaults, b.permanentFaults);
-    expectIdentical(a.fullyRepairedNodes, b.fullyRepairedNodes);
-    expectIdentical(a.budgetExhausted, b.budgetExhausted);
-    expectIdentical(a.degradedToRetirement, b.degradedToRetirement);
-    expectIdentical(a.degradedDues, b.degradedDues);
-    expectIdentical(a.failStops, b.failStops);
 }
 
 TEST_F(ChaosTest, HungWorkerIsKilledAndItsShardRecoveredBitIdentically)

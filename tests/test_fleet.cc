@@ -19,6 +19,9 @@
  *    both the fleet and the classic engine, including after a worker
  *    is genuinely SIGKILLed holding a shard lease and the run is
  *    resumed from the surviving worker checkpoints.
+ *
+ * One test is statistical instead: the fleet and classic engines agree
+ * in distribution on every metric (a Welch z test at a fixed level).
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +47,8 @@
 #include "telemetry/metrics.h"
 #include "tracing/tracer.h"
 
+#include "lifetime_expect.h"
+
 namespace relaxfault {
 namespace {
 
@@ -66,61 +71,6 @@ relaxFactory(const LifetimeConfig &config)
         return std::make_unique<RelaxFaultRepair>(
             geometry, llc, RepairBudget{4, 32768}, true);
     };
-}
-
-void
-expectIdentical(const RunningStat &a, const RunningStat &b)
-{
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.mean(), b.mean());
-    EXPECT_EQ(a.ci95(), b.ci95());
-    EXPECT_EQ(a.variance(), b.variance());
-    EXPECT_EQ(a.sum(), b.sum());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-}
-
-void
-expectIdentical(const LifetimeSummary &a, const LifetimeSummary &b)
-{
-    expectIdentical(a.faultyNodes, b.faultyNodes);
-    expectIdentical(a.multiDeviceFaultDimms, b.multiDeviceFaultDimms);
-    expectIdentical(a.dues, b.dues);
-    expectIdentical(a.sdcs, b.sdcs);
-    expectIdentical(a.replacements, b.replacements);
-    expectIdentical(a.repairedFaults, b.repairedFaults);
-    expectIdentical(a.permanentFaults, b.permanentFaults);
-    expectIdentical(a.fullyRepairedNodes, b.fullyRepairedNodes);
-    expectIdentical(a.budgetExhausted, b.budgetExhausted);
-    expectIdentical(a.degradedToRetirement, b.degradedToRetirement);
-    expectIdentical(a.degradedDues, b.degradedDues);
-    expectIdentical(a.failStops, b.failStops);
-}
-
-/** Exact telemetry match, minus the wall-clock trial histogram. */
-void
-expectIdenticalTelemetry(const MetricsSnapshot &a,
-                         const MetricsSnapshot &b)
-{
-    ASSERT_EQ(a.counters.size(), b.counters.size());
-    for (size_t i = 0; i < a.counters.size(); ++i) {
-        EXPECT_EQ(a.counters[i].first, b.counters[i].first);
-        EXPECT_EQ(a.counters[i].second, b.counters[i].second)
-            << "counter " << a.counters[i].first;
-    }
-    ASSERT_EQ(a.histograms.size(), b.histograms.size());
-    for (size_t i = 0; i < a.histograms.size(); ++i) {
-        EXPECT_EQ(a.histograms[i].first, b.histograms[i].first);
-        if (a.histograms[i].first == "sim.trial_us")
-            continue;
-        const Log2HistogramSnapshot &ha = a.histograms[i].second;
-        const Log2HistogramSnapshot &hb = b.histograms[i].second;
-        EXPECT_EQ(ha.count, hb.count) << a.histograms[i].first;
-        EXPECT_EQ(ha.sum, hb.sum) << a.histograms[i].first;
-        for (size_t bkt = 0; bkt < ha.buckets.size(); ++bkt)
-            EXPECT_EQ(ha.buckets[bkt], hb.buckets[bkt])
-                << a.histograms[i].first << " bucket " << bkt;
-    }
 }
 
 TrialRunOptions
@@ -325,6 +275,47 @@ TEST(Fleet, TrialRangeSplitsFoldBackToRunTrials)
                 folded.addTrial(m);
         }
         expectIdentical(straight, folded);
+    }
+}
+
+TEST(Fleet, StatisticallyEquivalentToClassicEngine)
+{
+    // Same physics, different stream keying: the engines must agree in
+    // distribution. Per metric, Welch's z of the two means stays inside
+    // the two-sided 0.1% band, fixed in advance; a metric constant on
+    // both sides must have equal means.
+    constexpr unsigned kTrials = 96;
+    constexpr double kCriticalZ = 3.29;
+    for (const double fit : {1.0, 10.0}) {
+        const LifetimeConfig config = fleetConfig(4096, fit);
+        const LifetimeSimulator classic(config);
+        const FleetSimulator fleet(config);
+        for (const bool repair : {false, true}) {
+            const auto factory = repair
+                ? relaxFactory(config)
+                : LifetimeSimulator::MechanismFactory{};
+            const LifetimeSummary a =
+                classic.runTrials(kTrials, factory, 101, fleetRun(2));
+            const LifetimeSummary b =
+                fleet.runTrials(kTrials, factory, 202, fleetRun(2));
+            ASSERT_GT(a.dues.mean(), 0.0);
+            for (const LifetimeField &field : kLifetimeFields) {
+                const RunningStat &x = a.*field.summary;
+                const RunningStat &y = b.*field.summary;
+                const double se2 =
+                    x.variance() / kTrials + y.variance() / kTrials;
+                const std::string where =
+                    std::string(fit == 1.0 ? "1x " : "10x ") +
+                    (repair ? "RelaxFault " : "no-repair ") + field.counter;
+                if (se2 == 0.0)
+                    EXPECT_EQ(x.mean(), y.mean()) << where;
+                else
+                    EXPECT_LT(std::abs(x.mean() - y.mean()) /
+                                  std::sqrt(se2),
+                              kCriticalZ)
+                        << where;
+            }
+        }
     }
 }
 

@@ -13,6 +13,8 @@
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
 
+#include "lifetime_expect.h"
+
 namespace relaxfault {
 namespace {
 
@@ -36,31 +38,6 @@ relaxFactory(const LifetimeConfig &config)
         return std::make_unique<RelaxFaultRepair>(
             geometry, llc, RepairBudget{4, 32768}, true);
     };
-}
-
-void
-expectIdentical(const RunningStat &a, const RunningStat &b)
-{
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.mean(), b.mean());
-    EXPECT_EQ(a.ci95(), b.ci95());
-    EXPECT_EQ(a.variance(), b.variance());
-    EXPECT_EQ(a.sum(), b.sum());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-}
-
-void
-expectIdentical(const LifetimeSummary &a, const LifetimeSummary &b)
-{
-    expectIdentical(a.faultyNodes, b.faultyNodes);
-    expectIdentical(a.multiDeviceFaultDimms, b.multiDeviceFaultDimms);
-    expectIdentical(a.dues, b.dues);
-    expectIdentical(a.sdcs, b.sdcs);
-    expectIdentical(a.replacements, b.replacements);
-    expectIdentical(a.repairedFaults, b.repairedFaults);
-    expectIdentical(a.permanentFaults, b.permanentFaults);
-    expectIdentical(a.fullyRepairedNodes, b.fullyRepairedNodes);
 }
 
 TrialRunOptions
@@ -157,32 +134,6 @@ TEST(LifetimeParallel, DistinctSeedsStillDiffer)
     const LifetimeSummary b =
         simulator.runTrials(8, {}, 2, withThreads(2));
     EXPECT_NE(a.permanentFaults.sum(), b.permanentFaults.sum());
-}
-
-TEST(LifetimeParallel, SummaryMergeMatchesWholeRun)
-{
-    // Merging the summaries of two half-runs approximates the full run:
-    // counts and sums are exact, moments to 1e-12 relative error. (The
-    // halves re-derive from trial index 0, so this uses one half's
-    // trials twice — the point is the merge arithmetic, not the seeds.)
-    const LifetimeSimulator simulator(testConfig());
-    LifetimeSummary whole;
-    LifetimeSummary front;
-    LifetimeSummary back;
-    constexpr unsigned kTrials = 16;
-    for (unsigned t = 0; t < kTrials; ++t) {
-        Rng rng = Rng::forkAt(5, t);
-        const LifetimeMetrics m = simulator.runSystemTrial({}, rng);
-        whole.addTrial(m);
-        (t < kTrials / 2 ? front : back).addTrial(m);
-    }
-    front.merge(back);
-    EXPECT_EQ(front.dues.count(), whole.dues.count());
-    EXPECT_EQ(front.dues.sum(), whole.dues.sum());
-    EXPECT_NEAR(front.dues.variance(), whole.dues.variance(),
-                1e-12 * whole.dues.variance());
-    EXPECT_NEAR(front.sdcs.mean(), whole.sdcs.mean(),
-                1e-12 * whole.sdcs.mean());
 }
 
 } // namespace

@@ -55,6 +55,8 @@
 #include "telemetry/stats_plane.h"
 #include "tracing/tracer.h"
 
+#include "lifetime_expect.h"
+
 namespace relaxfault {
 namespace {
 
@@ -78,34 +80,6 @@ relaxFactory(const LifetimeConfig &config)
         return std::make_unique<RelaxFaultRepair>(
             geometry, llc, RepairBudget{4, 32768}, true);
     };
-}
-
-void
-expectIdentical(const RunningStat &a, const RunningStat &b)
-{
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.mean(), b.mean());
-    EXPECT_EQ(a.variance(), b.variance());
-    EXPECT_EQ(a.sum(), b.sum());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-}
-
-void
-expectIdentical(const LifetimeSummary &a, const LifetimeSummary &b)
-{
-    expectIdentical(a.faultyNodes, b.faultyNodes);
-    expectIdentical(a.multiDeviceFaultDimms, b.multiDeviceFaultDimms);
-    expectIdentical(a.dues, b.dues);
-    expectIdentical(a.sdcs, b.sdcs);
-    expectIdentical(a.replacements, b.replacements);
-    expectIdentical(a.repairedFaults, b.repairedFaults);
-    expectIdentical(a.permanentFaults, b.permanentFaults);
-    expectIdentical(a.fullyRepairedNodes, b.fullyRepairedNodes);
-    expectIdentical(a.budgetExhausted, b.budgetExhausted);
-    expectIdentical(a.degradedToRetirement, b.degradedToRetirement);
-    expectIdentical(a.degradedDues, b.degradedDues);
-    expectIdentical(a.failStops, b.failStops);
 }
 
 std::string

@@ -299,20 +299,5 @@ TEST(Lifetime, DueReductionWithinPaperConsistentBand)
     EXPECT_LT(reduction, 0.70);
 }
 
-TEST(Lifetime, MetricArithmetic)
-{
-    LifetimeMetrics a;
-    a.dues = 2;
-    a.sdcs = 0.5;
-    LifetimeMetrics b;
-    b.dues = 4;
-    b.sdcs = 1.5;
-    a += b;
-    EXPECT_EQ(a.dues, 6.0);
-    a /= 2.0;
-    EXPECT_EQ(a.dues, 3.0);
-    EXPECT_EQ(a.sdcs, 1.0);
-}
-
 } // namespace
 } // namespace relaxfault

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -26,6 +28,8 @@
 #include "telemetry/metrics.h"
 #include "telemetry/run_record.h"
 #include "tracing/tracer.h"
+
+#include "lifetime_expect.h"
 
 namespace relaxfault {
 namespace {
@@ -533,6 +537,70 @@ TEST(Lifetime, CountersBitIdenticalAcrossThreadCounts)
             EXPECT_TRUE(snap == baseline) << threads;
         }
     }
+}
+
+TEST(Lifetime, CountersEqualPerTrialSums)
+{
+    // Each kLifetimeFields counter is the sum over trials of
+    // llround(metric * counterScale). A 2-line RelaxFault budget at 10x
+    // FIT exhausts on most faults, so RetirePages and FailStop between
+    // them drive every degradation counter above zero.
+    const DramGeometry geometry;
+    const CacheGeometry llc{8 * 1024 * 1024, 16, 64};
+    const LifetimeSimulator::MechanismFactory starved = [&] {
+        return std::make_unique<RelaxFaultRepair>(geometry, llc,
+                                                  RepairBudget{1, 2}, true);
+    };
+    std::array<uint64_t, kLifetimeFieldCount> totals{};
+    for (const DegradationPolicy policy :
+         {DegradationPolicy::RetirePages, DegradationPolicy::FailStop}) {
+        LifetimeConfig config;
+        config.nodesPerSystem = 128;
+        config.faultModel.fitScale = 10.0;
+        config.degradation = policy;
+        MetricRegistry registry;
+        TrialRunOptions run;
+        run.parallel.threads = 2;
+        run.metrics = &registry;
+        const std::vector<LifetimeMetrics> trials =
+            LifetimeSimulator(config).runTrialRange(0, 6, starved, 31, run);
+        EXPECT_EQ(registry.counter("sim.trials").value(), trials.size());
+        for (size_t i = 0; i < kLifetimeFieldCount; ++i) {
+            const LifetimeField &field = kLifetimeFields[i];
+            uint64_t expected = 0;
+            for (const LifetimeMetrics &m : trials)
+                expected += static_cast<uint64_t>(
+                    std::llround(m.*field.metric * field.counterScale));
+            EXPECT_EQ(registry.counter(field.counter).value(), expected)
+                << field.counter;
+            totals[i] += expected;
+        }
+    }
+    for (size_t i = 0; i < kLifetimeFieldCount; ++i)
+        EXPECT_GT(totals[i], 0u) << kLifetimeFields[i].counter;
+}
+
+TEST(Lifetime, CounterNamesPinnedToMetrics)
+{
+    // The sums above read each name from the table, so they cannot see
+    // two swapped names. Fold one trial whose metric in declaration
+    // slot s holds s + 1, and pin the counter each value lands in.
+    MetricRegistry registry;
+    TrialTelemetry telemetry(&registry, false);
+    LifetimeMetrics trial;
+    for (const LifetimeField &field : kLifetimeFields)
+        trial.*field.metric = metricSlot(field) + 1.0;
+    telemetry.foldTrial(trial);
+    std::string folded;
+    for (const auto &[name, value] : registry.snapshot().counters)
+        folded += name + "=" + std::to_string(value) + " ";
+    EXPECT_EQ(folded,
+              "repair.budget_exhausted=9 repair.degraded_dues=11 "
+              "repair.degraded_to_retirement=10 repair.fail_stops=12 "
+              "sim.dues=3 sim.faulty_nodes=1 sim.fully_repaired_nodes=8 "
+              "sim.multi_device_fault_dimms=2 sim.permanent_faults=7 "
+              "sim.repaired_faults=6 sim.replacements=5 "
+              "sim.sdc_micros=4000000 sim.trials=1 ");
 }
 
 TEST(Lifetime, NullRegistryProducesSameSummary)

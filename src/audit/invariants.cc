@@ -4,7 +4,6 @@
 
 #include "core/relaxfault_controller.h"
 #include "core/scrubber.h"
-#include "repair/freefault_repair.h"
 #include "repair/relaxfault_repair.h"
 
 namespace relaxfault {
@@ -13,7 +12,7 @@ namespace {
 
 /** Per-DIMM bank mask implied by the covered faults. */
 std::vector<uint32_t>
-expectedBankMasks(unsigned dimms, const std::vector<FaultRecord> &faults,
+expectedBankMasks(size_t dimms, const std::vector<FaultRecord> &faults,
                   const std::vector<bool> &covered)
 {
     std::vector<uint32_t> masks(dimms, 0);
@@ -55,31 +54,19 @@ InvariantAuditor::check(AuditReport &report, bool ok,
 AuditReport
 InvariantAuditor::auditMechanism(const RepairMechanism &mechanism,
                                  const std::vector<FaultRecord> &faults,
-                                 const std::vector<bool> &covered) const
+                                 const std::vector<bool> &covered,
+                                 bool strict_attribution) const
 {
-    if (const auto *relax =
-            dynamic_cast<const RelaxFaultRepair *>(&mechanism))
-        return auditRelaxFault(*relax, faults, covered);
-    if (const auto *free =
-            dynamic_cast<const FreeFaultRepair *>(&mechanism))
-        return auditFreeFault(*free, faults, covered);
     // Mechanisms without LLC-line state (PPR, sparing, page retirement)
     // keep trivially bounded bookkeeping; nothing structural to walk.
-    return AuditReport{};
-}
+    const auto *repair = dynamic_cast<const LlcLineRepair *>(&mechanism);
+    if (repair == nullptr)
+        return AuditReport{};
 
-AuditReport
-InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
-                                  const std::vector<FaultRecord> &faults,
-                                  const std::vector<bool> &covered,
-                                  bool strict_attribution) const
-{
     AuditReport report;
-    const RepairLineTracker &tracker = repair.tracker();
-    const RelaxFaultMap &map = repair.map();
-    const DramGeometry &geometry = map.geometry();
+    const RepairLineTracker &tracker = repair->tracker();
+    const DramGeometry &geometry = repair->geometry();
     const RepairBudget &budget = tracker.budget();
-    const unsigned set_bits = map.setBits();
     const uint64_t sets = tracker.sets();
     const std::vector<uint64_t> allocated = tracker.allocatedKeys();
 
@@ -104,11 +91,8 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
         }
     }
     check(report, over_sets == 0, "ways_bound",
-          over_sets == 0
-              ? std::string()
-              : std::to_string(over_sets) + " set(s) over the way "
-                    "ceiling (first: set " +
-                    std::to_string(over_example) + ")");
+          std::to_string(over_sets) + " set(s) over the way ceiling "
+              "(first: set " + std::to_string(over_example) + ")");
     check(report, load_sum == tracker.usedLines(), "load_accounting",
           "per-set loads sum to " + std::to_string(load_sum) +
               " but usedLines is " +
@@ -120,40 +104,27 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
               " allocated keys vs usedLines " +
               std::to_string(tracker.usedLines()));
 
-    // -- Injectivity: every key decodes to a valid unit and round-trips
-    //    through locate(invert(.)). A flipped tag/set bit either leaves
-    //    the valid image (caught here) or collides with the coverage
-    //    walk below. --
-    const uint64_t tag_limit = uint64_t{1} << map.tagBits();
+    // -- Key decoding: every key decodes to a unit of the node (for
+    //    RelaxFault, one that locates back to it), whose set gives the
+    //    recomputed loads. A flipped key bit either leaves the valid
+    //    image (caught here), moves a load (caught by the recompute) or
+    //    collides with the coverage walk below. --
     std::vector<uint16_t> recomputed(sets, 0);
     uint64_t bad_keys = 0;
     uint64_t bad_example = 0;
     for (const uint64_t key : allocated) {
-        RemapLocation loc;
-        loc.set = key & maskBits(set_bits);
-        loc.tag = key >> set_bits;
-        bool ok = loc.tag < tag_limit && loc.set < sets;
-        if (ok) {
-            ++recomputed[loc.set];
-            const RemapUnit unit = map.invert(loc);
-            ok = unit.dimm < geometry.dimmsPerNode() &&
-                 unit.device < geometry.devicesPerRank() &&
-                 unit.bank < geometry.banksPerDevice &&
-                 unit.row < geometry.rowsPerBank &&
-                 map.locate(unit) == loc;
+        if (const std::optional<uint64_t> set = repair->keySet(key)) {
+            ++recomputed[*set];
+            continue;
         }
-        if (!ok) {
-            if (bad_keys == 0)
-                bad_example = key;
-            ++bad_keys;
-        }
+        if (bad_keys == 0)
+            bad_example = key;
+        ++bad_keys;
     }
-    check(report, bad_keys == 0, "remap_injectivity",
-          bad_keys == 0 ? std::string()
-                        : std::to_string(bad_keys) +
-                              " key(s) fail locate/invert round-trip "
-                              "(first: key " +
-                              std::to_string(bad_example) + ")");
+    check(report, bad_keys == 0, "key_decode",
+          std::to_string(bad_keys) +
+              " key(s) decode to no unit of the node (first: key " +
+              std::to_string(bad_example) + ")");
     uint64_t mismatched_loads = 0;
     uint64_t mismatch_example = 0;
     for (uint64_t set = 0; set < sets; ++set) {
@@ -164,12 +135,9 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
         }
     }
     check(report, mismatched_loads == 0, "load_recompute",
-          mismatched_loads == 0
-              ? std::string()
-              : std::to_string(mismatched_loads) +
-                    " set load counter(s) disagree with the allocated "
-                    "keys (first: set " +
-                    std::to_string(mismatch_example) + ")");
+          std::to_string(mismatched_loads) +
+              " set load counter(s) disagree with the allocated keys "
+              "(first: set " + std::to_string(mismatch_example) + ")");
 
     // -- Coverage agreement: repaired faults' units are allocated, and
     //    every allocated key belongs to a repaired fault. --
@@ -178,16 +146,11 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
         if (i >= covered.size() || !covered[i] || !faults[i].permanent())
             continue;
         for (const auto &part : faults[i].parts) {
-            RemapUnit unit;
-            unit.dimm = part.dimm;
-            unit.device = part.device;
-            part.region.forEachRemapUnit(
-                geometry,
-                [&](unsigned bank, uint32_t row, uint16_t col_group) {
-                    unit.bank = bank;
-                    unit.row = row;
-                    unit.colGroup = col_group;
-                    expected.insert(map.locate(unit).key(set_bits));
+            part.region.forEachUnit(
+                geometry, repair->colsPerUnit(),
+                [&](unsigned bank, uint32_t row, uint16_t unit) {
+                    expected.insert(
+                        repair->unitLine(part, bank, row, unit).key);
                 });
         }
     }
@@ -206,15 +169,17 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
                   " allocated line(s) belong to no repaired fault");
     }
 
-    // -- Faulty-bank table, both directions. --
-    const std::vector<uint32_t> masks = expectedBankMasks(
-        geometry.dimmsPerNode(), faults, covered);
+    // -- Faulty-bank table (RelaxFault), both directions. --
+    const std::span<const uint32_t> table = repair->faultyBankTable();
+    if (table.empty())
+        return report;
+    const std::vector<uint32_t> masks =
+        expectedBankMasks(table.size(), faults, covered);
     uint64_t table_missing = 0;
     uint64_t table_spurious = 0;
-    for (unsigned dimm = 0; dimm < geometry.dimmsPerNode(); ++dimm) {
-        const uint32_t actual = repair.faultyBankMask(dimm);
-        table_missing += (masks[dimm] & ~actual) != 0 ? 1 : 0;
-        table_spurious += (actual & ~masks[dimm]) != 0 ? 1 : 0;
+    for (size_t dimm = 0; dimm < table.size(); ++dimm) {
+        table_missing += (masks[dimm] & ~table[dimm]) != 0 ? 1 : 0;
+        table_spurious += (table[dimm] & ~masks[dimm]) != 0 ? 1 : 0;
     }
     check(report, table_missing == 0, "bank_table",
           std::to_string(table_missing) +
@@ -231,103 +196,6 @@ InvariantAuditor::auditRelaxFault(const RelaxFaultRepair &repair,
 }
 
 AuditReport
-InvariantAuditor::auditFreeFault(const FreeFaultRepair &repair,
-                                 const std::vector<FaultRecord> &faults,
-                                 const std::vector<bool> &covered) const
-{
-    AuditReport report;
-    const RepairLineTracker &tracker = repair.tracker();
-    const DramAddressMap &map = repair.addressMap();
-    const DramGeometry &geometry = map.geometry();
-    const RepairBudget &budget = tracker.budget();
-    const unsigned offset_bits = geometry.offsetBits();
-    const uint64_t sets = tracker.sets();
-    const std::vector<uint64_t> allocated = tracker.allocatedKeys();
-    const uint64_t line_limit = geometry.nodeBytes() >> offset_bits;
-
-    check(report, tracker.usedLines() <= budget.maxLines, "line_budget",
-          "usedLines " + std::to_string(tracker.usedLines()) +
-              " > maxLines " + std::to_string(budget.maxLines));
-    check(report, tracker.maxWaysUsed() <= budget.maxWaysPerSet,
-          "ways_bound",
-          "maxWaysUsed " + std::to_string(tracker.maxWaysUsed()) +
-              " > maxWaysPerSet " + std::to_string(budget.maxWaysPerSet));
-    uint64_t over_sets = 0;
-    uint64_t load_sum = 0;
-    for (uint64_t set = 0; set < sets; ++set) {
-        const unsigned load = tracker.setLoad(set);
-        load_sum += load;
-        over_sets += load > budget.maxWaysPerSet ? 1 : 0;
-    }
-    check(report, over_sets == 0, "ways_bound",
-          std::to_string(over_sets) + " set(s) over the way ceiling");
-    check(report, load_sum == tracker.usedLines(), "load_accounting",
-          "per-set loads sum to " + std::to_string(load_sum) +
-              " but usedLines is " +
-              std::to_string(tracker.usedLines()));
-    check(report,
-          allocated.size() == tracker.usedLines(),
-          "load_accounting",
-          std::to_string(allocated.size()) +
-              " allocated keys vs usedLines " +
-              std::to_string(tracker.usedLines()));
-
-    // Keys are pa >> offsetBits; the set is recomputable through the
-    // production indexer, so a flipped key bit shows up as either an
-    // out-of-image address or a per-set load mismatch.
-    std::vector<uint16_t> recomputed(sets, 0);
-    uint64_t bad_keys = 0;
-    for (const uint64_t key : allocated) {
-        if (key >= line_limit) {
-            ++bad_keys;
-            continue;
-        }
-        ++recomputed[repair.indexer().setIndex(key << offset_bits)];
-    }
-    check(report, bad_keys == 0, "line_address_range",
-          std::to_string(bad_keys) +
-              " key(s) outside the node's physical line range");
-    uint64_t mismatched_loads = 0;
-    for (uint64_t set = 0; set < sets; ++set)
-        mismatched_loads += recomputed[set] != tracker.setLoad(set);
-    check(report, mismatched_loads == 0, "load_recompute",
-          std::to_string(mismatched_loads) +
-              " set load counter(s) disagree with the allocated keys");
-
-    std::unordered_set<uint64_t> expected;
-    for (size_t i = 0; i < faults.size(); ++i) {
-        if (i >= covered.size() || !covered[i] || !faults[i].permanent())
-            continue;
-        for (const auto &part : faults[i].parts) {
-            LineCoord coord;
-            coord.channel = part.dimm / geometry.ranksPerChannel;
-            coord.rank = part.dimm % geometry.ranksPerChannel;
-            part.region.forEachSlice(
-                geometry,
-                [&](unsigned bank, uint32_t row, uint16_t col_block) {
-                    coord.bank = bank;
-                    coord.row = row;
-                    coord.colBlock = col_block;
-                    expected.insert(map.encode(coord) >> offset_bits);
-                });
-        }
-    }
-    uint64_t missing = 0;
-    for (const uint64_t key : expected)
-        missing += tracker.contains(key) ? 0 : 1;
-    check(report, missing == 0, "coverage",
-          std::to_string(missing) +
-              " line(s) of repaired faults have no allocated entry");
-    uint64_t orphans = 0;
-    for (const uint64_t key : allocated)
-        orphans += expected.count(key) != 0 ? 0 : 1;
-    check(report, orphans == 0, "orphan_lines",
-          std::to_string(orphans) +
-              " allocated line(s) belong to no repaired fault");
-    return report;
-}
-
-AuditReport
 InvariantAuditor::auditController(
     const RelaxFaultController &controller) const
 {
@@ -340,8 +208,8 @@ InvariantAuditor::auditController(
     // The controller's tracked fault set may omit scrubber-discovered
     // repairs (requestRepair does not register a new fault), so the
     // orphan-direction checks are not invariants here.
-    AuditReport report = auditRelaxFault(controller.repair(), faults,
-                                         covered, false);
+    AuditReport report = auditMechanism(controller.repair(), faults,
+                                        covered, false);
 
     // Remap data store: only allocated lines may hold remap data.
     const RepairLineTracker &tracker = controller.repair().tracker();

@@ -12,9 +12,11 @@
  *  - budget bounds: per-set locked ways never exceed the way ceiling
  *    (the <=4-ways bound of the paper), total lines never exceed the
  *    capacity cap, and the per-set load counters sum to the line count;
- *  - remap-table injectivity: every allocated repair key round-trips
- *    through locate(invert(key)) and decodes to a unit inside the DRAM
- *    geometry (a flipped tag bit lands outside the valid image);
+ *  - key decoding: every allocated repair key decodes to a unit inside
+ *    the DRAM geometry — for RelaxFault one that round-trips through
+ *    locate(invert(key)) — and the per-set loads recompute from the
+ *    decoded sets (a flipped key bit lands outside the valid image or
+ *    in the wrong set);
  *  - coverage agreement: the units of every fault recorded as repaired
  *    are allocated, every allocated key is owned by some repaired fault
  *    (no orphans), and the faulty-bank table agrees in both directions
@@ -41,8 +43,6 @@
 namespace relaxfault {
 
 class RepairMechanism;
-class RelaxFaultRepair;
-class FreeFaultRepair;
 class RelaxFaultController;
 class FaultScrubber;
 
@@ -81,29 +81,19 @@ class InvariantAuditor
      * Audit a repair mechanism mid-simulation. `covered[i]` means
      * faults[i] is recorded as repaired *by this mechanism* (a fault
      * degraded to page retirement is not the mechanism's to cover).
-     * Dispatches to the mechanism-specific walk; mechanisms without
-     * LLC-line state (PPR, sparing) get only the generic bounds.
+     * FreeFault and RelaxFault get one LLC-line walk: bounds, load
+     * accounting, key decoding, coverage, and RelaxFault's faulty-bank
+     * table. Mechanisms without LLC-line state (PPR, sparing, page
+     * retirement) get an empty report. With @p strict_attribution
+     * false, the orphan-direction checks (every allocated line /
+     * flagged bank is owned by a listed fault) are skipped — used when
+     * the fault list is known to be incomplete, e.g. a controller whose
+     * scrubber repaired unregistered damage.
      */
     AuditReport auditMechanism(const RepairMechanism &mechanism,
                                const std::vector<FaultRecord> &faults,
-                               const std::vector<bool> &covered) const;
-
-    /**
-     * Full RelaxFault walk: bounds, injectivity, coverage, bank table.
-     * With @p strict_attribution false, the orphan-direction checks
-     * (every allocated line / flagged bank is owned by a listed fault)
-     * are skipped — used when the fault list is known to be incomplete,
-     * e.g. a controller whose scrubber repaired unregistered damage.
-     */
-    AuditReport auditRelaxFault(const RelaxFaultRepair &repair,
-                                const std::vector<FaultRecord> &faults,
-                                const std::vector<bool> &covered,
-                                bool strict_attribution = true) const;
-
-    /** FreeFault analog (physical-address keys, normal set indexing). */
-    AuditReport auditFreeFault(const FreeFaultRepair &repair,
-                               const std::vector<FaultRecord> &faults,
-                               const std::vector<bool> &covered) const;
+                               const std::vector<bool> &covered,
+                               bool strict_attribution = true) const;
 
     /**
      * Audit a controller: repair-engine invariants against its tracked

@@ -5,34 +5,9 @@
 
 #include "core/relaxfault_controller.h"
 #include "core/scrubber.h"
-#include "repair/freefault_repair.h"
 #include "repair/relaxfault_repair.h"
 
 namespace relaxfault {
-
-namespace {
-
-/** Flip one key bit, retrying on allocation collisions. */
-std::optional<std::pair<uint64_t, uint64_t>>
-flipKeyBit(RepairLineTracker &tracker, unsigned bit_width, Rng &rng)
-{
-    const std::vector<uint64_t> keys = tracker.sortedKeys();
-    if (keys.empty() || bit_width == 0)
-        return std::nullopt;
-    // A flipped bit can land on another allocated key; that would model
-    // two tag entries merging, which the tracker backdoor rejects. Retry
-    // with fresh draws — collisions are rare, so a few attempts suffice.
-    for (int attempt = 0; attempt < 8; ++attempt) {
-        const uint64_t old_key = keys[rng.uniformInt(keys.size())];
-        const uint64_t new_key =
-            old_key ^ (uint64_t{1} << rng.uniformInt(bit_width));
-        if (tracker.corruptReplaceKey(old_key, new_key))
-            return std::make_pair(old_key, new_key);
-    }
-    return std::nullopt;
-}
-
-} // namespace
 
 const char *
 metadataCorruptionName(MetadataCorruption corruption)
@@ -55,42 +30,36 @@ metadataCorruptionName(MetadataCorruption corruption)
 }
 
 std::optional<MetadataFaultInjector::Injection>
-MetadataFaultInjector::flipRemapKeyBit(RelaxFaultRepair &repair)
+MetadataFaultInjector::flipKeyBit(LlcLineRepair &repair)
 {
     Rng rng = draw();
+    RepairLineTracker &tracker = repair.trackerForInjection();
+    const std::vector<uint64_t> keys = tracker.sortedKeys();
+    if (keys.empty())
+        return std::nullopt;
     // Two bits above the valid key width model a flip in unused tag RAM
     // cells — those must decode as out-of-image and be caught too.
-    const unsigned width = repair.map().setBits() + repair.map().tagBits() + 2;
-    const auto flipped =
-        flipKeyBit(repair.trackerForInjection(), width, rng);
-    if (!flipped)
-        return std::nullopt;
-    return Injection{MetadataCorruption::RemapKeyBit,
-                     "key " + std::to_string(flipped->first) + " -> " +
-                         std::to_string(flipped->second)};
-}
-
-std::optional<MetadataFaultInjector::Injection>
-MetadataFaultInjector::flipLockKeyBit(FreeFaultRepair &repair)
-{
-    Rng rng = draw();
-    const DramGeometry &geometry = repair.addressMap().geometry();
-    const unsigned width =
-        geometry.paBits() - geometry.offsetBits() + 2;
-    const auto flipped =
-        flipKeyBit(repair.trackerForInjection(), width, rng);
-    if (!flipped)
-        return std::nullopt;
-    return Injection{MetadataCorruption::RemapKeyBit,
-                     "line key " + std::to_string(flipped->first) +
-                         " -> " + std::to_string(flipped->second)};
+    const unsigned width = repair.keyBits() + 2;
+    // A flipped bit can land on another allocated key; that would model
+    // two tag entries merging, which the tracker backdoor rejects. Retry
+    // with fresh draws — collisions are rare, so a few attempts suffice.
+    for (int attempt = 0; attempt < 8; ++attempt) {
+        const uint64_t old_key = keys[rng.uniformInt(keys.size())];
+        const uint64_t new_key =
+            old_key ^ (uint64_t{1} << rng.uniformInt(width));
+        if (tracker.corruptReplaceKey(old_key, new_key))
+            return Injection{MetadataCorruption::RemapKeyBit,
+                             "key " + std::to_string(old_key) + " -> " +
+                                 std::to_string(new_key)};
+    }
+    return std::nullopt;
 }
 
 std::optional<MetadataFaultInjector::Injection>
 MetadataFaultInjector::flipBankTableBit(RelaxFaultRepair &repair)
 {
     Rng rng = draw();
-    const DramGeometry &geometry = repair.map().geometry();
+    const DramGeometry &geometry = repair.geometry();
     const unsigned dimm = rng.uniformInt(geometry.dimmsPerNode());
     const unsigned bank = rng.uniformInt(geometry.banksPerDevice);
     repair.corruptBankTableBit(dimm, bank);
@@ -100,7 +69,7 @@ MetadataFaultInjector::flipBankTableBit(RelaxFaultRepair &repair)
 }
 
 std::optional<MetadataFaultInjector::Injection>
-MetadataFaultInjector::corruptSetLoad(RelaxFaultRepair &repair)
+MetadataFaultInjector::corruptSetLoad(LlcLineRepair &repair)
 {
     Rng rng = draw();
     RepairLineTracker &tracker = repair.trackerForInjection();

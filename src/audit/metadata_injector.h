@@ -38,8 +38,8 @@
 
 namespace relaxfault {
 
+class LlcLineRepair;
 class RelaxFaultRepair;
-class FreeFaultRepair;
 class RelaxFaultController;
 class FaultScrubber;
 
@@ -71,14 +71,12 @@ class MetadataFaultInjector
     explicit MetadataFaultInjector(uint64_t seed) : seed_(seed) {}
 
     /**
-     * Flip one deterministic bit of one allocated RelaxFault key (tag
-     * RAM corruption). Returns nullopt when no line is allocated or
-     * the flipped key collides with an existing allocation.
+     * Flip one deterministic bit of one allocated repair key (tag RAM
+     * of RelaxFault's coalescer or FreeFault's lock table). Returns
+     * nullopt when no line is allocated or the flipped key collides
+     * with an existing allocation.
      */
-    std::optional<Injection> flipRemapKeyBit(RelaxFaultRepair &repair);
-
-    /** FreeFault analog of flipRemapKeyBit. */
-    std::optional<Injection> flipLockKeyBit(FreeFaultRepair &repair);
+    std::optional<Injection> flipKeyBit(LlcLineRepair &repair);
 
     /** Flip one faulty-bank-table bit (set or clear at random). */
     std::optional<Injection> flipBankTableBit(RelaxFaultRepair &repair);
@@ -87,7 +85,7 @@ class MetadataFaultInjector
      * Flip one bit of one occupied set's locked-way counter. Returns
      * nullopt when no set is occupied.
      */
-    std::optional<Injection> corruptSetLoad(RelaxFaultRepair &repair);
+    std::optional<Injection> corruptSetLoad(LlcLineRepair &repair);
 
     /**
      * Flip one character of a serialized fault log in place (durable

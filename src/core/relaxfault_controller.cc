@@ -25,13 +25,6 @@ RelaxFaultController::RelaxFaultController(const ControllerConfig &config)
             addressMap_, config_.retirePageBytes, config_.retireMaxBytes);
 }
 
-unsigned
-RelaxFaultController::colBlocksPerUnit() const
-{
-    return config_.geometry.lineBytes /
-           config_.geometry.bytesPerDevicePerLine();
-}
-
 uint64_t
 RelaxFaultController::unitKey(const RemapUnit &unit) const
 {
@@ -53,12 +46,11 @@ RelaxFaultController::fetchAndDecode(const LineCoord &coord,
         unit.dimm = dimm;
         unit.bank = coord.bank;
         unit.row = coord.row;
-        unit.colGroup =
-            static_cast<uint16_t>(coord.colBlock / colBlocksPerUnit());
+        const unsigned blocks = config_.geometry.colBlocksPerRemapUnit();
+        unit.colGroup = static_cast<uint16_t>(coord.colBlock / blocks);
         const unsigned slice_bytes =
             config_.geometry.bytesPerDevicePerLine();
-        const unsigned offset =
-            (coord.colBlock % colBlocksPerUnit()) * slice_bytes;
+        const unsigned offset = (coord.colBlock % blocks) * slice_bytes;
         for (unsigned device = 0;
              device < config_.geometry.devicesPerRank(); ++device) {
             unit.device = device;
@@ -122,7 +114,7 @@ RelaxFaultController::ensureFilled(const RemapUnit &unit)
     // avoided by not filling new units during a fill.
     RemapLine filled{};
     const unsigned slice_bytes = config_.geometry.bytesPerDevicePerLine();
-    const unsigned blocks = colBlocksPerUnit();
+    const unsigned blocks = config_.geometry.colBlocksPerRemapUnit();
 
     LineCoord coord;
     coord.channel = unit.dimm / config_.geometry.ranksPerChannel;
@@ -178,11 +170,10 @@ RelaxFaultController::write(uint64_t pa, const uint8_t data[kLineBytes])
     unit.dimm = dimm;
     unit.bank = coord.bank;
     unit.row = coord.row;
-    unit.colGroup =
-        static_cast<uint16_t>(coord.colBlock / colBlocksPerUnit());
+    const unsigned blocks = config_.geometry.colBlocksPerRemapUnit();
+    unit.colGroup = static_cast<uint16_t>(coord.colBlock / blocks);
     const unsigned slice_bytes = config_.geometry.bytesPerDevicePerLine();
-    const unsigned offset =
-        (coord.colBlock % colBlocksPerUnit()) * slice_bytes;
+    const unsigned offset = (coord.colBlock % blocks) * slice_bytes;
     for (unsigned device = 0; device < config_.geometry.devicesPerRank();
          ++device) {
         unit.device = device;
@@ -270,8 +261,8 @@ RelaxFaultController::requestRepair(const FaultRecord &fault)
         RemapUnit unit;
         unit.dimm = part.dimm;
         unit.device = part.device;
-        part.region.forEachRemapUnit(
-            config_.geometry,
+        part.region.forEachUnit(
+            config_.geometry, config_.geometry.colBlocksPerRemapUnit(),
             [&](unsigned bank, uint32_t row, uint16_t col_group) {
                 unit.bank = bank;
                 unit.row = row;

@@ -206,9 +206,6 @@ class RelaxFaultController
   private:
     using RemapLine = std::array<uint8_t, kLineBytes>;
 
-    /** colBlocks covered by one remap unit (64B / 4B-per-block). */
-    unsigned colBlocksPerUnit() const;
-
     /** Remap-store key of a unit. */
     uint64_t unitKey(const RemapUnit &unit) const;
 

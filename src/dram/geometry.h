@@ -53,6 +53,15 @@ struct DramGeometry
         return lineBytes / dataDevicesPerRank;
     }
 
+    /**
+     * Column blocks in one RelaxFault remap unit: 64B of one device's
+     * data, 16 blocks of 4B.
+     */
+    unsigned colBlocksPerRemapUnit() const
+    {
+        return lineBytes / bytesPerDevicePerLine();
+    }
+
     /** Bytes of one row within a single device. */
     unsigned deviceRowBytes() const
     {

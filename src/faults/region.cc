@@ -116,37 +116,21 @@ FaultRegion::massive() const
 }
 
 uint64_t
-FaultRegion::clusterLineSlices(const RegionCluster &cluster,
-                               const DramGeometry &geometry)
+FaultRegion::clusterUnits(const RegionCluster &cluster,
+                          const DramGeometry &geometry,
+                          unsigned cols_per_unit)
 {
-    return static_cast<uint64_t>(std::popcount(cluster.bankMask)) *
-           cluster.rows.count(geometry) * cluster.cols.count(geometry);
-}
-
-uint64_t
-FaultRegion::clusterRemapUnits(const RegionCluster &cluster,
-                               const DramGeometry &geometry)
-{
-    const unsigned cols_per_unit =
-        geometry.lineBytes / geometry.bytesPerDevicePerLine();
-    uint64_t groups;
-    if (cluster.cols.all) {
-        groups = (geometry.colBlocksPerRow + cols_per_unit - 1) /
-                 cols_per_unit;
-    } else {
-        // Distinct colBlock / 16 values in the sorted column list.
-        groups = 0;
-        uint32_t last_group = ~0u;
-        for (const auto col : cluster.cols.cols) {
-            const uint32_t group = col / cols_per_unit;
-            if (group != last_group) {
-                ++groups;
-                last_group = group;
-            }
-        }
+    // Distinct colBlock / cols_per_unit values: for every column, or at
+    // one column per unit, a division; otherwise a walk of the list.
+    uint64_t units =
+        (cluster.cols.count(geometry) + cols_per_unit - 1) / cols_per_unit;
+    if (cols_per_unit > 1 && !cluster.cols.all) {
+        units = 0;
+        forEachColumnUnit(cluster.cols, cols_per_unit, 0,
+                          [&](uint16_t) { ++units; });
     }
     return static_cast<uint64_t>(std::popcount(cluster.bankMask)) *
-           cluster.rows.count(geometry) * groups;
+           cluster.rows.count(geometry) * units;
 }
 
 uint64_t
@@ -154,7 +138,7 @@ FaultRegion::lineSliceCount(const DramGeometry &geometry) const
 {
     uint64_t total = 0;
     for (const auto &cluster : clusters_)
-        total += clusterLineSlices(cluster, geometry);
+        total += clusterUnits(cluster, geometry, 1);
     return total;
 }
 
@@ -163,7 +147,8 @@ FaultRegion::remapUnitCount(const DramGeometry &geometry) const
 {
     uint64_t total = 0;
     for (const auto &cluster : clusters_)
-        total += clusterRemapUnits(cluster, geometry);
+        total += clusterUnits(cluster, geometry,
+                              geometry.colBlocksPerRemapUnit());
     return total;
 }
 

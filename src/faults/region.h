@@ -97,13 +97,14 @@ class FaultRegion
      */
     uint64_t remapUnitCount(const DramGeometry &geometry) const;
 
-    /** Line slices of one cluster (all distinct within the cluster). */
-    static uint64_t clusterLineSlices(const RegionCluster &cluster,
-                                      const DramGeometry &geometry);
-
-    /** Remap units of one cluster (all distinct within the cluster). */
-    static uint64_t clusterRemapUnits(const RegionCluster &cluster,
-                                      const DramGeometry &geometry);
+    /**
+     * Column units (colBlock / @p cols_per_unit) of one cluster, all
+     * distinct within the cluster: line slices at 1 column per unit,
+     * remap units at DramGeometry::colBlocksPerRemapUnit().
+     */
+    static uint64_t clusterUnits(const RegionCluster &cluster,
+                                 const DramGeometry &geometry,
+                                 unsigned cols_per_unit);
 
     /**
      * Visit every (cluster, bank, row) of the region: clusters in order,
@@ -115,24 +116,18 @@ class FaultRegion
     bool forEachRow(const DramGeometry &geometry, Visit &&visit) const;
 
     /**
-     * Visit every affected (bank, row, colBlock), in forEachRow order
-     * with column blocks ascending, with the same early-stop contract.
+     * Visit every affected (bank, row, unit), unit = colBlock /
+     * @p cols_per_unit, in forEachRow order with units ascending, with
+     * the same early-stop contract.
      */
     template <typename Visit>
-    bool forEachSlice(const DramGeometry &geometry, Visit &&visit) const;
-
-    /**
-     * Visit every affected remap unit (bank, row, colGroup), with the
-     * same order and early-stop contract as forEachSlice.
-     */
-    template <typename Visit>
-    bool forEachRemapUnit(const DramGeometry &geometry,
-                          Visit &&visit) const;
+    bool forEachUnit(const DramGeometry &geometry, unsigned cols_per_unit,
+                     Visit &&visit) const;
 
     /**
      * Visit the distinct column units (colBlock / @p cols_per_unit) of
      * @p cols in ascending order; all @p row_units of them when @p cols
-     * is every column. Same early-stop contract as forEachSlice.
+     * is every column. Same early-stop contract as forEachRow.
      */
     template <typename Visit>
     static bool forEachColumnUnit(const ColSet &cols,
@@ -255,31 +250,16 @@ FaultRegion::forEachColumnUnit(const ColSet &cols, unsigned cols_per_unit,
 
 template <typename Visit>
 bool
-FaultRegion::forEachSlice(const DramGeometry &geometry, Visit &&visit) const
+FaultRegion::forEachUnit(const DramGeometry &geometry,
+                         unsigned cols_per_unit, Visit &&visit) const
 {
-    return forEachRow(geometry, [&](const RegionCluster &cluster,
-                                    unsigned bank, uint32_t row) {
-        return forEachColumnUnit(
-            cluster.cols, 1, geometry.colBlocksPerRow, [&](uint16_t col) {
-                return detail::visitRegion(visit, bank, row, col);
-            });
-    });
-}
-
-template <typename Visit>
-bool
-FaultRegion::forEachRemapUnit(const DramGeometry &geometry,
-                              Visit &&visit) const
-{
-    const unsigned cols_per_unit =
-        geometry.lineBytes / geometry.bytesPerDevicePerLine();
-    const unsigned all_groups =
+    const unsigned row_units =
         (geometry.colBlocksPerRow + cols_per_unit - 1) / cols_per_unit;
     return forEachRow(geometry, [&](const RegionCluster &cluster,
                                     unsigned bank, uint32_t row) {
         return forEachColumnUnit(
-            cluster.cols, cols_per_unit, all_groups, [&](uint16_t group) {
-                return detail::visitRegion(visit, bank, row, group);
+            cluster.cols, cols_per_unit, row_units, [&](uint16_t unit) {
+                return detail::visitRegion(visit, bank, row, unit);
             });
     });
 }

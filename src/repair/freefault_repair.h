@@ -16,13 +16,16 @@
 
 #include "cache/cache_geometry.h"
 #include "dram/address_map.h"
-#include "repair/line_tracker.h"
-#include "repair/repair_mechanism.h"
+#include "repair/llc_line_repair.h"
 
 namespace relaxfault {
 
-/** Whole-cacheline locking repair using the normal LLC mapping. */
-class FreeFaultRepair : public RepairMechanism
+/**
+ * Whole-cacheline locking repair using the normal LLC mapping. A unit is
+ * one column block; its key is the physical line address. The tracker
+ * is keyed by per-column-block row deltas (both maps are linear).
+ */
+class FreeFaultRepair final : public LlcLineRepair
 {
   public:
     /**
@@ -36,52 +39,21 @@ class FreeFaultRepair : public RepairMechanism
 
     std::string name() const override;
     bool tryRepair(const FaultRecord &fault) override;
-    uint64_t usedLines() const override { return tracker_.usedLines(); }
-    unsigned maxWaysUsed() const override
-    {
-        return tracker_.maxWaysUsed();
-    }
-    void reset() override;
 
-    /** Adds locked-ways-per-set and occupied-set detail. */
-    void publishTelemetry(MetricRegistry &registry) const override;
+    RepairLine unitLine(const DevicePart &part, unsigned bank,
+                        uint32_t row, uint16_t col) const override;
+    std::optional<uint64_t> keySet(uint64_t key) const override;
+    unsigned keyBits() const override;
 
-    /** Whether the physical line holding @p pa is locked for repair. */
-    bool lineRepaired(uint64_t pa) const;
-
-    /** Line-allocation state (audit walks). */
-    const RepairLineTracker &tracker() const { return tracker_; }
-
-    /** LLC set indexing in use (audit recomputes per-set loads). */
+    /** LLC set indexing in use. */
     const SetIndexer &indexer() const { return indexer_; }
 
-    /** Address translation in use (audit rebuilds keys from faults). */
+    /** Address translation in use. */
     const DramAddressMap &addressMap() const { return map_; }
 
-    /** Per-column-block line deltas (tests). */
-    const RowFootprint &footprint() const { return tracker_.footprint(); }
-
-    /**
-     * Fault-injection backdoor: mutable tracker access for the metadata
-     * fault injector. Never called by production paths.
-     */
-    RepairLineTracker &trackerForInjection() { return tracker_; }
-
   private:
-    /** LLC line (set, line address) of one DRAM line. */
-    RepairLine lineOf(const LineCoord &coord) const
-    {
-        const uint64_t pa = map_.encode(coord);
-        return {indexer_.setIndex(pa), pa >> map_.geometry().offsetBits()};
-    }
-
-    /** Line of column block c XOR line of block 0, for every c. */
-    std::vector<RepairLine> columnDeltas() const;
-
     DramAddressMap map_;
     SetIndexer indexer_;
-    /** Keyed by per-column-block row deltas (both maps are linear). */
-    RepairLineTracker tracker_;
 };
 
 } // namespace relaxfault

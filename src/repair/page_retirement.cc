@@ -35,8 +35,8 @@ PageRetirement::tryRepair(const FaultRecord &fault)
         LineCoord coord;
         coord.channel = part.dimm / geometry.ranksPerChannel;
         coord.rank = part.dimm % geometry.ranksPerChannel;
-        part.region.forEachSlice(
-            geometry,
+        part.region.forEachUnit(
+            geometry, 1,
             [&](unsigned bank, uint32_t row, uint16_t col_block) {
                 coord.bank = bank;
                 coord.row = row;

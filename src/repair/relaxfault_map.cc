@@ -16,9 +16,8 @@ RelaxFaultMap::RelaxFaultMap(const DramGeometry &dram,
                              const CacheGeometry &llc, IndexMode mode)
     : dram_(dram), mode_(mode), setBits_(llc.setBits())
 {
-    const unsigned cols_per_unit =
-        dram.lineBytes / dram.bytesPerDevicePerLine();
-    colGroupBits_ = indexBits(dram.colBlocksPerRow / cols_per_unit);
+    colGroupBits_ =
+        indexBits(dram.colBlocksPerRow / dram.colBlocksPerRemapUnit());
     if (colGroupBits_ >= setBits_)
         fatal("RelaxFaultMap: LLC too small for the column-group field");
     rowLowBits_ = setBits_ - colGroupBits_;

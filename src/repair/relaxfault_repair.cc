@@ -1,9 +1,6 @@
 #include "repair/relaxfault_repair.h"
 
 #include <algorithm>
-#include <bit>
-
-#include "telemetry/metrics.h"
 
 namespace relaxfault {
 
@@ -18,8 +15,7 @@ remapFootprint(const DramGeometry &dram, RelaxFaultMap::IndexMode mode)
 {
     if (mode == RelaxFaultMap::IndexMode::HashOnly)
         return RowFootprint();
-    const unsigned cols_per_unit =
-        dram.lineBytes / dram.bytesPerDevicePerLine();
+    const unsigned cols_per_unit = dram.colBlocksPerRemapUnit();
     std::vector<RepairLine> deltas;
     for (uint64_t group = 0;
          group * cols_per_unit < dram.colBlocksPerRow; ++group)
@@ -43,9 +39,9 @@ RelaxFaultRepair::RelaxFaultRepair(const DramGeometry &dram,
                                    const CacheGeometry &llc,
                                    const RepairBudget &budget,
                                    RelaxFaultMap::IndexMode mode)
-    : dram_(dram), map_(dram, llc, mode),
-      tracker_(llc.sets(), budget, remapFootprint(dram, mode)),
-      faultyBankTable_(dram.dimmsPerNode(), 0)
+    : LlcLineRepair(dram, llc, budget, dram.colBlocksPerRemapUnit(),
+                    remapFootprint(dram, mode)),
+      map_(dram, llc, mode), faultyBankTable_(dram.dimmsPerNode(), 0)
 {
 }
 
@@ -63,59 +59,43 @@ RelaxFaultRepair::name() const
     return "RelaxFault";
 }
 
+RepairLine
+RelaxFaultRepair::unitLine(const DevicePart &part, unsigned bank,
+                           uint32_t row, uint16_t group) const
+{
+    return lineOf(RemapUnit{part.dimm, part.device, bank, row, group});
+}
+
 bool
 RelaxFaultRepair::tryRepair(const FaultRecord &fault)
 {
-    // Feasibility pre-pass: a massive region (whole bank or more) or one
-    // that alone exceeds the line budget can never fit; reject before
-    // enumerating. Nor can a cluster with more remap units than the LLC
-    // can lock (sets x ways): its units are distinct keys, so some set
-    // would overflow whatever is locked already. The bound uses the
-    // largest cluster, not the sum, because clusters may overlap.
-    const RepairBudget &budget = tracker_.budget();
-    uint64_t total_units = 0;
-    uint64_t largest_cluster = 0;
-    for (const auto &part : fault.parts) {
-        if (part.region.massive())
-            return false;
-        for (const auto &cluster : part.region.clusters()) {
-            const uint64_t units =
-                FaultRegion::clusterRemapUnits(cluster, dram_);
-            total_units += units;
-            largest_cluster = std::max(largest_cluster, units);
-        }
-    }
-    if (total_units > budget.maxLines ||
-        largest_cluster > tracker_.sets() * budget.maxWaysPerSet)
-        return false;
-
-    // Stream (DESIGN.md §16): one locate per row; the tracker decides a
-    // fresh whole row from its coset's loads, and any other row unit by
-    // unit, each an XOR away. Hash-only placement is not linear, so that
-    // ablation locates every unit.
-    bool fits = true;
+    // One locate per row; any other unit of the row is an XOR away.
+    // Hash-only placement is not linear, so that ablation locates every
+    // unit.
+    bool ok;
     if (map_.indexMode() != RelaxFaultMap::IndexMode::HashOnly) {
-        fits = tracker_.stageFault(
-            fault, dram_, [&](const DevicePart &part, unsigned bank,
-                              uint32_t row) {
-                return lineOf(RemapUnit{part.dimm, part.device, bank, row, 0});
-            });
+        ok = repairRows(fault, [this](const DevicePart &part, unsigned bank,
+                                      uint32_t row) {
+            return lineOf(RemapUnit{part.dimm, part.device, bank, row, 0});
+        });
     } else {
+        if (!mayFit(fault))
+            return false;
+        bool fits = true;
         for (const auto &part : fault.parts) {
-            RemapUnit unit{part.dimm, part.device};
-            fits = part.region.forEachRemapUnit(
-                dram_, [&](unsigned bank, uint32_t row, uint16_t group) {
-                    unit.bank = bank;
-                    unit.row = row;
-                    unit.colGroup = group;
-                    const RepairLine line = lineOf(unit);
+            fits = part.region.forEachUnit(
+                geometry(), colsPerUnit(),
+                [&](unsigned bank, uint32_t row, uint16_t group) {
+                    const RepairLine line = lineOf(
+                        RemapUnit{part.dimm, part.device, bank, row, group});
                     return tracker_.stage(line.set, line.key);
                 });
             if (!fits)
                 break;
         }
+        ok = tracker_.finish(fits);
     }
-    if (!tracker_.finish(fits))
+    if (!ok)
         return false;
 
     for (const auto &part : fault.parts) {
@@ -128,23 +108,36 @@ RelaxFaultRepair::tryRepair(const FaultRecord &fault)
 void
 RelaxFaultRepair::reset()
 {
-    tracker_.reset();
+    LlcLineRepair::reset();
     std::fill(faultyBankTable_.begin(), faultyBankTable_.end(), 0);
 }
 
-void
-RelaxFaultRepair::publishTelemetry(MetricRegistry &registry) const
+std::optional<uint64_t>
+RelaxFaultRepair::keySet(uint64_t key) const
 {
-    Log2Histogram *const *hist = histograms(
-        registry, {"used_lines", "max_ways", "locked_ways_per_set",
-                   "occupied_sets", "flagged_banks"});
-    hist[0]->record(usedLines());
-    hist[1]->record(maxWaysUsed());
-    hist[3]->record(tracker_.publishSetLoads(*hist[2]));
-    uint64_t flagged = 0;
-    for (const uint32_t mask : faultyBankTable_)
-        flagged += std::popcount(mask);
-    hist[4]->record(flagged);
+    // The key must decode to a unit inside the geometry that locates
+    // back to it: the map is injective, so a flipped bit either leaves
+    // the image here or collides with the coverage walk.
+    const DramGeometry &dram = geometry();
+    RemapLocation loc;
+    loc.set = key & maskBits(map_.setBits());
+    loc.tag = key >> map_.setBits();
+    if (loc.tag >= uint64_t{1} << map_.tagBits() ||
+        loc.set >= tracker_.sets())
+        return std::nullopt;
+    const RemapUnit unit = map_.invert(loc);
+    if (unit.dimm >= dram.dimmsPerNode() ||
+        unit.device >= dram.devicesPerRank() ||
+        unit.bank >= dram.banksPerDevice || unit.row >= dram.rowsPerBank ||
+        map_.locate(unit) != loc)
+        return std::nullopt;
+    return loc.set;
+}
+
+unsigned
+RelaxFaultRepair::keyBits() const
+{
+    return map_.setBits() + map_.tagBits();
 }
 
 bool

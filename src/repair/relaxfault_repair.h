@@ -16,14 +16,19 @@
 #include <vector>
 
 #include "cache/cache_geometry.h"
-#include "repair/line_tracker.h"
+#include "repair/llc_line_repair.h"
 #include "repair/relaxfault_map.h"
-#include "repair/repair_mechanism.h"
 
 namespace relaxfault {
 
-/** LLC-coalescing repair remapper. */
-class RelaxFaultRepair : public RepairMechanism
+/**
+ * LLC-coalescing repair remapper. A unit is one remap unit; its key is
+ * the packed (tag, set) of its LLC location. The tracker is keyed by
+ * per-column-group line deltas, (g, g): the structured modes put the
+ * group in the low set bits, and the key carries the set. HashOnly
+ * placement is not linear, so that ablation has one-unit rows.
+ */
+class RelaxFaultRepair final : public LlcLineRepair
 {
   public:
     /**
@@ -42,15 +47,16 @@ class RelaxFaultRepair : public RepairMechanism
 
     std::string name() const override;
     bool tryRepair(const FaultRecord &fault) override;
-    uint64_t usedLines() const override { return tracker_.usedLines(); }
-    unsigned maxWaysUsed() const override
-    {
-        return tracker_.maxWaysUsed();
-    }
     void reset() override;
 
-    /** Adds locked-ways-per-set, occupied-set, and bank-filter detail. */
-    void publishTelemetry(MetricRegistry &registry) const override;
+    RepairLine unitLine(const DevicePart &part, unsigned bank,
+                        uint32_t row, uint16_t group) const override;
+    std::optional<uint64_t> keySet(uint64_t key) const override;
+    unsigned keyBits() const override;
+    std::span<const uint32_t> faultyBankTable() const override
+    {
+        return faultyBankTable_;
+    }
 
     /** Faulty-bank table bit: any repaired region in (dimm, bank)? */
     bool bankFlagged(unsigned dimm, unsigned bank) const;
@@ -59,27 +65,6 @@ class RelaxFaultRepair : public RepairMechanism
     bool unitRepaired(const RemapUnit &unit) const;
 
     const RelaxFaultMap &map() const { return map_; }
-
-    /** Line-allocation state (audit walks). */
-    const RepairLineTracker &tracker() const { return tracker_; }
-
-    /** Faulty-bank table bits of one DIMM (audit walks). */
-    uint32_t faultyBankMask(unsigned dimm) const
-    {
-        return faultyBankTable_[dimm];
-    }
-
-    /**
-     * Per-column-group line deltas; one-unit rows for HashOnly, whose
-     * placement is not linear (tests).
-     */
-    const RowFootprint &footprint() const { return tracker_.footprint(); }
-
-    /**
-     * Fault-injection backdoor: mutable tracker access for the metadata
-     * fault injector. Never called by production paths.
-     */
-    RepairLineTracker &trackerForInjection() { return tracker_; }
 
     /**
      * Fault-injection backdoor: flip one faulty-bank-table bit,
@@ -99,14 +84,7 @@ class RelaxFaultRepair : public RepairMechanism
         return {loc.set, loc.key(map_.setBits())};
     }
 
-    DramGeometry dram_;
     RelaxFaultMap map_;
-    /**
-     * Keyed by per-column-group line deltas, (g, g): the structured
-     * modes put the group in the low set bits, and the key carries the
-     * set.
-     */
-    RepairLineTracker tracker_;
     std::vector<uint32_t> faultyBankTable_;  ///< Per DIMM, bit per bank.
 };
 

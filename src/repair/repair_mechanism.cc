@@ -8,15 +8,15 @@ namespace relaxfault {
 void
 RepairMechanism::publishTelemetry(MetricRegistry &registry) const
 {
-    Log2Histogram *const *hist =
-        histograms(registry, {"used_lines", "max_ways"});
+    static constexpr const char *kMetrics[] = {"used_lines", "max_ways"};
+    Log2Histogram *const *hist = histograms(registry, kMetrics);
     hist[0]->record(usedLines());
     hist[1]->record(maxWaysUsed());
 }
 
 Log2Histogram *const *
 RepairMechanism::histograms(MetricRegistry &registry,
-                            std::initializer_list<const char *> metrics) const
+                            std::span<const char *const> metrics) const
 {
     if (histogramRegistry_ != registry.id() ||
         histograms_.size() != metrics.size()) {

@@ -14,8 +14,8 @@
 #define RELAXFAULT_REPAIR_REPAIR_MECHANISM_H
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,7 +93,7 @@ class RepairMechanism
      */
     Log2Histogram *const *
     histograms(MetricRegistry &registry,
-               std::initializer_list<const char *> metrics) const;
+               std::span<const char *const> metrics) const;
 
   private:
     /** MetricRegistry::id() of histograms_; 0 before the first call. */

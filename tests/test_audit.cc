@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "audit/metadata_injector.h"
 #include "core/fault_log.h"
 #include "core/scrubber.h"
+#include "lifetime_expect.h"
 #include "repair/freefault_repair.h"
 #include "repair/relaxfault_repair.h"
 #include "sim/lifetime.h"
@@ -70,22 +72,42 @@ bitRegion(unsigned bank, uint32_t row, uint16_t col)
     return FaultRegion({cluster});
 }
 
-/** A RelaxFault engine with a few repaired faults, plus their records. */
+/** The LLC-line mechanisms, as the benches name their 4-way rows. */
+const char *const kLlcMechanisms[] = {"RelaxFault-4way", "FreeFault-4way"};
+
+/** A 4-way, 2MiB-capped LLC-line mechanism named in kLlcMechanisms. */
+std::unique_ptr<LlcLineRepair>
+makeLlcRepair(const std::string &mechanism)
+{
+    const RepairBudget budget{4, 32768};
+    if (mechanism == "FreeFault-4way")
+        return std::make_unique<FreeFaultRepair>(
+            makeAddressMap("fig7a", geom()), llc(), budget);
+    return std::make_unique<RelaxFaultRepair>(geom(), llc(), budget);
+}
+
+/** An LLC-line mechanism with a few repaired faults, plus their records. */
 struct RepairedState
 {
-    RelaxFaultRepair repair{geom(), llc(), RepairBudget{4, 32768}};
+    std::unique_ptr<LlcLineRepair> repair;
     std::vector<FaultRecord> faults;
     std::vector<bool> covered;
 
-    RepairedState()
+    explicit RepairedState(const std::string &mechanism = "RelaxFault-4way")
+        : repair(makeLlcRepair(mechanism))
     {
         faults.push_back(makeFault(rowRegion(1, 500), 0, 6));
         faults.push_back(makeFault(bitRegion(3, 42, 7), 1, 9));
         faults.push_back(makeFault(rowRegion(5, 8000), 2, 14));
         for (const FaultRecord &fault : faults) {
-            EXPECT_TRUE(repair.tryRepair(fault));
+            EXPECT_TRUE(repair->tryRepair(fault));
             covered.push_back(true);
         }
+    }
+
+    AuditReport audit(const InvariantAuditor &auditor = {}) const
+    {
+        return auditor.auditMechanism(*repair, faults, covered);
     }
 };
 
@@ -104,13 +126,40 @@ counterValue(const MetricsSnapshot &snapshot, const std::string &name)
 
 TEST(InvariantAuditor, CleanRepairStateAuditsClean)
 {
-    const RepairedState state;
-    const InvariantAuditor auditor;
-    const AuditReport report =
-        auditor.auditRelaxFault(state.repair, state.faults, state.covered);
-    EXPECT_GT(report.checks, 0u);
-    EXPECT_EQ(report.violations, 0u);
-    EXPECT_TRUE(report.clean());
+    for (const char *mechanism : kLlcMechanisms) {
+        SCOPED_TRACE(mechanism);
+        const RepairedState state(mechanism);
+        const AuditReport report = state.audit();
+        EXPECT_GT(report.checks, 0u);
+        EXPECT_EQ(report.violations, 0u);
+        EXPECT_TRUE(report.clean());
+    }
+}
+
+TEST(InvariantAuditor, KeySetDecodesExactlyTheKeysOfTheNode)
+{
+    // The key-decode check rests on keySet: a unit's key gives back the
+    // unit's set, and a key one bit above the valid width gives none.
+    for (const char *mechanism : kLlcMechanisms) {
+        SCOPED_TRACE(mechanism);
+        const RepairedState state(mechanism);
+        const LlcLineRepair &repair = *state.repair;
+        for (const FaultRecord &fault : state.faults) {
+            for (const auto &part : fault.parts) {
+                part.region.forEachUnit(
+                    repair.geometry(), repair.colsPerUnit(),
+                    [&](unsigned bank, uint32_t row, uint16_t unit) {
+                        const RepairLine line =
+                            repair.unitLine(part, bank, row, unit);
+                        EXPECT_EQ(repair.keySet(line.key), line.set);
+                        EXPECT_EQ(repair.keySet(
+                                      line.key |
+                                      uint64_t{1} << repair.keyBits()),
+                                  std::nullopt);
+                    });
+            }
+        }
+    }
 }
 
 TEST(InvariantAuditor, CleanControllerAuditsClean)
@@ -137,13 +186,11 @@ TEST(InvariantAuditor, DetailListIsCappedButCountersAreExact)
     // Corrupt many set-load counters so violations exceed the cap.
     MetadataFaultInjector injector(7);
     for (int i = 0; i < 40; ++i)
-        injector.corruptSetLoad(state.repair);
+        injector.corruptSetLoad(*state.repair);
 
     InvariantAuditor::Config config;
     config.maxDetails = 2;
-    const InvariantAuditor auditor(config);
-    const AuditReport report =
-        auditor.auditRelaxFault(state.repair, state.faults, state.covered);
+    const AuditReport report = state.audit(InvariantAuditor(config));
     EXPECT_GT(report.violations, 2u);
     EXPECT_LE(report.details.size(), 2u);
 }
@@ -153,16 +200,16 @@ TEST(InvariantAuditor, DetailListIsCappedButCountersAreExact)
 
 TEST(MetadataInjection, RemapKeyBitFlipIsDetected)
 {
-    RepairedState state;
-    MetadataFaultInjector injector(11);
-    const auto injection = injector.flipRemapKeyBit(state.repair);
-    ASSERT_TRUE(injection.has_value());
-    EXPECT_EQ(injection->corruption, MetadataCorruption::RemapKeyBit);
-
-    const InvariantAuditor auditor;
-    const AuditReport report =
-        auditor.auditRelaxFault(state.repair, state.faults, state.covered);
-    EXPECT_GT(report.violations, 0u) << "tag-RAM bit flip not detected";
+    for (const char *mechanism : kLlcMechanisms) {
+        SCOPED_TRACE(mechanism);
+        RepairedState state(mechanism);
+        MetadataFaultInjector injector(11);
+        const auto injection = injector.flipKeyBit(*state.repair);
+        ASSERT_TRUE(injection.has_value());
+        EXPECT_EQ(injection->corruption, MetadataCorruption::RemapKeyBit);
+        EXPECT_GT(state.audit().violations, 0u)
+            << "tag-RAM bit flip not detected";
+    }
 }
 
 TEST(MetadataInjection, EveryRemapKeyBitPositionIsDetected)
@@ -170,18 +217,17 @@ TEST(MetadataInjection, EveryRemapKeyBitPositionIsDetected)
     // Not just one lucky bit: replay many deterministic seeds, each
     // choosing a different (line, bit); every flip that lands must be
     // caught by the audit walk.
-    for (uint64_t seed = 1; seed <= 32; ++seed) {
-        RepairedState state;
-        MetadataFaultInjector injector(seed);
-        const auto injection = injector.flipRemapKeyBit(state.repair);
-        if (!injection.has_value())
-            continue;  // Collision retry exhausted for this seed.
-        const InvariantAuditor auditor;
-        const AuditReport report = auditor.auditRelaxFault(
-            state.repair, state.faults, state.covered);
-        EXPECT_GT(report.violations, 0u)
-            << "undetected flip, seed " << seed << ": "
-            << injection->detail;
+    for (const char *mechanism : kLlcMechanisms) {
+        for (uint64_t seed = 1; seed <= 32; ++seed) {
+            RepairedState state(mechanism);
+            MetadataFaultInjector injector(seed);
+            const auto injection = injector.flipKeyBit(*state.repair);
+            if (!injection.has_value())
+                continue;  // Collision retry exhausted for this seed.
+            EXPECT_GT(state.audit().violations, 0u)
+                << mechanism << ": undetected flip, seed " << seed << ": "
+                << injection->detail;
+        }
     }
 }
 
@@ -189,46 +235,23 @@ TEST(MetadataInjection, BankTableBitFlipIsDetected)
 {
     RepairedState state;
     MetadataFaultInjector injector(13);
-    const auto injection = injector.flipBankTableBit(state.repair);
+    const auto injection = injector.flipBankTableBit(
+        dynamic_cast<RelaxFaultRepair &>(*state.repair));
     ASSERT_TRUE(injection.has_value());
-
-    const InvariantAuditor auditor;
-    const AuditReport report =
-        auditor.auditRelaxFault(state.repair, state.faults, state.covered);
-    EXPECT_GT(report.violations, 0u) << "bank-table SEU not detected";
+    EXPECT_GT(state.audit().violations, 0u) << "bank-table SEU not detected";
 }
 
 TEST(MetadataInjection, SetLoadCounterFlipIsDetected)
 {
-    RepairedState state;
-    MetadataFaultInjector injector(17);
-    const auto injection = injector.corruptSetLoad(state.repair);
-    ASSERT_TRUE(injection.has_value());
-
-    const InvariantAuditor auditor;
-    const AuditReport report =
-        auditor.auditRelaxFault(state.repair, state.faults, state.covered);
-    EXPECT_GT(report.violations, 0u)
-        << "locked-way counter flip not detected";
-}
-
-TEST(MetadataInjection, FreeFaultLockKeyBitFlipIsDetected)
-{
-    const DramAddressMap map = makeAddressMap("fig7a", geom());
-    FreeFaultRepair repair(map, llc(), RepairBudget{4, 32768});
-    std::vector<FaultRecord> faults = {makeFault(bitRegion(3, 42, 7), 0, 9)};
-    ASSERT_TRUE(repair.tryRepair(faults[0]));
-    const std::vector<bool> covered = {true};
-
-    MetadataFaultInjector injector(19);
-    const auto injection = injector.flipLockKeyBit(repair);
-    ASSERT_TRUE(injection.has_value());
-
-    const InvariantAuditor auditor;
-    const AuditReport report =
-        auditor.auditFreeFault(repair, faults, covered);
-    EXPECT_GT(report.violations, 0u)
-        << "FreeFault lock-key flip not detected";
+    for (const char *mechanism : kLlcMechanisms) {
+        SCOPED_TRACE(mechanism);
+        RepairedState state(mechanism);
+        MetadataFaultInjector injector(17);
+        const auto injection = injector.corruptSetLoad(*state.repair);
+        ASSERT_TRUE(injection.has_value());
+        EXPECT_GT(state.audit().violations, 0u)
+            << "locked-way counter flip not detected";
+    }
 }
 
 TEST(MetadataInjection, FaultLogCharacterFlipIsDetected)
@@ -383,7 +406,7 @@ TEST(MetadataInjection, InjectionSequenceIsDeterministic)
         std::vector<std::string> details;
         for (int i = 0; i < 4; ++i) {
             if (const auto injection =
-                    injector.corruptSetLoad(state.repair))
+                    injector.corruptSetLoad(*state.repair))
                 details.push_back(injection->detail);
         }
         return details;
@@ -431,44 +454,49 @@ TEST(LifetimeAudit, AuditedRunIsBitIdenticalWithZeroViolations)
     config.nodesPerSystem = 128;
     config.faultModel.fitScale = 10.0;
     const LifetimeSimulator simulator(config);
-    const auto factory = []() -> std::unique_ptr<RepairMechanism> {
-        return std::make_unique<RelaxFaultRepair>(
-            geom(), llc(), RepairBudget{4, 32768});
-    };
     constexpr unsigned kTrials = 8;
     constexpr uint64_t kSeed = 314;
+    // Checks of one strict audit pass: five budget and load-accounting
+    // checks, key decoding, load recompute, coverage and orphans, plus
+    // RelaxFault's two bank-table directions.
+    const std::pair<const char *, uint64_t> kChecksPerPass[] = {
+        {"RelaxFault-4way", 11}, {"FreeFault-4way", 9}};
 
-    TrialRunOptions off;
-    off.parallel.threads = 1;
-    const LifetimeSummary baseline =
-        simulator.runTrials(kTrials, factory, kSeed, off);
+    const InvariantAuditor auditor;
+    for (const auto &[mechanism, per_pass] : kChecksPerPass) {
+        SCOPED_TRACE(mechanism);
+        const auto factory = [&]() -> std::unique_ptr<RepairMechanism> {
+            return makeLlcRepair(mechanism);
+        };
+        EXPECT_EQ(auditor.auditMechanism(*factory(), {}, {}).checks,
+                  per_pass);
 
-    for (const unsigned threads : {1u, 4u}) {
-        MetricRegistry metrics;
-        TrialRunOptions on;
-        on.parallel.threads = threads;
-        on.metrics = &metrics;
-        on.audit.enabled = true;
-        const LifetimeSummary audited =
-            simulator.runTrials(kTrials, factory, kSeed, on);
+        TrialRunOptions off;
+        off.parallel.threads = 1;
+        const LifetimeSummary baseline =
+            simulator.runTrials(kTrials, factory, kSeed, off);
 
-        // Every statistic identical — the audit consumed no RNG and
-        // touched no simulation state.
-        EXPECT_EQ(audited.dues.mean(), baseline.dues.mean());
-        EXPECT_EQ(audited.dues.variance(), baseline.dues.variance());
-        EXPECT_EQ(audited.sdcs.mean(), baseline.sdcs.mean());
-        EXPECT_EQ(audited.replacements.sum(), baseline.replacements.sum());
-        EXPECT_EQ(audited.repairedFaults.sum(),
-                  baseline.repairedFaults.sum());
-        EXPECT_EQ(audited.permanentFaults.sum(),
-                  baseline.permanentFaults.sum());
-        EXPECT_EQ(audited.fullyRepairedNodes.sum(),
-                  baseline.fullyRepairedNodes.sum());
+        for (const unsigned threads : {1u, 4u}) {
+            MetricRegistry metrics;
+            TrialRunOptions on;
+            on.parallel.threads = threads;
+            on.metrics = &metrics;
+            on.audit.enabled = true;
+            const LifetimeSummary audited =
+                simulator.runTrials(kTrials, factory, kSeed, on);
 
-        // The audit actually ran, and found nothing (no injector here).
-        const MetricsSnapshot snapshot = metrics.snapshot();
-        EXPECT_GT(counterValue(snapshot, "audit.checks"), 0u);
-        EXPECT_EQ(counterValue(snapshot, "audit.violations"), 0u);
+            // Every statistic identical — the audit consumed no RNG and
+            // touched no simulation state.
+            expectIdentical(audited, baseline);
+
+            // The audit actually ran, whole passes only, and found
+            // nothing (no injector here).
+            const MetricsSnapshot snapshot = metrics.snapshot();
+            const uint64_t checks = counterValue(snapshot, "audit.checks");
+            EXPECT_GT(checks, 0u);
+            EXPECT_EQ(checks % per_pass, 0u);
+            EXPECT_EQ(counterValue(snapshot, "audit.violations"), 0u);
+        }
     }
 }
 

@@ -198,8 +198,7 @@ TEST_P(OrganizationPreset, RelaxFaultMapInjective)
         unit.row = static_cast<uint32_t>(
             rng.uniformInt(geometry.rowsPerBank));
         unit.colGroup = static_cast<uint16_t>(rng.uniformInt(
-            geometry.colBlocksPerRow /
-            (geometry.lineBytes / geometry.bytesPerDevicePerLine())));
+            geometry.colBlocksPerRow / geometry.colBlocksPerRemapUnit()));
         const RemapLocation loc = map.locate(unit);
         ASSERT_LT(loc.set, llc.sets());
         EXPECT_EQ(map.invert(loc), unit);

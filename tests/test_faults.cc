@@ -128,8 +128,8 @@ TEST(Region, ForEachSliceVisitsAll)
     cluster.cols = ColSet::of({9});
     const FaultRegion region({cluster});
     unsigned visits = 0;
-    region.forEachSlice(geom(), [&](unsigned bank, uint32_t row,
-                                    uint16_t col) {
+    region.forEachUnit(geom(), 1, [&](unsigned bank, uint32_t row,
+                                      uint16_t col) {
         EXPECT_TRUE(bank == 1 || bank == 3);
         EXPECT_TRUE(row == 5 || row == 6);
         EXPECT_EQ(col, 9);

@@ -51,8 +51,8 @@ TEST(Integration, SampledFaultsThroughFullDatapath)
                 shadow;
             for (const auto &part : fault.parts) {
                 unsigned sampled = 0;
-                part.region.forEachSlice(
-                    controller.config().geometry,
+                part.region.forEachUnit(
+                    controller.config().geometry, 1,
                     [&](unsigned bank, uint32_t row, uint16_t col) {
                         if (sampled >= 8 || (row + col) % 7 != 0)
                             return;

@@ -40,8 +40,9 @@ demandOf(const FaultRegion &region, const DramGeometry &dram,
 {
     std::map<uint64_t, std::set<uint64_t>> tags_by_set;
     uint64_t units = 0;
-    region.forEachRemapUnit(
-        dram, [&](unsigned bank, uint32_t row, uint16_t col_group) {
+    region.forEachUnit(
+        dram, dram.colBlocksPerRemapUnit(),
+        [&](unsigned bank, uint32_t row, uint16_t col_group) {
             RemapUnit unit;
             unit.dimm = 1;
             unit.device = 3;

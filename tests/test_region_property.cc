@@ -146,11 +146,10 @@ TEST_P(RegionProperty, ForEachSliceVisitsBruteForceSet)
         const FaultRegion region = randomRegion(rng, geometry);
         const auto cells = materialize(region, geometry);
         std::set<Cell> visited;
-        region.forEachSlice(geometry,
-                            [&](unsigned bank, uint32_t row,
-                                uint16_t col) {
-                                visited.insert({bank, row, col});
-                            });
+        region.forEachUnit(geometry, 1,
+                           [&](unsigned bank, uint32_t row, uint16_t col) {
+                               visited.insert({bank, row, col});
+                           });
         std::set<Cell> expected;
         for (const auto &[cell, mask] : cells) {
             (void)mask;

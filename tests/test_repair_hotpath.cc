@@ -310,12 +310,15 @@ TEST(LineTrackerDifferential, RegionVisitorStopsTheWalk)
     cluster.cols = ColSet::allCols();
     const FaultRegion region({cluster});
     unsigned visits = 0;
-    EXPECT_FALSE(region.forEachSlice(
-        geometry, [&](unsigned, uint32_t, uint16_t) { return ++visits < 7; }));
+    EXPECT_FALSE(region.forEachUnit(
+        geometry, 1, [&](unsigned, uint32_t, uint16_t) { return ++visits < 7; }));
     EXPECT_EQ(visits, 7u);
     visits = 0;
-    EXPECT_TRUE(region.forEachRemapUnit(
-        geometry, [&](unsigned, uint32_t, uint16_t) { ++visits; }));
+    EXPECT_TRUE(region.forEachUnit(geometry,
+                                   geometry.colBlocksPerRemapUnit(),
+                                   [&](unsigned, uint32_t, uint16_t) {
+                                       ++visits;
+                                   }));
     EXPECT_EQ(visits, region.remapUnitCount(geometry));
 }
 
@@ -357,8 +360,8 @@ class OracleFreeFault
             LineCoord coord;
             coord.channel = part.dimm / geometry.ranksPerChannel;
             coord.rank = part.dimm % geometry.ranksPerChannel;
-            part.region.forEachSlice(
-                geometry, [&](unsigned bank, uint32_t row, uint16_t col) {
+            part.region.forEachUnit(
+                geometry, 1, [&](unsigned bank, uint32_t row, uint16_t col) {
                     coord.bank = bank;
                     coord.row = row;
                     coord.colBlock = col;
@@ -408,13 +411,15 @@ class OracleRelaxFault
     Lines lines(const FaultRecord &fault) const
     {
         const RelaxFaultMap &map = twin_.map();
+        const DramGeometry &geometry = map.geometry();
         Lines out;
         for (const auto &part : fault.parts) {
             RemapUnit unit;
             unit.dimm = part.dimm;
             unit.device = part.device;
-            part.region.forEachRemapUnit(
-                map.geometry(), [&](unsigned bank, uint32_t row, uint16_t g) {
+            part.region.forEachUnit(
+                geometry, geometry.colBlocksPerRemapUnit(),
+                [&](unsigned bank, uint32_t row, uint16_t g) {
                     unit.bank = bank;
                     unit.row = row;
                     unit.colGroup = g;
@@ -439,12 +444,12 @@ bool
 pigeonholeRejects(const FaultRecord &fault, const DramGeometry &geometry,
                   const RepairBudget &budget, uint64_t sets, bool units)
 {
+    const unsigned cols = units ? geometry.colBlocksPerRemapUnit() : 1;
     uint64_t largest = 0;
     for (const auto &part : fault.parts) {
         for (const auto &cluster : part.region.clusters()) {
             largest = std::max(
-                largest, units ? FaultRegion::clusterRemapUnits(cluster, geometry)
-                               : FaultRegion::clusterLineSlices(cluster, geometry));
+                largest, FaultRegion::clusterUnits(cluster, geometry, cols));
         }
     }
     return largest > sets * budget.maxWaysPerSet;
@@ -558,8 +563,9 @@ TEST(PigeonholeDifferential, BoundUsesTheLargestClusterAndIsTight)
         RelaxFaultRepair exact(geometry, kLlc, one_way, hash);
         OracleRelaxFault exact_oracle(exact);
         const FaultRecord full = repeatedRowsFault(512, 1);
-        ASSERT_EQ(FaultRegion::clusterRemapUnits(
-                      full.parts[0].region.clusters()[0], geometry),
+        ASSERT_EQ(FaultRegion::clusterUnits(
+                      full.parts[0].region.clusters()[0], geometry,
+                      geometry.colBlocksPerRemapUnit()),
                   kLlc.sets());
         const bool fits = exact_oracle.tryRepair(full);
         EXPECT_EQ(exact.tryRepair(full), fits) << "hash=" << hash;

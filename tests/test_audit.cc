@@ -254,6 +254,25 @@ TEST(MetadataInjection, SetLoadCounterFlipIsDetected)
     }
 }
 
+TEST(MetadataInjection, FreeFaultLockKeyBitFlipIsDetected)
+{
+    const DramAddressMap map = makeAddressMap("fig7a", geom());
+    FreeFaultRepair repair(map, llc(), RepairBudget{4, 32768});
+    std::vector<FaultRecord> faults = {makeFault(bitRegion(3, 42, 7), 0, 9)};
+    ASSERT_TRUE(repair.tryRepair(faults[0]));
+    const std::vector<bool> covered = {true};
+
+    MetadataFaultInjector injector(19);
+    const auto injection = injector.flipKeyBit(repair);
+    ASSERT_TRUE(injection.has_value());
+    EXPECT_EQ(injection->corruption, MetadataCorruption::RemapKeyBit);
+
+    const InvariantAuditor auditor;
+    const AuditReport report = auditor.auditMechanism(repair, faults, covered);
+    EXPECT_GT(report.violations, 0u)
+        << "FreeFault lock-key flip not detected";
+}
+
 TEST(MetadataInjection, FaultLogCharacterFlipIsDetected)
 {
     std::ostringstream os;

@@ -5,7 +5,8 @@
  * bank-table + tag test (the per-miss filter), the chipkill codecs, and
  * the coalescer merge. These bound the logic the paper argues is cheap
  * enough to hide under a DRAM access. The `BM_RegionSample` and
- * `BM_SampleNode` rows time the simulator's fault-sampling layer.
+ * `BM_SampleNode` rows time the simulator's fault-sampling layer, and
+ * `BM_SimulateNode` the whole per-node pipeline.
  *
  * The chipkill/histogram benches run at the active SIMD dispatch level;
  * pin with `RELAXFAULT_SIMD=scalar|sse2|avx2` to A/B the kernels. The
@@ -25,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "cache/cache_geometry.h"
 #include "common/failpoint.h"
 #include "common/log.h"
@@ -40,6 +42,7 @@
 #include "repair/ppr_repair.h"
 #include "repair/relaxfault_map.h"
 #include "repair/relaxfault_repair.h"
+#include "sim/lifetime.h"
 #include "telemetry/metrics.h"
 #include "telemetry/profiler.h"
 #include "telemetry/run_record.h"
@@ -300,6 +303,40 @@ BM_SampleNode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SampleNode);
+
+/**
+ * One node of the fig12 10x-FIT panel (ReplA), sampled into a pooled
+ * sample and simulated: the node pipeline each lifetime row runs
+ * 16,384 times per trial, with the no-repair row's mechanism or
+ * RelaxFault-4way's. Most nodes draw no permanent fault; the row is the
+ * mean over the mix.
+ */
+void
+BM_SimulateNode(benchmark::State &state, const bench::MechanismSpec &spec)
+{
+    LifetimeConfig config;
+    config.faultModel.fitScale = 10.0;
+    const LifetimeSimulator sim(config);
+    const NodeFaultSampler sampler(config.faultModel);
+    const auto mechanism =
+        bench::makeFactory(spec, config.faultModel.geometry)();
+    uint64_t seed = 2016;
+    benchmark::DoNotOptimize(seed);
+    Rng rng(seed);
+    NodeSample node;
+    LifetimeMetrics metrics;
+    for (auto _ : state) {
+        sampler.sampleNodeInto(node, rng);
+        sim.simulateNode(node, mechanism.get(), nullptr, metrics, rng,
+                         nullptr, nullptr, nullptr);
+    }
+    benchmark::DoNotOptimize(metrics.dues);
+}
+BENCHMARK_CAPTURE(BM_SimulateNode, none, bench::MechanismSpec::none())
+    ->Name("BM_SimulateNode/none");
+BENCHMARK_CAPTURE(BM_SimulateNode, RelaxFault_4way,
+                  bench::MechanismSpec::relaxFault(4))
+    ->Name("BM_SimulateNode/RelaxFault-4way");
 
 void
 BM_LineTrackerTryAdd(benchmark::State &state)

@@ -70,6 +70,8 @@ struct FaultRecord
     std::vector<DevicePart> parts;
 
     bool permanent() const { return persistence == Persistence::Permanent; }
+
+    bool operator==(const FaultRecord &) const = default;
 };
 
 } // namespace relaxfault

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/log.h"
+
 namespace relaxfault {
 
 namespace {
@@ -24,14 +26,8 @@ struct RowScratch
 
 thread_local RowScratch rowScratch;
 
-/** A one-cluster region, built by move (no initializer_list copy). */
-FaultRegion
-singleCluster(RegionCluster &&cluster)
-{
-    std::vector<RegionCluster> clusters;
-    clusters.push_back(std::move(cluster));
-    return FaultRegion(std::move(clusters));
-}
+/** Most banks a device can have: RegionCluster::bankMask is 32 bits. */
+constexpr unsigned kMaxBanks = 32;
 
 } // namespace
 
@@ -42,6 +38,8 @@ FaultGeometrySampler::FaultGeometrySampler(const DramGeometry &geometry,
       columnRows_(params.columnRowsMean),
       multiRankRows_(params.multiRankRowsMean)
 {
+    if (geometry.banksPerDevice > kMaxBanks)
+        fatal("fault geometry: more than 32 banks per device");
 }
 
 FaultGeometrySampler::GeometricCount::GeometricCount(double mean)
@@ -65,10 +63,19 @@ RowSet
 FaultGeometrySampler::randomRows(unsigned count, uint32_t base,
                                  uint32_t span, Rng &rng)
 {
-    count = std::min(count, span);
     RowSet set;
-    std::vector<uint32_t> &rows = set.rows;
-    rows.reserve(count);
+    randomRows(count, base, span, rng, set.rows);
+    return set;
+}
+
+void
+FaultGeometrySampler::randomRows(unsigned count, uint32_t base,
+                                 uint32_t span, Rng &rng,
+                                 std::vector<uint32_t> &rows)
+{
+    count = std::min(count, span);
+    rows.clear();
+    reserveReused(rows, count);
     const bool dense = count * 3 >= span;
     if (!dense && count <= kSortedInsertMax) {
         while (rows.size() < count) {
@@ -78,7 +85,7 @@ FaultGeometrySampler::randomRows(unsigned count, uint32_t base,
             if (it == rows.end() || *it != row)
                 rows.insert(it, row);
         }
-        return set;
+        return;
     }
 
     RowScratch &scratch = rowScratch;
@@ -127,15 +134,14 @@ FaultGeometrySampler::randomRows(unsigned count, uint32_t base,
         }
         scratch.nonzero[s] = 0;
     }
-    return set;
 }
 
-RegionCluster
-FaultGeometrySampler::bankExtent(unsigned bank, Rng &rng) const
+void
+FaultGeometrySampler::bankExtent(RegionCluster &cluster, unsigned bank,
+                                 Rng &rng) const
 {
-    RegionCluster cluster;
     cluster.bankMask = 1u << bank;
-    cluster.cols = ColSet::allCols();
+    cluster.cols.assignAll();
     cluster.bitMask = 0xffffffffu;
 
     const double u = rng.uniform();
@@ -147,26 +153,31 @@ FaultGeometrySampler::bankExtent(unsigned bank, Rng &rng) const
                                    params_.subarrayRows;
         const uint32_t base = static_cast<uint32_t>(
             rng.uniformInt(subarrays)) * params_.subarrayRows;
-        cluster.rows = randomRows(count, base, params_.subarrayRows, rng);
+        cluster.rows.all = false;
+        randomRows(count, base, params_.subarrayRows, rng,
+                   cluster.rows.rows);
     } else if (u < params_.bankSmallProb + params_.bankMediumProb) {
         const auto count = static_cast<unsigned>(rng.uniformRange(
             params_.bankMediumRowsMin, params_.bankMediumRowsMax));
-        cluster.rows = randomRows(count, 0, geometry_.rowsPerBank, rng);
+        cluster.rows.all = false;
+        // Room for the largest medium extent at once: growing a reused
+        // list draw by draw would take the rare long tail to settle.
+        reserveReused(cluster.rows.rows, params_.bankMediumRowsMax);
+        randomRows(count, 0, geometry_.rowsPerBank, rng, cluster.rows.rows);
     } else {
-        cluster.rows = RowSet::allRows();
+        cluster.rows.assignAll();
     }
-    return cluster;
 }
 
-FaultRegion
-FaultGeometrySampler::sampleSingleBit(Rng &rng) const
+void
+FaultGeometrySampler::sampleSingleBit(FaultRegion &region, Rng &rng) const
 {
-    RegionCluster cluster;
+    RegionCluster &cluster = region.reuseClusters(1)[0];
     cluster.bankMask = 1u << rng.uniformInt(geometry_.banksPerDevice);
-    cluster.rows = RowSet::of({static_cast<uint32_t>(
-        rng.uniformInt(geometry_.rowsPerBank))});
-    cluster.cols = ColSet::of({static_cast<uint16_t>(
-        rng.uniformInt(geometry_.colBlocksPerRow))});
+    cluster.rows.assignOne(static_cast<uint32_t>(
+        rng.uniformInt(geometry_.rowsPerBank)));
+    cluster.cols.assignOne(static_cast<uint16_t>(
+        rng.uniformInt(geometry_.colBlocksPerRow)));
     const unsigned bit = static_cast<unsigned>(rng.uniformInt(32));
     if (rng.bernoulli(params_.wordFaultProb)) {
         // Word fault: a handful of adjacent bits in the same slice.
@@ -176,50 +187,52 @@ FaultGeometrySampler::sampleSingleBit(Rng &rng) const
     } else {
         cluster.bitMask = 1u << bit;
     }
-    return singleCluster(std::move(cluster));
 }
 
-FaultRegion
-FaultGeometrySampler::sampleSingleRow(Rng &rng) const
+void
+FaultGeometrySampler::sampleSingleRow(FaultRegion &region, Rng &rng) const
 {
-    RegionCluster cluster;
+    RegionCluster &cluster = region.reuseClusters(1)[0];
     cluster.bankMask = 1u << rng.uniformInt(geometry_.banksPerDevice);
-    cluster.rows = RowSet::of({static_cast<uint32_t>(
-        rng.uniformInt(geometry_.rowsPerBank))});
-    cluster.cols = ColSet::allCols();
+    cluster.rows.assignOne(static_cast<uint32_t>(
+        rng.uniformInt(geometry_.rowsPerBank)));
+    cluster.cols.assignAll();
     cluster.bitMask = 0xffffffffu;
-    return singleCluster(std::move(cluster));
 }
 
-FaultRegion
-FaultGeometrySampler::sampleSingleColumn(Rng &rng) const
+void
+FaultGeometrySampler::sampleSingleColumn(FaultRegion &region,
+                                         Rng &rng) const
 {
     // One bitline within one subarray: a single bit lane of a single
     // column block goes bad in some of the subarray's rows.
-    RegionCluster cluster;
+    RegionCluster &cluster = region.reuseClusters(1)[0];
     cluster.bankMask = 1u << rng.uniformInt(geometry_.banksPerDevice);
     const uint32_t subarrays = geometry_.rowsPerBank / params_.subarrayRows;
     const uint32_t base = static_cast<uint32_t>(
         rng.uniformInt(subarrays)) * params_.subarrayRows;
     const unsigned count = std::min<unsigned>(
         geometricCount(columnRows_, rng), params_.subarrayRows);
-    cluster.rows = randomRows(count, base, params_.subarrayRows, rng);
-    cluster.cols = ColSet::of({static_cast<uint16_t>(
-        rng.uniformInt(geometry_.colBlocksPerRow))});
+    cluster.rows.all = false;
+    // Room for the cap (a whole subarray) at once, as for medium bank
+    // extents: the geometric count's tail reaches it now and then.
+    reserveReused(cluster.rows.rows, params_.subarrayRows);
+    randomRows(count, base, params_.subarrayRows, rng, cluster.rows.rows);
+    cluster.cols.assignOne(static_cast<uint16_t>(
+        rng.uniformInt(geometry_.colBlocksPerRow)));
     cluster.bitMask = 1u << rng.uniformInt(32);
-    return singleCluster(std::move(cluster));
 }
 
-FaultRegion
-FaultGeometrySampler::sampleSingleBank(Rng &rng) const
+void
+FaultGeometrySampler::sampleSingleBank(FaultRegion &region, Rng &rng) const
 {
     const auto bank = static_cast<unsigned>(
         rng.uniformInt(geometry_.banksPerDevice));
-    return singleCluster(bankExtent(bank, rng));
+    bankExtent(region.reuseClusters(1)[0], bank, rng);
 }
 
-FaultRegion
-FaultGeometrySampler::sampleMultiBank(Rng &rng) const
+void
+FaultGeometrySampler::sampleMultiBank(FaultRegion &region, Rng &rng) const
 {
     const unsigned max_banks =
         std::min(params_.multiBankMax, geometry_.banksPerDevice);
@@ -227,76 +240,83 @@ FaultGeometrySampler::sampleMultiBank(Rng &rng) const
         params_.multiBankMin, max_banks));
 
     // Choose distinct banks.
-    std::vector<unsigned> banks(geometry_.banksPerDevice);
-    for (unsigned i = 0; i < banks.size(); ++i)
+    unsigned banks[kMaxBanks];
+    const size_t bank_total = geometry_.banksPerDevice;
+    for (unsigned i = 0; i < bank_total; ++i)
         banks[i] = i;
-    std::vector<RegionCluster> clusters;
-    clusters.reserve(bank_count);
+    const std::span<RegionCluster> clusters =
+        region.reuseClusters(bank_count);
     for (unsigned i = 0; i < bank_count; ++i) {
         const auto j = i + static_cast<unsigned>(
-            rng.uniformInt(banks.size() - i));
+            rng.uniformInt(bank_total - i));
         std::swap(banks[i], banks[j]);
-        RegionCluster cluster;
+        RegionCluster &cluster = clusters[i];
         if (rng.bernoulli(params_.multiBankMassiveProb)) {
             cluster.bankMask = 1u << banks[i];
-            cluster.rows = RowSet::allRows();
-            cluster.cols = ColSet::allCols();
+            cluster.rows.assignAll();
+            cluster.cols.assignAll();
             cluster.bitMask = 0xffffffffu;
         } else {
-            cluster = bankExtent(banks[i], rng);
+            bankExtent(cluster, banks[i], rng);
         }
-        clusters.push_back(std::move(cluster));
     }
-    return FaultRegion(std::move(clusters));
 }
 
-FaultRegion
-FaultGeometrySampler::sampleMultiRank(Rng &rng) const
+void
+FaultGeometrySampler::sampleMultiRank(FaultRegion &region, Rng &rng) const
 {
     if (rng.bernoulli(params_.multiRankMassiveProb)) {
         // Data-pin / shared-I/O fault: one bit lane of every access.
-        RegionCluster cluster;
+        RegionCluster &cluster = region.reuseClusters(1)[0];
         cluster.bankMask = static_cast<uint32_t>(
             maskBits(geometry_.banksPerDevice));
-        cluster.rows = RowSet::allRows();
-        cluster.cols = ColSet::allCols();
+        cluster.rows.assignAll();
+        cluster.cols.assignAll();
         cluster.bitMask = 1u << rng.uniformInt(32);
-        return singleCluster(std::move(cluster));
+        return;
     }
     // Control glitch: a few rows in each bank.
-    std::vector<RegionCluster> clusters;
-    clusters.reserve(geometry_.banksPerDevice);
+    const std::span<RegionCluster> clusters =
+        region.reuseClusters(geometry_.banksPerDevice);
     for (unsigned bank = 0; bank < geometry_.banksPerDevice; ++bank) {
-        RegionCluster cluster;
+        RegionCluster &cluster = clusters[bank];
         cluster.bankMask = 1u << bank;
         const unsigned count =
             geometricCount(multiRankRows_, rng);
-        cluster.rows = randomRows(count, 0, geometry_.rowsPerBank, rng);
-        cluster.cols = ColSet::allCols();
+        cluster.rows.all = false;
+        randomRows(count, 0, geometry_.rowsPerBank, rng, cluster.rows.rows);
+        cluster.cols.assignAll();
         cluster.bitMask = 0xffffffffu;
-        clusters.push_back(std::move(cluster));
     }
-    return FaultRegion(std::move(clusters));
 }
 
 FaultRegion
 FaultGeometrySampler::sample(FaultMode mode, Rng &rng) const
 {
+    FaultRegion region;
+    sampleInto(region, mode, rng);
+    return region;
+}
+
+void
+FaultGeometrySampler::sampleInto(FaultRegion &region, FaultMode mode,
+                                 Rng &rng) const
+{
     switch (mode) {
       case FaultMode::SingleBit:
-        return sampleSingleBit(rng);
+        return sampleSingleBit(region, rng);
       case FaultMode::SingleRow:
-        return sampleSingleRow(rng);
+        return sampleSingleRow(region, rng);
       case FaultMode::SingleColumn:
-        return sampleSingleColumn(rng);
+        return sampleSingleColumn(region, rng);
       case FaultMode::SingleBank:
-        return sampleSingleBank(rng);
+        return sampleSingleBank(region, rng);
       case FaultMode::MultiBank:
-        return sampleMultiBank(rng);
+        return sampleMultiBank(region, rng);
       case FaultMode::MultiRank:
-        return sampleMultiRank(rng);
+        return sampleMultiRank(region, rng);
     }
-    return FaultRegion();
+    region.reuseClusters(0);
 }
 
 } // namespace relaxfault

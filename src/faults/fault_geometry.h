@@ -15,6 +15,8 @@
 #ifndef RELAXFAULT_FAULTS_FAULT_GEOMETRY_H
 #define RELAXFAULT_FAULTS_FAULT_GEOMETRY_H
 
+#include <vector>
+
 #include "common/rng.h"
 #include "dram/geometry.h"
 #include "faults/fault.h"
@@ -71,6 +73,13 @@ class FaultGeometrySampler
     /** Sample the region a fault of @p mode disables. */
     FaultRegion sample(FaultMode mode, Rng &rng) const;
 
+    /**
+     * sample into a reused @p region: the same draws, every cluster
+     * overwritten, and the region's parked clusters and buffers reused
+     * (FaultRegion::reuseClusters), so a warm region allocates nothing.
+     */
+    void sampleInto(FaultRegion &region, FaultMode mode, Rng &rng) const;
+
     const FaultGeometryParams &params() const { return params_; }
 
     /** @p count distinct rows, uniform within [base, base+span): a
@@ -78,6 +87,10 @@ class FaultGeometrySampler
      * of rows already chosen; sorted without a sort (see DESIGN §17). */
     static RowSet randomRows(unsigned count, uint32_t base, uint32_t span,
                              Rng &rng);
+    /** randomRows into @p rows, reusing its buffer (grown with
+     * reserveReused, so refills settle fast). */
+    static void randomRows(unsigned count, uint32_t base, uint32_t span,
+                           Rng &rng, std::vector<uint32_t> &rows);
 
   private:
     /**
@@ -95,14 +108,15 @@ class FaultGeometrySampler
     /** Geometric count with the given mean, >= 1. */
     static unsigned geometricCount(const GeometricCount &count, Rng &rng);
 
-    RegionCluster bankExtent(unsigned bank, Rng &rng) const;
+    /** Overwrite @p cluster with one bank-fault extent in @p bank. */
+    void bankExtent(RegionCluster &cluster, unsigned bank, Rng &rng) const;
 
-    FaultRegion sampleSingleBit(Rng &rng) const;
-    FaultRegion sampleSingleRow(Rng &rng) const;
-    FaultRegion sampleSingleColumn(Rng &rng) const;
-    FaultRegion sampleSingleBank(Rng &rng) const;
-    FaultRegion sampleMultiBank(Rng &rng) const;
-    FaultRegion sampleMultiRank(Rng &rng) const;
+    void sampleSingleBit(FaultRegion &region, Rng &rng) const;
+    void sampleSingleRow(FaultRegion &region, Rng &rng) const;
+    void sampleSingleColumn(FaultRegion &region, Rng &rng) const;
+    void sampleSingleBank(FaultRegion &region, Rng &rng) const;
+    void sampleMultiBank(FaultRegion &region, Rng &rng) const;
+    void sampleMultiRank(FaultRegion &region, Rng &rng) const;
 
     DramGeometry geometry_;
     FaultGeometryParams params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/log.h"
 
@@ -39,6 +40,51 @@ NodeSample::permanentCount() const
     return static_cast<unsigned>(
         std::count_if(faults.begin(), faults.end(),
                       [](const FaultRecord &f) { return f.permanent(); }));
+}
+
+FaultRecordPool &
+FaultRecordPool::operator=(FaultRecordPool &&other) noexcept
+{
+    ring_ = std::move(other.ring_);
+    other.ring_.clear();
+    head_ = std::exchange(other.head_, 0);
+    count_ = std::exchange(other.count_, 0);
+    return *this;
+}
+
+void
+FaultRecordPool::park(FaultRecord &&record)
+{
+    if (count_ == ring_.size()) {
+        // Double the ring, unwrapping the waiting run to the front.
+        std::vector<FaultRecord> ring(std::max<size_t>(4, 2 * count_));
+        for (size_t i = 0; i < count_; ++i)
+            ring[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+        ring_ = std::move(ring);
+        head_ = 0;
+    }
+    ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(record);
+    ++count_;
+}
+
+FaultRecord &
+FaultRecordPool::revive(std::vector<FaultRecord> &live)
+{
+    if (count_ == 0)
+        return live.emplace_back();
+    live.push_back(std::move(ring_[head_]));
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    return live.back();
+}
+
+void
+NodeSample::clearFaults()
+{
+    for (FaultRecord &fault : faults)
+        spareFaults_[static_cast<unsigned>(fault.mode)].park(
+            std::move(fault));
+    faults.clear();
 }
 
 void
@@ -117,14 +163,16 @@ NodeFaultSampler::pickProcess(Rng &rng, FaultMode &mode,
     mode = static_cast<FaultMode>(index % kFaultModeCount);
 }
 
-FaultRecord
-NodeFaultSampler::makeFault(unsigned dimm, FaultMode mode,
-                            Persistence persistence, Rng &rng) const
+void
+NodeFaultSampler::makeFault(FaultRecord &fault, unsigned dimm,
+                            FaultMode mode, Persistence persistence,
+                            Rng &rng) const
 {
-    FaultRecord fault;
     fault.mode = mode;
     fault.persistence = persistence;
     fault.timeHours = rng.uniform() * config_.missionHours;
+    fault.hardPermanent = true;
+    fault.activationRatePerHour = 0.0;
 
     if (persistence == Persistence::Permanent) {
         fault.hardPermanent = rng.bernoulli(config_.hardPermanentFraction);
@@ -141,33 +189,31 @@ NodeFaultSampler::makeFault(unsigned dimm, FaultMode mode,
 
     const auto device = static_cast<unsigned>(
         rng.uniformInt(config_.geometry.devicesPerRank()));
-    DevicePart part;
+    // Shared-circuitry fault: mirror the region onto the partner rank
+    // of the same channel (same device position).
+    const bool mirrored = mode == FaultMode::MultiRank &&
+                          config_.geometry.ranksPerChannel > 1;
+    fault.parts.resize(mirrored ? 2 : 1);
+    DevicePart &part = fault.parts[0];
     part.dimm = dimm;
     part.device = device;
-    part.region = geometrySampler_.sample(mode, rng);
-
-    if (mode == FaultMode::MultiRank &&
-        config_.geometry.ranksPerChannel > 1) {
-        // Shared-circuitry fault: mirror the region onto the partner rank
-        // of the same channel (same device position).
-        DevicePart partner = part;
+    geometrySampler_.sampleInto(part.region, mode, rng);
+    if (mirrored) {
+        DevicePart &partner = fault.parts[1];
         partner.dimm = dimm ^ 1;
-        fault.parts.reserve(2);
-        fault.parts.push_back(std::move(part));
-        fault.parts.push_back(std::move(partner));
-    } else {
-        fault.parts.push_back(std::move(part));
+        partner.device = device;
+        partner.region = part.region;
     }
-    return fault;
 }
 
-FaultRecord
-NodeFaultSampler::sampleFaultAt(unsigned dimm, Rng &rng) const
+void
+NodeFaultSampler::sampleFaultInto(NodeSample &sample, unsigned dimm,
+                                  Rng &rng) const
 {
     FaultMode mode;
     Persistence persistence;
     pickProcess(rng, mode, persistence);
-    return makeFault(dimm, mode, persistence, rng);
+    makeFault(sample.addFault(mode), dimm, mode, persistence, rng);
 }
 
 NodeSample
@@ -183,7 +229,7 @@ NodeFaultSampler::sampleNodeInto(NodeSample &sample, Rng &rng) const
 {
     sample.acceleratedNode = false;  // sampleAcceleration may not set it
     sampleAcceleration(sample, rng);
-    sample.faults.clear();
+    sample.clearFaults();
 
     const unsigned dimms = config_.geometry.dimmsPerNode();
     for (unsigned dimm = 0; dimm < dimms; ++dimm) {
@@ -191,7 +237,7 @@ NodeFaultSampler::sampleNodeInto(NodeSample &sample, Rng &rng) const
             dimmMean(sample.acceleratedNode, sample.acceleratedDimm[dimm]);
         const uint64_t count = rng.poisson(mean);
         for (uint64_t i = 0; i < count; ++i)
-            sample.faults.push_back(sampleFaultAt(dimm, rng));
+            sampleFaultInto(sample, dimm, rng);
     }
     sample.sortByArrival();
 }
@@ -225,13 +271,12 @@ NodeFaultSampler::sampleNodeExact(Rng &rng) const
                     const double mean = fit * factor * hours_factor;
                     const uint64_t count = rng.poisson(mean);
                     for (uint64_t i = 0; i < count; ++i) {
-                        FaultRecord fault =
-                            makeFault(dimm, mode, persistence, rng);
+                        FaultRecord &fault = sample.addFault(mode);
+                        makeFault(fault, dimm, mode, persistence, rng);
                         // makeFault picks a device uniformly; this path
                         // attributes the fault to the sampled device.
                         for (auto &fault_part : fault.parts)
                             fault_part.device = device;
-                        sample.faults.push_back(std::move(fault));
                     }
                 }
             }

@@ -23,6 +23,7 @@
 #ifndef RELAXFAULT_FAULTS_FAULT_MODEL_H
 #define RELAXFAULT_FAULTS_FAULT_MODEL_H
 
+#include <array>
 #include <vector>
 
 #include "common/rng.h"
@@ -77,7 +78,48 @@ struct FaultModelConfig
     double adjustmentFactor() const;
 };
 
-/** All faults a node experiences over one simulated mission. */
+/**
+ * Retired fault records of one mode, kept with their buffers for reuse.
+ * The pool is first in, first out: each record is put to use in turn,
+ * so all of their buffers grow to what the mode's faults need, not just
+ * the most recently used few. A pool is not part of its owner's value:
+ * copying an owner leaves the copy's pool empty.
+ */
+class FaultRecordPool
+{
+  public:
+    FaultRecordPool() = default;
+    FaultRecordPool(const FaultRecordPool &) {}
+    FaultRecordPool &operator=(const FaultRecordPool &) { return *this; }
+    FaultRecordPool(FaultRecordPool &&other) noexcept
+    {
+        *this = std::move(other);
+    }
+    FaultRecordPool &operator=(FaultRecordPool &&other) noexcept;
+
+    void park(FaultRecord &&record);
+    /** Append the record parked longest ago to @p live (a new one when
+     * the pool is empty); its value is stale. */
+    FaultRecord &revive(std::vector<FaultRecord> &live);
+
+  private:
+    /// count_ parked records from head_ on, circularly (the size is a
+    /// power of two); the other slots hold emptied husks.
+    std::vector<FaultRecord> ring_;
+    size_t head_ = 0;
+    size_t count_ = 0;
+};
+
+/**
+ * All faults a node experiences over one simulated mission.
+ *
+ * A sample reused from node to node keeps the records it retires, with
+ * their part, cluster, row and column buffers, in spare pools, one per
+ * fault mode: clearFaults parks them and addFault revives one of the
+ * mode about to be drawn. A revived record was last filled with a fault
+ * of the same shape (one part or two; one cluster or a bank's worth),
+ * so a warm sample draws a node without touching the heap.
+ */
 struct NodeSample
 {
     bool acceleratedNode = false;
@@ -88,6 +130,19 @@ struct NodeSample
     unsigned permanentCount() const;
     /** Order the faults by arrival time (every sampler's last step). */
     void sortByArrival();
+
+    /** Retire every fault into its mode's spare pool. */
+    void clearFaults();
+    /** Append a record for a fault of @p mode, revived from that mode's
+     * pool when it has one: its value is stale until a sampler
+     * overwrites it. */
+    FaultRecord &addFault(FaultMode mode)
+    {
+        return spareFaults_[static_cast<unsigned>(mode)].revive(faults);
+    }
+
+  private:
+    std::array<FaultRecordPool, kFaultModeCount> spareFaults_;
 };
 
 /** Samples the fault history of nodes under a FaultModelConfig. */
@@ -119,14 +174,16 @@ class NodeFaultSampler
     }
 
     /**
-     * Attribute one fault that has already been assigned to @p dimm:
-     * draws (mode, persistence) from the rate table and the fault's
-     * time/device/region attributes. This is `sampleNode`'s inner
-     * per-fault step; the fleet engine's skip-ahead sampler calls it
-     * after drawing one aggregate arrival count, so both paths consume
-     * identical per-fault draws.
+     * Attribute one fault that has already been assigned to @p dimm and
+     * append it to @p sample: draws (mode, persistence) from the rate
+     * table, then fills a record of that mode from the sample's pool
+     * (NodeSample::addFault) with the fault's time/device/region
+     * attributes. This is `sampleNodeInto`'s inner per-fault step; the
+     * fleet engine's skip-ahead sampler calls it after drawing one
+     * aggregate arrival count, so both paths consume identical
+     * per-fault draws.
      */
-    FaultRecord sampleFaultAt(unsigned dimm, Rng &rng) const;
+    void sampleFaultInto(NodeSample &sample, unsigned dimm, Rng &rng) const;
 
     /** Sum of all (mode x persistence) process rates, in FIT. */
     double perDeviceFitTotal() const { return perDeviceFitTotal_; }
@@ -138,9 +195,10 @@ class NodeFaultSampler
     /** Draw acceleration flags into @p sample. */
     void sampleAcceleration(NodeSample &sample, Rng &rng) const;
 
-    /** Attribute one fault: mode, persistence, region(s), time. */
-    FaultRecord makeFault(unsigned dimm, FaultMode mode,
-                          Persistence persistence, Rng &rng) const;
+    /** Attribute one fault into @p fault, overwriting every field and
+     * reusing its buffers: mode, persistence, region(s), time. */
+    void makeFault(FaultRecord &fault, unsigned dimm, FaultMode mode,
+                   Persistence persistence, Rng &rng) const;
 
     /** Pick (mode, persistence) proportionally to the rate table. */
     void pickProcess(Rng &rng, FaultMode &mode,

@@ -105,6 +105,92 @@ FaultRegion::FaultRegion(std::vector<RegionCluster> clusters)
 {
 }
 
+namespace {
+
+/** Copy @p src over @p dst, keeping (and growing with reserveReused)
+ * dst's buffer. */
+template <typename T>
+void
+assignReused(std::vector<T> &dst, const std::vector<T> &src)
+{
+    reserveReused(dst, src.size());
+    dst.assign(src.begin(), src.end());
+}
+
+void
+assignReused(RowSet &dst, const RowSet &src)
+{
+    dst.all = src.all;
+    assignReused(dst.rows, src.rows);
+}
+
+void
+assignReused(ColSet &dst, const ColSet &src)
+{
+    dst.all = src.all;
+    assignReused(dst.cols, src.cols);
+}
+
+void
+assignReused(RegionCluster &dst, const RegionCluster &src)
+{
+    dst.bankMask = src.bankMask;
+    assignReused(dst.rows, src.rows);
+    assignReused(dst.cols, src.cols);
+    dst.bitMask = src.bitMask;
+}
+
+} // namespace
+
+FaultRegion &
+FaultRegion::operator=(const FaultRegion &other)
+{
+    if (this == &other)
+        return *this;
+    const std::span<RegionCluster> clusters =
+        reuseClusters(other.clusters_.size());
+    for (size_t i = 0; i < clusters.size(); ++i)
+        assignReused(clusters[i], other.clusters_[i]);
+    return *this;
+}
+
+void
+FaultRegion::append(const FaultRegion &other)
+{
+    for (const RegionCluster &cluster : other.clusters_)
+        assignReused(addCluster(), cluster);
+}
+
+std::span<RegionCluster>
+FaultRegion::reuseClusters(size_t count)
+{
+    while (clusters_.size() > count)
+        popCluster();
+    while (clusters_.size() < count)
+        addCluster();
+    return clusters_;
+}
+
+RegionCluster &
+FaultRegion::addCluster()
+{
+    if (parked_.empty())
+        return clusters_.emplace_back();
+    clusters_.push_back(std::move(parked_.back()));
+    parked_.pop_back();
+    return clusters_.back();
+}
+
+void
+FaultRegion::popCluster()
+{
+    // Room for every cluster the region owns, so parking never grows
+    // the stack once the region has stopped gaining clusters.
+    parked_.reserve(clusters_.size() + parked_.size());
+    parked_.push_back(std::move(clusters_.back()));
+    clusters_.pop_back();
+}
+
 bool
 FaultRegion::massive() const
 {
@@ -209,32 +295,40 @@ FaultRegion::bankCount() const
 
 namespace {
 
-/** Intersection of two row sets as a new RowSet. */
-RowSet
-intersectRowSets(const RowSet &a, const RowSet &b)
+/** Intersection of two row sets into @p out, reusing its buffer. */
+void
+intersectRowSets(const RowSet &a, const RowSet &b, RowSet &out)
 {
-    if (a.all)
-        return b;
-    if (b.all)
-        return a;
-    std::vector<uint32_t> rows;
-    std::set_intersection(a.rows.begin(), a.rows.end(), b.rows.begin(),
-                          b.rows.end(), std::back_inserter(rows));
-    return RowSet{false, std::move(rows)};
+    if (a.all) {
+        assignReused(out, b);
+    } else if (b.all) {
+        assignReused(out, a);
+    } else {
+        out.all = false;
+        out.rows.clear();
+        reserveReused(out.rows, std::min(a.rows.size(), b.rows.size()));
+        std::set_intersection(a.rows.begin(), a.rows.end(),
+                              b.rows.begin(), b.rows.end(),
+                              std::back_inserter(out.rows));
+    }
 }
 
-/** Intersection of two column sets as a new ColSet. */
-ColSet
-intersectColSets(const ColSet &a, const ColSet &b)
+/** Intersection of two column sets into @p out, reusing its buffer. */
+void
+intersectColSets(const ColSet &a, const ColSet &b, ColSet &out)
 {
-    if (a.all)
-        return b;
-    if (b.all)
-        return a;
-    std::vector<uint16_t> cols;
-    std::set_intersection(a.cols.begin(), a.cols.end(), b.cols.begin(),
-                          b.cols.end(), std::back_inserter(cols));
-    return ColSet{false, std::move(cols)};
+    if (a.all) {
+        assignReused(out, b);
+    } else if (b.all) {
+        assignReused(out, a);
+    } else {
+        out.all = false;
+        out.cols.clear();
+        reserveReused(out.cols, std::min(a.cols.size(), b.cols.size()));
+        std::set_intersection(a.cols.begin(), a.cols.end(),
+                              b.cols.begin(), b.cols.end(),
+                              std::back_inserter(out.cols));
+    }
 }
 
 /** Expand each covered ECC symbol (byte lane) of @p mask to 0xff. */
@@ -262,28 +356,40 @@ FaultRegion::codewordIntersect(const FaultRegion &a, const FaultRegion &b,
                                const DramGeometry &geometry)
 {
     (void)geometry;
-    std::vector<RegionCluster> clusters;
+    FaultRegion out;
+    codewordIntersectInto(a, b, out);
+    return out;
+}
+
+void
+FaultRegion::codewordIntersectInto(const FaultRegion &a,
+                                   const FaultRegion &b, FaultRegion &out)
+{
+    out.reuseClusters(0);
     for (const auto &ca : a.clusters_) {
         for (const auto &cb : b.clusters_) {
             const uint32_t shared =
                 symbolExpand(ca.bitMask) & symbolExpand(cb.bitMask);
             if (shared == 0)
                 continue;
-            RegionCluster cluster;
-            cluster.bankMask = ca.bankMask & cb.bankMask;
-            if (cluster.bankMask == 0)
+            const uint32_t bank_mask = ca.bankMask & cb.bankMask;
+            if (bank_mask == 0)
                 continue;
-            cluster.rows = intersectRowSets(ca.rows, cb.rows);
-            if (!cluster.rows.all && cluster.rows.rows.empty())
+            RegionCluster &cluster = out.addCluster();
+            intersectRowSets(ca.rows, cb.rows, cluster.rows);
+            if (!cluster.rows.all && cluster.rows.rows.empty()) {
+                out.popCluster();
                 continue;
-            cluster.cols = intersectColSets(ca.cols, cb.cols);
-            if (!cluster.cols.all && cluster.cols.cols.empty())
+            }
+            intersectColSets(ca.cols, cb.cols, cluster.cols);
+            if (!cluster.cols.all && cluster.cols.cols.empty()) {
+                out.popCluster();
                 continue;
+            }
+            cluster.bankMask = bank_mask;
             cluster.bitMask = shared;
-            clusters.push_back(std::move(cluster));
         }
     }
-    return FaultRegion(std::move(clusters));
 }
 
 uint64_t

@@ -14,8 +14,11 @@
 #ifndef RELAXFAULT_FAULTS_REGION_H
 #define RELAXFAULT_FAULTS_REGION_H
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -23,6 +26,21 @@
 #include "dram/geometry.h"
 
 namespace relaxfault {
+
+/**
+ * Make room for @p count elements in a buffer that is refilled over and
+ * over. Growth rounds up to a power of two, and to no less than 64
+ * elements, past the tails of the few-row draws (a control glitch's
+ * geometric row count exceeds 64 with probability ~1e-8), so a reused
+ * buffer soon stops growing.
+ */
+template <typename T>
+void
+reserveReused(std::vector<T> &buffer, size_t count)
+{
+    if (buffer.capacity() < count)
+        buffer.reserve(std::max<size_t>(64, std::bit_ceil(count)));
+}
 
 /** Set of row indices: either every row of a bank or an explicit list. */
 struct RowSet
@@ -32,6 +50,19 @@ struct RowSet
 
     static RowSet allRows() { return RowSet{true, {}}; }
     static RowSet of(std::vector<uint32_t> list);
+
+    /** Become every row, keeping the list's buffer. */
+    void assignAll()
+    {
+        all = true;
+        rows.clear();
+    }
+    /** Become the one row @p row, keeping the list's buffer. */
+    void assignOne(uint32_t row)
+    {
+        all = false;
+        rows.assign(1, row);
+    }
 
     uint64_t count(const DramGeometry &geometry) const;
     bool contains(uint32_t row) const;
@@ -50,6 +81,19 @@ struct ColSet
 
     static ColSet allCols() { return ColSet{true, {}}; }
     static ColSet of(std::vector<uint16_t> list);
+
+    /** Same as RowSet::assignAll. */
+    void assignAll()
+    {
+        all = true;
+        cols.clear();
+    }
+    /** Same as RowSet::assignOne. */
+    void assignOne(uint16_t col)
+    {
+        all = false;
+        cols.assign(1, col);
+    }
 
     uint64_t count(const DramGeometry &geometry) const;
     bool contains(uint16_t col) const;
@@ -77,8 +121,32 @@ class FaultRegion
     FaultRegion() = default;
     explicit FaultRegion(std::vector<RegionCluster> clusters);
 
+    /** Copies @p other's clusters only: parked ones stay behind. */
+    FaultRegion(const FaultRegion &other) : clusters_(other.clusters_) {}
+    FaultRegion(FaultRegion &&) noexcept = default;
+    /** Copies @p other's clusters over this region's own, parking or
+     * reviving clusters to match its count (no buffer is freed). */
+    FaultRegion &operator=(const FaultRegion &other);
+    FaultRegion &operator=(FaultRegion &&) noexcept = default;
+
     const std::vector<RegionCluster> &clusters() const { return clusters_; }
     bool empty() const { return clusters_.empty(); }
+
+    /**
+     * In-place building, for a region that is refilled over and over.
+     * reuseClusters resizes the region to @p count clusters and returns
+     * them; addCluster appends one; popCluster drops the last. Dropped
+     * clusters are parked with their row and column buffers, and the
+     * clusters handed out are revived from the parked ones first, each
+     * back at the position it left, so a warm region allocates nothing.
+     * A handed-out cluster's value is stale: the caller overwrites every
+     * field.
+     */
+    std::span<RegionCluster> reuseClusters(size_t count);
+    RegionCluster &addCluster();
+    void popCluster();
+    /** Append copies of @p other's clusters, reusing parked ones. */
+    void append(const FaultRegion &other);
 
     /**
      * True if any cluster spans every row of a bank ("massive": bank-scale
@@ -171,6 +239,11 @@ class FaultRegion
     static FaultRegion codewordIntersect(const FaultRegion &a,
                                          const FaultRegion &b,
                                          const DramGeometry &geometry);
+    /** codewordIntersect into a reused @p out (which must be neither
+     * @p a nor @p b), building it in place. */
+    static void codewordIntersectInto(const FaultRegion &a,
+                                      const FaultRegion &b,
+                                      FaultRegion &out);
 
     /** True if two slice masks err in at least one common ECC symbol. */
     static bool sharesSymbol(uint32_t mask_a, uint32_t mask_b);
@@ -183,6 +256,9 @@ class FaultRegion
 
   private:
     std::vector<RegionCluster> clusters_;
+    /// Parked clusters, a stack: the next one to revive is last. They
+    /// are not part of the region's value (copies, comparisons).
+    std::vector<RegionCluster> parked_;
 };
 
 namespace detail {

@@ -92,7 +92,7 @@ FleetNodeSampler::sampleNodeInto(NodeSample &sample, Rng &rng) const
     sample.acceleratedDimm.assign(dimms_, false);
     for (unsigned d = 0; d < dimms_; ++d)
         sample.acceleratedDimm[d] = ((cls >> (1 + d)) & 1) != 0;
-    sample.faults.clear();
+    sample.clearFaults();
 
     // Draw 2: ONE aggregate arrival count over the whole node
     // (superposition of the per-DIMM Poisson processes). Zero — the
@@ -112,13 +112,12 @@ FleetNodeSampler::sampleNodeInto(NodeSample &sample, Rng &rng) const
                                       sample.acceleratedDimm[d]);
         dimm_cdf[d] = weight_sum;
     }
-    sample.faults.reserve(total);
     for (uint64_t i = 0; i < total; ++i) {
         const double u = rng.uniform() * weight_sum;
         unsigned dimm = 0;
         while (dimm + 1 < dimms_ && u >= dimm_cdf[dimm])
             ++dimm;
-        sample.faults.push_back(inner_.sampleFaultAt(dimm, rng));
+        inner_.sampleFaultInto(sample, dimm, rng);
     }
     sample.sortByArrival();
     return static_cast<unsigned>(total);

@@ -70,11 +70,12 @@ class FleetNodeSampler
     explicit FleetNodeSampler(const FaultModelConfig &config);
 
     /**
-     * Sample one node's mission into @p sample (reused buffers are
-     * fine: the method assigns/clears them). Returns the arrival
-     * count; 0 means the node can be skipped entirely — @p sample's
-     * fault list is empty and @p rng has consumed exactly the class
-     * and count draws.
+     * Sample one node's mission into @p sample, reusing its pooled
+     * records (each arrival is filled by
+     * `NodeFaultSampler::sampleFaultInto`). Returns the arrival count;
+     * 0 means the node can be skipped entirely — @p sample's fault list
+     * is empty and @p rng has consumed exactly the class and count
+     * draws.
      */
     unsigned sampleNodeInto(NodeSample &sample, Rng &rng) const;
 

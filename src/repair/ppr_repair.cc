@@ -75,7 +75,8 @@ PprRepair::tryRepair(const FaultRecord &fault)
                 for (const auto row : cluster.rows.rows) {
                     const uint64_t rkey =
                         rowKey(part.dimm, part.device, bank, row);
-                    if (!repairedRows_.count(rkey))
+                    if (!std::binary_search(repairedRows_.begin(),
+                                            repairedRows_.end(), rkey))
                         pending_.emplace_back(gkey, rkey);
                 }
             }
@@ -90,15 +91,21 @@ PprRepair::tryRepair(const FaultRecord &fault)
         last = first + 1;
         while (last < pending_.size() && pending_[last].first == gkey)
             ++last;
-        const auto it = groupUse_.find(gkey);
-        const unsigned used = it == groupUse_.end() ? 0 : it->second;
+        const auto it = groupUse(gkey);
+        const unsigned used =
+            it == groupUse_.end() || it->first != gkey ? 0 : it->second;
         if (used + (last - first) > sparesPerGroup_)
             return false;
     }
 
     for (const auto &[gkey, rkey] : pending_) {
-        repairedRows_.insert(rkey);
-        ++groupUse_[gkey];
+        repairedRows_.insert(std::lower_bound(repairedRows_.begin(),
+                                              repairedRows_.end(), rkey),
+                             rkey);
+        auto it = groupUse(gkey);
+        if (it == groupUse_.end() || it->first != gkey)
+            it = groupUse_.insert(it, {gkey, 0});
+        ++it->second;
         ++sparesUsed_;
     }
     return true;
@@ -116,7 +123,16 @@ bool
 PprRepair::rowRepaired(unsigned dimm, unsigned device, unsigned bank,
                        uint32_t row) const
 {
-    return repairedRows_.count(rowKey(dimm, device, bank, row)) != 0;
+    return std::binary_search(repairedRows_.begin(), repairedRows_.end(),
+                              rowKey(dimm, device, bank, row));
+}
+
+std::vector<std::pair<uint64_t, unsigned>>::iterator
+PprRepair::groupUse(uint64_t gkey)
+{
+    return std::lower_bound(
+        groupUse_.begin(), groupUse_.end(), gkey,
+        [](const auto &entry, uint64_t key) { return entry.first < key; });
 }
 
 } // namespace relaxfault

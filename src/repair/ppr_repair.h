@@ -12,8 +12,6 @@
 #ifndef RELAXFAULT_REPAIR_PPR_REPAIR_H
 #define RELAXFAULT_REPAIR_PPR_REPAIR_H
 
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -52,13 +50,19 @@ class PprRepair : public RepairMechanism
                     uint32_t row) const;
     uint64_t groupKey(unsigned dimm, unsigned device,
                       unsigned group) const;
+    /** groupUse_'s first entry whose key is not below @p gkey. */
+    std::vector<std::pair<uint64_t, unsigned>>::iterator
+    groupUse(uint64_t gkey);
 
     DramGeometry dram_;
     unsigned bankGroups_;
     unsigned banksPerGroup_;
     unsigned sparesPerGroup_;
-    std::unordered_map<uint64_t, unsigned> groupUse_;
-    std::unordered_set<uint64_t> repairedRows_;
+    /// Spares used per bank group, sorted by groupKey. A node repairs a
+    /// handful of rows, so sorted flat vectors that keep their buffers
+    /// across reset() beat hashing (and allocate nothing per node).
+    std::vector<std::pair<uint64_t, unsigned>> groupUse_;
+    std::vector<uint64_t> repairedRows_;  ///< Sorted rowKeys.
     uint64_t sparesUsed_ = 0;
     /** tryRepair scratch: (groupKey, rowKey) of each row to repair. */
     std::vector<std::pair<uint64_t, uint64_t>> pending_;

@@ -99,6 +99,47 @@ TrialTelemetry::foldAudit(uint64_t checks, uint64_t violations)
     auditViolations_->add(violations);
 }
 
+namespace {
+
+/** A live permanent fault's share of one DIMM, as simulateNode tracks it. */
+struct LivePart
+{
+    unsigned device;
+    const FaultRegion *region;
+    size_t faultIndex;
+};
+
+/**
+ * simulateNode's per-node state, one per thread and reset by size at
+ * each faulty node, so its buffers outlive the node (as randomRows'
+ * row scratch does for sampling).
+ */
+struct NodeScratch
+{
+    std::vector<bool> replacedOnce;              ///< Per DIMM.
+    std::vector<std::vector<LivePart>> active;   ///< Per DIMM.
+    std::vector<uint8_t> covered;                ///< Per fault.
+    std::vector<bool> multiDevCounted;           ///< Per DIMM.
+    std::vector<ActiveFaultPart> others;  ///< One part's classify input.
+    std::vector<unsigned> dueDimms;
+    std::vector<unsigned> faultDimms;
+    std::vector<bool> mechCovered;        ///< The audit's per-fault input.
+
+    void reset(unsigned dimms, size_t faults, uint8_t uncovered)
+    {
+        replacedOnce.assign(dimms, false);
+        active.resize(dimms);
+        for (auto &parts : active)
+            parts.clear();
+        covered.assign(faults, uncovered);
+        multiDevCounted.assign(dimms, false);
+    }
+};
+
+thread_local NodeScratch nodeScratch;
+
+} // namespace
+
 LifetimeSimulator::LifetimeSimulator(const LifetimeConfig &config)
     : config_(config),
       classifier_(config.faultModel.geometry, config.reliability)
@@ -117,13 +158,23 @@ LifetimeSimulator::simulateNode(const NodeSample &node,
     if (node.faults.empty())
         return;
 
-    const unsigned dimms = config_.faultModel.geometry.dimmsPerNode();
+    // How each permanent fault is covered. Retired faults stop being
+    // accessed (like repaired ones) but hold no mechanism lines.
+    constexpr uint8_t kUncovered = 0;
+    constexpr uint8_t kByMechanism = 1;
+    constexpr uint8_t kByRetirement = 2;
 
+    NodeScratch &scratch = nodeScratch;
+    scratch.reset(config_.faultModel.geometry.dimmsPerNode(),
+                  node.faults.size(), kUncovered);
     // A replaced DIMM is a fresh, nominal-quality module: the slot's
     // pre-sampled accelerated fault stream is thinned back to the
     // nominal rate after a replacement (maintenance that replaces a bad
     // module typically also addresses the slot: reseating, cooling).
-    std::vector<bool> replacedOnce(dimms, false);
+    std::vector<bool> &replacedOnce = scratch.replacedOnce;
+    std::vector<std::vector<LivePart>> &active = scratch.active;
+    std::vector<uint8_t> &covered = scratch.covered;
+    std::vector<bool> &multiDevCounted = scratch.multiDevCounted;
     double thin_keep_prob = 1.0;
     if (config_.faultModel.accelerationEnabled) {
         // Relative factors: accelerated stream runs at A/fitScale of the
@@ -132,21 +183,6 @@ LifetimeSimulator::simulateNode(const NodeSample &node,
                          config_.faultModel.fitScale /
                          config_.faultModel.accelerationFactor;
     }
-
-    struct LivePart
-    {
-        unsigned device;
-        const FaultRegion *region;
-        size_t faultIndex;
-    };
-    std::vector<std::vector<LivePart>> active(dimms);
-    // How each permanent fault is covered. Retired faults stop being
-    // accessed (like repaired ones) but hold no mechanism lines.
-    constexpr uint8_t kUncovered = 0;
-    constexpr uint8_t kByMechanism = 1;
-    constexpr uint8_t kByRetirement = 2;
-    std::vector<uint8_t> covered(node.faults.size(), kUncovered);
-    std::vector<bool> multiDevCounted(dimms, false);
 
     bool any_permanent = false;
     bool all_repaired = true;
@@ -185,7 +221,8 @@ LifetimeSimulator::simulateNode(const NodeSample &node,
         if (audit == nullptr || audit->auditor == nullptr ||
             mechanism == nullptr)
             return;
-        std::vector<bool> mech_covered(node.faults.size(), false);
+        std::vector<bool> &mech_covered = scratch.mechCovered;
+        mech_covered.assign(node.faults.size(), false);
         for (const auto &parts : active) {
             for (const auto &part : parts) {
                 if (covered[part.faultIndex] == kByMechanism)
@@ -271,9 +308,11 @@ LifetimeSimulator::simulateNode(const NodeSample &node,
         //    until the repair outcome is known (step 2a).
         bool due = false;
         double sdc_expectation = 0.0;
-        std::vector<unsigned> due_dimms;
+        std::vector<unsigned> &due_dimms = scratch.dueDimms;
+        due_dimms.clear();
         for (const auto &part : fault.parts) {
-            std::vector<ActiveFaultPart> others;
+            std::vector<ActiveFaultPart> &others = scratch.others;
+            others.clear();
             for (const auto &live : active[part.dimm]) {
                 if (covered[live.faultIndex] != kUncovered)
                     continue;
@@ -372,7 +411,8 @@ LifetimeSimulator::simulateNode(const NodeSample &node,
             for (const auto dimm : due_dimms)
                 replaceDimm(dimm);
         } else if (trip_threshold) {
-            std::vector<unsigned> fault_dimms;
+            std::vector<unsigned> &fault_dimms = scratch.faultDimms;
+            fault_dimms.clear();
             for (const auto &part : fault.parts)
                 fault_dimms.push_back(part.dimm);
             std::sort(fault_dimms.begin(), fault_dimms.end());

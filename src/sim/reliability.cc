@@ -1,6 +1,7 @@
 #include "sim/reliability.h"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace relaxfault {
 
@@ -10,37 +11,68 @@ ReliabilityClassifier::ReliabilityClassifier(
 {
 }
 
+namespace {
+
+/** One other device's merged overlap with the new region. */
+struct DeviceOverlap
+{
+    unsigned device = 0;
+    FaultRegion region;
+};
+
+/**
+ * classify's per-thread scratch, rebuilt in place each call
+ * (FaultRegion::codewordIntersectInto). Entries are reused by position,
+ * so each buffer serves the same role from call to call and a warm
+ * classifier allocates nothing.
+ */
+struct ClassifyScratch
+{
+    std::vector<DeviceOverlap> overlaps;  ///< The first `used` are live.
+    FaultRegion overlap;  ///< The current pairwise intersection.
+    FaultRegion triple;   ///< The current triple intersection.
+};
+
+thread_local ClassifyScratch classifyScratch;
+
+} // namespace
+
 ErrorClassification
 ReliabilityClassifier::classify(
     unsigned new_device, const FaultRegion &new_part,
     const std::vector<ActiveFaultPart> &active) const
 {
     ErrorClassification result;
+    ClassifyScratch &scratch = classifyScratch;
 
     // Pairwise: the new region against each other device. Overlaps are
     // merged per device so a device with several faults contributes one
     // combined overlap region to the triple scan.
-    std::vector<std::pair<unsigned, FaultRegion>> pair_overlaps;
+    std::vector<DeviceOverlap> &pair_overlaps = scratch.overlaps;
+    size_t used = 0;
     for (const auto &other : active) {
         if (other.device == new_device)
             continue;
-        FaultRegion overlap = FaultRegion::codewordIntersect(
-            new_part, *other.region, geometry_);
-        if (overlap.lineSliceCount(geometry_) == 0)
+        FaultRegion::codewordIntersectInto(new_part, *other.region,
+                                           scratch.overlap);
+        if (scratch.overlap.lineSliceCount(geometry_) == 0)
             continue;
         result.due = true;
-        auto merged = std::find_if(
-            pair_overlaps.begin(), pair_overlaps.end(),
-            [&](const auto &entry) {
-                return entry.first == other.device;
+        const auto live_end =
+            pair_overlaps.begin() + static_cast<std::ptrdiff_t>(used);
+        const auto merged = std::find_if(
+            pair_overlaps.begin(), live_end,
+            [&](const DeviceOverlap &entry) {
+                return entry.device == other.device;
             });
-        if (merged == pair_overlaps.end()) {
-            pair_overlaps.emplace_back(other.device, std::move(overlap));
+        if (merged == live_end) {
+            if (used == pair_overlaps.size())
+                pair_overlaps.emplace_back();
+            DeviceOverlap &entry = pair_overlaps[used++];
+            entry.device = other.device;
+            entry.region = scratch.overlap;
         } else {
-            auto clusters = merged->second.clusters();
-            for (const auto &cluster : overlap.clusters())
-                clusters.push_back(cluster);
-            merged->second = FaultRegion(std::move(clusters));
+            merged->region.append(scratch.overlap);
         }
     }
 
@@ -51,14 +83,14 @@ ReliabilityClassifier::classify(
 
     // Triples: two distinct other devices sharing a codeword with the
     // new region. Each such configuration may silently miscorrect.
-    for (size_t i = 0; i < pair_overlaps.size(); ++i) {
-        for (size_t j = i + 1; j < pair_overlaps.size(); ++j) {
-            if (pair_overlaps[i].first == pair_overlaps[j].first)
+    for (size_t i = 0; i < used; ++i) {
+        for (size_t j = i + 1; j < used; ++j) {
+            if (pair_overlaps[i].device == pair_overlaps[j].device)
                 continue;
-            const FaultRegion triple = FaultRegion::codewordIntersect(
-                pair_overlaps[i].second, pair_overlaps[j].second,
-                geometry_);
-            if (triple.lineSliceCount(geometry_) > 0)
+            FaultRegion::codewordIntersectInto(pair_overlaps[i].region,
+                                               pair_overlaps[j].region,
+                                               scratch.triple);
+            if (scratch.triple.lineSliceCount(geometry_) > 0)
                 result.sdcExpectation += params_.tripleMiscorrectProb;
         }
     }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -544,7 +546,7 @@ TEST(FaultSampler, SampleNodeIntoOverwritesDirtySample)
         Rng rng(5);
         dirty = sampler.sampleNode(rng);
         while (dirty.faults.size() < 4)
-            dirty.faults.push_back(sampler.sampleFaultAt(0, rng));
+            sampler.sampleFaultInto(dirty, 0, rng);
     }
     for (uint64_t seed = 11; seed < 211; ++seed) {
         dirty.acceleratedNode = true;
@@ -568,6 +570,101 @@ TEST(FaultSampler, SampleNodeIntoOverwritesDirtySample)
         }
         ASSERT_EQ(rng.next(), fresh_rng.next());
     }
+}
+
+/**
+ * Field-by-field equality of a pooled record with a fresh one: a field
+ * the in-place sampler forgot to overwrite would keep an earlier fault's
+ * value (an `all` flag, a row or column list, a cluster, an activation
+ * rate).
+ */
+void
+expectSameRecord(const FaultRecord &reused, const FaultRecord &fresh)
+{
+    EXPECT_EQ(reused.mode, fresh.mode);
+    EXPECT_EQ(reused.persistence, fresh.persistence);
+    EXPECT_EQ(reused.timeHours, fresh.timeHours);
+    EXPECT_EQ(reused.hardPermanent, fresh.hardPermanent);
+    EXPECT_EQ(reused.activationRatePerHour, fresh.activationRatePerHour);
+    ASSERT_EQ(reused.parts.size(), fresh.parts.size());
+    for (size_t p = 0; p < fresh.parts.size(); ++p) {
+        const DevicePart &a = reused.parts[p];
+        const DevicePart &b = fresh.parts[p];
+        EXPECT_EQ(a.dimm, b.dimm);
+        EXPECT_EQ(a.device, b.device);
+        const auto &ca = a.region.clusters();
+        const auto &cb = b.region.clusters();
+        ASSERT_EQ(ca.size(), cb.size()) << "part " << p;
+        for (size_t c = 0; c < cb.size(); ++c) {
+            EXPECT_EQ(ca[c].bankMask, cb[c].bankMask) << "cluster " << c;
+            EXPECT_EQ(ca[c].rows.all, cb[c].rows.all) << "cluster " << c;
+            EXPECT_EQ(ca[c].rows.rows, cb[c].rows.rows) << "cluster " << c;
+            EXPECT_EQ(ca[c].cols.all, cb[c].cols.all) << "cluster " << c;
+            EXPECT_EQ(ca[c].cols.cols, cb[c].cols.cols) << "cluster " << c;
+            EXPECT_EQ(ca[c].bitMask, cb[c].bitMask) << "cluster " << c;
+        }
+    }
+    EXPECT_EQ(reused, fresh);
+}
+
+/**
+ * Walk @p nodes nodes through one reused NodeSample and check each
+ * against a fresh `sampleNode` drawn from a copy of the stream. Returns
+ * the faults seen per mode.
+ */
+std::array<uint64_t, kFaultModeCount>
+expectReuseMatchesFresh(const FaultModelConfig &config, uint64_t seed,
+                        unsigned nodes)
+{
+    const NodeFaultSampler sampler(config);
+    std::array<uint64_t, kFaultModeCount> per_mode{};
+    NodeSample reused;
+    Rng rng(seed);
+    for (unsigned n = 0; n < nodes; ++n) {
+        Rng fresh_rng = rng;
+        sampler.sampleNodeInto(reused, rng);
+        const NodeSample fresh = sampler.sampleNode(fresh_rng);
+        EXPECT_EQ(reused.acceleratedNode, fresh.acceleratedNode);
+        EXPECT_EQ(reused.acceleratedDimm, fresh.acceleratedDimm);
+        EXPECT_EQ(reused.faults.size(), fresh.faults.size()) << "node " << n;
+        if (reused.faults.size() != fresh.faults.size())
+            break;
+        for (size_t i = 0; i < fresh.faults.size(); ++i) {
+            SCOPED_TRACE("node " + std::to_string(n) + " fault " +
+                         std::to_string(i));
+            expectSameRecord(reused.faults[i], fresh.faults[i]);
+            ++per_mode[static_cast<unsigned>(fresh.faults[i].mode)];
+        }
+        if (::testing::Test::HasFailure())
+            break;
+        Rng after_reused = rng;
+        EXPECT_EQ(after_reused.next(), fresh_rng.next()) << "node " << n;
+    }
+    return per_mode;
+}
+
+TEST(FaultSampler, PooledRecordsMatchFreshSamplesAtTenX)
+{
+    FaultModelConfig config;
+    config.fitScale = 10.0;
+    const auto per_mode = expectReuseMatchesFresh(config, 30, 20000);
+    for (unsigned m = 0; m < kFaultModeCount; ++m)
+        EXPECT_GT(per_mode[m], 100u) << faultModeName(FaultMode(m));
+}
+
+TEST(FaultSampler, PooledRecordsMatchFreshSamplesWhenShapesChurn)
+{
+    // Multi-bank and multi-rank faults 20x likelier: records and regions
+    // change shape (1 or 2 parts; 1 to 8 clusters) from node to node.
+    FaultModelConfig config;
+    config.fitScale = 10.0;
+    for (const FaultMode mode : {FaultMode::MultiBank, FaultMode::MultiRank}) {
+        config.rates.transientFit[static_cast<unsigned>(mode)] *= 20.0;
+        config.rates.permanentFit[static_cast<unsigned>(mode)] *= 20.0;
+    }
+    const auto per_mode = expectReuseMatchesFresh(config, 31, 20000);
+    EXPECT_GT(per_mode[static_cast<unsigned>(FaultMode::MultiBank)], 5000u);
+    EXPECT_GT(per_mode[static_cast<unsigned>(FaultMode::MultiRank)], 5000u);
 }
 
 TEST(FaultSampler, ExactPathAgreesOnMean)
